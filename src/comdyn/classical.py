@@ -13,14 +13,17 @@ the homogeneous (memory-keeping) variant. Kolmogorov sign/conservation
 conditions are checked pointwise in the Markovian case and on the running
 integrals in the homogeneous case.
 
-Fields on Z_d^n are stored flat in row-major order (first axis slowest);
-the DFT is the direct O(d^2n) transform with the +m.k phase kernel on the
-forward leg (swap in an FFT here if dimensions ever grow).
+Fields on Z_d^n are stored flat in row-major order (first axis slowest).
+The lattice transforms are FFTs on the (d,) * n grid, O(d^n log d^n), with
+the +m.k phase kernel on the forward leg; the dense kernel is built only for
+the explicit eigenvector matrix :func:`fourier_modes`. Generator rates live
+in a :class:`~comdyn.timefn.CoefficientBank`, so a condition check
+evaluates its whole time grid in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import Literal, Optional, Sequence
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, NonProbabilisticResultError,
                      PreconditionFailedError)
-from .timefn import as_time_function
+from .timefn import CoefficientBank, as_time_function
 
 DEFAULT_TOL = 1e-10
 
@@ -127,14 +130,19 @@ def _dft_kernel(d: int, naxes: int) -> np.ndarray:
 
 
 def dft(x: LatticeField) -> LatticeField:
-    """Forward transform x~(m) = sum_k lambda^(m.k) x(k)."""
-    return LatticeField(x.d, x.naxes, _dft_kernel(x.d, x.naxes) @ x.values)
+    """Forward transform x~(m) = sum_k lambda^(m.k) x(k).
+
+    This is the unnormalized inverse FFT (d^naxes * ifftn) on the grid.
+    """
+    return LatticeField(x.d, x.naxes,
+                        np.fft.ifftn(x.grid, norm="forward").reshape(-1))
 
 
 def idft(x: LatticeField) -> LatticeField:
-    """Inverse transform x(k) = d^-naxes sum_m lambda^(-m.k) x~(m)."""
-    kernel = _dft_kernel(x.d, x.naxes)
-    return LatticeField(x.d, x.naxes, kernel.conj() @ x.values / x.size)
+    """Inverse transform x(k) = d^-naxes sum_m lambda^(-m.k) x~(m),
+    which is fftn / d^naxes on the grid."""
+    return LatticeField(x.d, x.naxes,
+                        np.fft.fftn(x.grid, norm="forward").reshape(-1))
 
 
 def convolve(x: LatticeField, y: LatticeField) -> LatticeField:
@@ -155,11 +163,13 @@ def circulant_from_field(a: LatticeField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CirculantGenerator:
-    """Per-site rates a_t(m) on Z_d^naxes, each a :class:`TimeFunction`."""
+    """Per-site rates a_t(m) on Z_d^naxes, each a :class:`TimeFunction`,
+    evaluated together through one :class:`CoefficientBank`."""
 
     d: int
     naxes: int
     coefficients: tuple
+    bank: CoefficientBank = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         funcs = tuple(as_time_function(c) for c in self.coefficients)
@@ -168,6 +178,7 @@ class CirculantGenerator:
                 f"generator on Z_{self.d}^{self.naxes} needs "
                 f"{self.d ** self.naxes} coefficients, got {len(funcs)}")
         object.__setattr__(self, "coefficients", funcs)
+        object.__setattr__(self, "bank", CoefficientBank(funcs))
 
     @classmethod
     def constant(cls, d: int, naxes: int, values: Sequence[float]) -> "CirculantGenerator":
@@ -178,12 +189,10 @@ class CirculantGenerator:
         return all(f.is_constant for f in self.coefficients)
 
     def rates(self, t: float) -> LatticeField:
-        return LatticeField(self.d, self.naxes,
-                            np.array([f(t) for f in self.coefficients]))
+        return LatticeField(self.d, self.naxes, self.bank.values(t)[0])
 
     def integrated_rates(self, t0: float, t1: float) -> LatticeField:
-        return LatticeField(self.d, self.naxes,
-                            np.array([f.integrate(t0, t1) for f in self.coefficients]))
+        return LatticeField(self.d, self.naxes, self.bank.integrals(t0, t1)[0])
 
 
 def circulant_matrix(gen: CirculantGenerator, t: float = 0.0) -> np.ndarray:
@@ -245,6 +254,8 @@ class KolmogorovReport:
 
 def _check_rate_field(values: np.ndarray, t: float, tol: float,
                       condition_prefix: str) -> Optional[KolmogorovViolation]:
+    """The first failed condition of one rate field, in priority order:
+    imaginary part, nonnegativity off the origin, zero sum, origin sign."""
     imag_max = float(np.max(np.abs(values.imag)))
     if imag_max > tol:
         return KolmogorovViolation(t, int(np.argmax(np.abs(values.imag))),
@@ -264,31 +275,53 @@ def _check_rate_field(values: np.ndarray, t: float, tol: float,
     return None
 
 
+def _first_violation(gen: CirculantGenerator, block: np.ndarray, times: np.ndarray,
+                     tol: float, condition_prefix: str) -> Optional[KolmogorovViolation]:
+    """The earliest row of a (times, sites) rate block that fails a condition.
+
+    The conditions of :func:`_check_rate_field` are screened for all rows at
+    once; the witness is then built from the first flagged row alone. A
+    non-finite row raises like the LatticeField it would have made.
+    """
+    real = block.real
+    scale = np.maximum(1.0, np.max(np.abs(real), axis=1))
+    flagged = (~np.all(np.isfinite(block), axis=1)
+               | (np.max(np.abs(block.imag), axis=1) > tol)
+               | (np.min(real[:, 1:], axis=1) < -tol)
+               | (np.abs(np.sum(real, axis=1)) > tol * scale)
+               | (real[:, 0] > tol))
+    for row in np.flatnonzero(flagged):
+        values = LatticeField(gen.d, gen.naxes, block[row]).values
+        violation = _check_rate_field(values, float(times[row]), tol, condition_prefix)
+        if violation is not None:
+            return violation
+    return None
+
+
 def kolmogorov_check_markov(gen: CirculantGenerator, grid: Sequence[float],
                             tol: float = DEFAULT_TOL) -> KolmogorovReport:
     """Pointwise conditions: a_t(m) >= 0 for m != 0, sum_m a_t(m) = 0."""
     grid = np.asarray(grid, dtype=float)
-    for t in grid:
-        violation = _check_rate_field(gen.rates(t).values, float(t), tol, "pointwise")
-        if violation is not None:
-            return KolmogorovReport("markov", False, violation, grid, tol)
-    return KolmogorovReport("markov", True, None, grid, tol)
+    violation = _first_violation(gen, gen.bank.values(grid), grid, tol, "pointwise")
+    return KolmogorovReport("markov", violation is None, violation, grid, tol)
 
 
 def kolmogorov_check_nonmarkov(gen: CirculantGenerator, taus: Sequence[float],
                                tol: float = DEFAULT_TOL) -> KolmogorovReport:
-    """Integrated conditions on int_0^tau a_u(m) du at each grid tau."""
+    """Integrated conditions on int_0^tau a_u(m) du at each grid tau.
+
+    The grid is checked in order up to its first negative tau, which raises
+    ``ValueError`` unless a violation comes before it.
+    """
     taus = np.asarray(taus, dtype=float)
-    for tau in taus:
-        if tau < 0:
-            raise ValueError("tau grid must be nonnegative")
-        if tau == 0.0:
-            continue
-        integ = gen.integrated_rates(0.0, float(tau)).values
-        violation = _check_rate_field(integ, float(tau), tol, "integrated")
-        if violation is not None:
-            return KolmogorovReport("nonmarkov", False, violation, taus, tol)
-    return KolmogorovReport("nonmarkov", True, None, taus, tol)
+    negative = np.flatnonzero(taus < 0)
+    checked = taus[:negative[0]] if negative.size else taus
+    checked = checked[checked != 0.0]
+    violation = _first_violation(gen, gen.bank.integrals(0.0, checked), checked,
+                                 tol, "integrated")
+    if violation is None and negative.size:
+        raise ValueError("tau grid must be nonnegative")
+    return KolmogorovReport("nonmarkov", violation is None, violation, taus, tol)
 
 
 def condition_grid(a: float, b: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:

@@ -27,7 +27,8 @@ import numpy as np
 import jsonschema
 
 from . import classical, generators, kernel, oracle, qubit, timefn, weyl
-from .errors import (NonProbabilisticResultError, PreconditionFailedError)
+from .errors import (NonProbabilisticResultError, PoleEncounteredError,
+                     PreconditionFailedError)
 from .superop import validate_channel
 
 # ---------------------------------------------------------------------------
@@ -233,6 +234,19 @@ def write_table(path: str, fmt: str, header: list, rows: list):
         text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+
+
+def write_channel(path: str, matrix: np.ndarray):
+    """One ``row,col,re,im`` line per matrix entry, row-major, in the
+    17-digit format of :func:`_fmt`; written a row at a time, so no text
+    for the whole matrix is held in memory."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("row,col,re,im\n")
+        for i, row in enumerate(matrix):
+            handle.write("".join(
+                f"{i},{j},{re:.17g},{im:.17g}\n"
+                for j, (re, im) in enumerate(zip(row.real.tolist(),
+                                                 row.imag.tolist()))))
 
 
 def write_sidecar(path: str, config: dict, reports: dict, elapsed: float):
@@ -467,15 +481,8 @@ def run_experiment(config: dict, args) -> int:
     try:
         write_table(out_path, args.format, header, rows)
         if "channel_matrix" in extra:
-            matrix = extra["channel_matrix"]
             channel_path = out_path + ".channel.csv"
-            lines = ["row,col,re,im"]
-            for i in range(matrix.shape[0]):
-                for j in range(matrix.shape[1]):
-                    lines.append(f"{i},{j},{_fmt(matrix[i, j].real)},"
-                                 f"{_fmt(matrix[i, j].imag)}")
-            with open(channel_path, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
+            write_channel(channel_path, extra["channel_matrix"])
             reports["channel_matrix_path"] = channel_path
         write_sidecar(out_path + ".meta.json", config, reports,
                       time.perf_counter() - started)
@@ -707,7 +714,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PreconditionFailedError, NonProbabilisticResultError) as exc:
+    except (PreconditionFailedError, NonProbabilisticResultError,
+            PoleEncounteredError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ a Fraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,7 +32,7 @@ import numpy as np
 from .classical import PropagationMode, condition_grid, integration_window
 from .errors import PreconditionFailedError
 from .superop import DEFAULT_TOL, SuperOperator
-from .timefn import TimeFunction, as_time_function
+from .timefn import CoefficientBank, TimeFunction, as_time_function
 
 E00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 E11 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -78,13 +78,15 @@ class QubitGeneratorSpec:
     """Coefficients of the two-level generator family.
 
     ``c`` is a 2x2 nest of TimeFunctions that must be Hermitian at every
-    sampled time; ``mu`` is the mixing parameter in [0, 1].
+    sampled time; ``mu`` is the mixing parameter in [0, 1]. ``bank`` holds
+    (epsilon, gamma, c00, c01, c10, c11) in that column order.
     """
 
     epsilon: TimeFunction
     gamma: TimeFunction
     c: tuple
     mu: float
+    bank: CoefficientBank = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", as_time_function(self.epsilon))
@@ -95,6 +97,8 @@ class QubitGeneratorSpec:
         object.__setattr__(self, "c", rows)
         if not 0.0 <= float(self.mu) <= 1.0:
             raise ValueError(f"mixing parameter must lie in [0, 1], got {self.mu}")
+        object.__setattr__(self, "bank", CoefficientBank(
+            (self.epsilon, self.gamma) + rows[0] + rows[1]))
 
     @classmethod
     def constant(cls, epsilon=0.0, gamma=0.0, c=((0.0, 0.0), (0.0, 0.0)),
@@ -108,11 +112,6 @@ class QubitGeneratorSpec:
         if np.max(np.abs(cmat - cmat.conj().T)) > tol * scale:
             raise ValueError(f"c(t) is not Hermitian at t={t}")
         return cmat
-
-    def c_integral(self, t0: float, t1: float) -> np.ndarray:
-        return np.array([[self.c[0][0].integrate(t0, t1), self.c[0][1].integrate(t0, t1)],
-                         [self.c[1][0].integrate(t0, t1), self.c[1][1].integrate(t0, t1)]],
-                        dtype=complex)
 
 
 def _dissipator(jump: np.ndarray) -> np.ndarray:
@@ -165,11 +164,8 @@ def gamma_eigenvalue(spec: QubitGeneratorSpec, t: float = 0.0) -> complex:
 def eigenvalue_integrals(spec: QubitGeneratorSpec, t0: float, t1: float) -> np.ndarray:
     """Integrals over [t0, t1] of the four mode eigenvalues
     (0, Gamma, conj Gamma, -gamma)."""
-    gamma_int = complex(spec.gamma.integrate(t0, t1))
-    eps_int = complex(spec.epsilon.integrate(t0, t1))
-    cint = spec.c_integral(t0, t1)
-    big_gamma = -0.5 * (gamma_int + cint[0, 0] + cint[1, 1]
-                        - 2.0 * cint[1, 0] + 2.0j * eps_int)
+    eps_int, gamma_int, c00, _, c10, c11 = spec.bank.integrals(t0, t1)[0]
+    big_gamma = -0.5 * (gamma_int + c00 + c11 - 2.0 * c10 + 2.0j * eps_int)
     return np.array([0.0, big_gamma, np.conj(big_gamma), -gamma_int])
 
 
@@ -183,9 +179,36 @@ def _assemble(mu: float, mode_values: Sequence[complex]) -> SuperOperator:
     return SuperOperator(2, matrix)
 
 
-def _check_psd(matrix: np.ndarray, tol: float) -> float:
-    eigs = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
-    return float(np.min(eigs))
+def _first_sign_violation(spec: QubitGeneratorSpec, grid: np.ndarray, tol: float,
+                          integrated: bool) -> Optional[tuple]:
+    """(time, "gamma" or "c") at the first grid point where gamma < -tol or
+    c is not positive semidefinite, gamma first at equal times; None if none.
+
+    Pointwise (``integrated`` false) c must also be Hermitian, as in
+    :meth:`QubitGeneratorSpec.c_matrix`, which raises at the first point
+    where it is not. Integrated checks use int_0^tau over the nonzero taus.
+    """
+    if integrated:
+        grid = grid[grid != 0.0]
+        block = spec.bank.integrals(0.0, grid)
+    else:
+        block = spec.bank.values(grid)
+    cmats = block[:, 2:].reshape(-1, 2, 2)
+    adjoints = cmats.conj().swapaxes(1, 2)
+    min_eigs = np.min(np.linalg.eigvalsh((cmats + adjoints) / 2.0), axis=1)
+    flagged = (block[:, 1].real < -tol) | (min_eigs < -tol)
+    if not integrated:
+        scale = np.maximum(1.0, np.max(np.abs(cmats), axis=(1, 2)))
+        flagged |= np.max(np.abs(cmats - adjoints), axis=(1, 2)) > 1e-9 * scale
+    if not np.any(flagged):
+        return None
+    row = int(np.argmax(flagged))
+    t = float(grid[row])
+    if block[row, 1].real < -tol:
+        return t, "gamma"
+    if not integrated:
+        spec.c_matrix(t)  # raises when c(t) is not Hermitian
+    return t, "c"
 
 
 def propagate(spec: QubitGeneratorSpec, t0: float, t: float,
@@ -200,28 +223,18 @@ def propagate(spec: QubitGeneratorSpec, t0: float, t: float,
     lo, hi = integration_window(t0, t, mode)
     if check:
         grid = condition_grid(lo, hi, grid_points)
-        if mode == "markov":
-            for u in grid:
-                if float(np.real(spec.gamma(u))) < -tol:
-                    raise PreconditionFailedError(
-                        f"gamma({u}) = {spec.gamma(u)} negative (markov mode)",
-                        witness=("gamma", float(u)))
-                if _check_psd(spec.c_matrix(float(u)), tol) < -tol:
-                    raise PreconditionFailedError(
-                        f"c({u}) not positive semidefinite (markov mode)",
-                        witness=("c", float(u)))
-        else:
-            for tau in grid:
-                if tau == 0.0:
-                    continue
-                if float(np.real(spec.gamma.integrate(0.0, float(tau)))) < -tol:
-                    raise PreconditionFailedError(
-                        f"int_0^{tau} gamma < 0 (nonmarkov mode)",
-                        witness=("gamma-integral", float(tau)))
-                if _check_psd(spec.c_integral(0.0, float(tau)), tol) < -tol:
-                    raise PreconditionFailedError(
-                        f"int_0^{tau} c not positive semidefinite (nonmarkov mode)",
-                        witness=("c-integral", float(tau)))
+        violation = _first_sign_violation(spec, grid, tol, integrated=mode != "markov")
+        if violation is not None:
+            u, which = violation
+            if mode == "markov":
+                message = (f"gamma({u}) = {spec.gamma(u)} negative" if which == "gamma"
+                           else f"c({u}) not positive semidefinite")
+                raise PreconditionFailedError(f"{message} (markov mode)",
+                                              witness=(which, u))
+            message = (f"int_0^{u} gamma < 0" if which == "gamma"
+                       else f"int_0^{u} c not positive semidefinite")
+            raise PreconditionFailedError(f"{message} (nonmarkov mode)",
+                                          witness=(f"{which}-integral", u))
     integrals = eigenvalue_integrals(spec, lo, hi)
     return _assemble(spec.mu, np.exp(integrals))
 
@@ -293,24 +306,12 @@ def classify(spec: QubitGeneratorSpec, horizon: float,
     """Check the pointwise (Markovian) and integrated (non-Markovian)
     admissibility conditions on [0, horizon]."""
     grid = condition_grid(0.0, horizon, grid_points)
-    markov_violation = None
-    for u in grid:
-        if float(np.real(spec.gamma(float(u)))) < -tol:
-            markov_violation = (float(u), "gamma pointwise")
-            break
-        if _check_psd(spec.c_matrix(float(u)), tol) < -tol:
-            markov_violation = (float(u), "c pointwise")
-            break
-    nonmarkov_violation = None
-    for tau in grid:
-        if tau == 0.0:
-            continue
-        if float(np.real(spec.gamma.integrate(0.0, float(tau)))) < -tol:
-            nonmarkov_violation = (float(tau), "gamma integral")
-            break
-        if _check_psd(spec.c_integral(0.0, float(tau)), tol) < -tol:
-            nonmarkov_violation = (float(tau), "c integral")
-            break
+    markov_violation = _first_sign_violation(spec, grid, tol, integrated=False)
+    if markov_violation is not None:
+        markov_violation = (markov_violation[0], f"{markov_violation[1]} pointwise")
+    nonmarkov_violation = _first_sign_violation(spec, grid, tol, integrated=True)
+    if nonmarkov_violation is not None:
+        nonmarkov_violation = (nonmarkov_violation[0], f"{nonmarkov_violation[1]} integral")
     return ClassificationReport(
         markovian=markov_violation is None,
         nonmarkovian_valid=nonmarkov_violation is None,

@@ -7,7 +7,8 @@ analytic kinds (constant, polynomial, damped trigonometric) integrate and
 differentiate in closed form; tabulated data is interpolated by a cubic
 spline whose piecewise-polynomial integral and derivative are themselves
 exact. Closed-form propagation therefore never accumulates time-stepping
-error from the coefficients.
+error from the coefficients. A :class:`CoefficientBank` evaluates or
+integrates a whole tuple of them over an array of times in one call.
 """
 
 from __future__ import annotations
@@ -169,6 +170,7 @@ class Tabulated(TimeFunction):
 
     Integration and differentiation act on the spline itself, so they are
     exact for the interpolant; evaluation outside the sampled window raises.
+    Every method also takes arrays of times.
     """
 
     def __init__(self, times: Sequence[float], values: Sequence[complex]):
@@ -180,29 +182,35 @@ class Tabulated(TimeFunction):
         self.values = values
         self._spline = CubicSpline(times, values, extrapolate=False)
 
-    def _check_domain(self, *ts):
+    def _clipped(self, t):
+        """``t`` clipped onto the sampled window; raises for any ``t`` outside it."""
         lo, hi = self.times[0], self.times[-1]
-        for t in ts:
-            if t < lo - 1e-12 or t > hi + 1e-12:
-                raise ValueError(
-                    f"t={t} outside tabulated domain [{lo}, {hi}]")
+        t = np.asarray(t, dtype=float)
+        outside = (t < lo - 1e-12) | (t > hi + 1e-12)
+        if np.any(outside):
+            raise ValueError(
+                f"t={float(t[outside].flat[0])} outside tabulated domain [{lo}, {hi}]")
+        return np.clip(t, lo, hi)
 
     def __call__(self, t):
-        self._check_domain(t)
-        return complex(self._spline(np.clip(t, self.times[0], self.times[-1])))
+        return _complex_result(self._spline(self._clipped(t)))
 
     def integrate(self, t0, t1):
-        self._check_domain(t0, t1)
-        return complex(self._spline.integrate(
-            np.clip(t0, self.times[0], self.times[-1]),
-            np.clip(t1, self.times[0], self.times[-1])))
+        pairs = np.broadcast(self._clipped(t0), self._clipped(t1))
+        return _complex_result(np.reshape(
+            [self._spline.integrate(a, b) for a, b in pairs], pairs.shape))
 
     def derivative(self, t):
-        self._check_domain(t)
-        return complex(self._spline(np.clip(t, self.times[0], self.times[-1]), 1))
+        return _complex_result(self._spline(self._clipped(t), 1))
 
     def __repr__(self):
         return f"Tabulated(<{self.times.size} samples on [{self.times[0]}, {self.times[-1]}]>)"
+
+
+def _complex_result(values):
+    """A Python complex for a scalar result, a complex array otherwise."""
+    values = np.asarray(values, dtype=complex)
+    return complex(values) if values.ndim == 0 else values
 
 
 class SumFunction(TimeFunction):
@@ -246,6 +254,105 @@ class ScaledFunction(TimeFunction):
     @property
     def is_constant(self):
         return self.factor == 0 or self.inner.is_constant
+
+
+class CoefficientBank:
+    """A tuple of time functions evaluated or integrated as one block.
+
+    Rows of a block are times and columns are the functions, in order.
+    Constants, polynomials and damped-trig functions are held as parameter
+    arrays, so a block costs a few array operations whatever the number of
+    functions; tabulated, sum and scaled functions are called once per block
+    with the whole array of times. Each entry follows the operation order of
+    the function's own scalar method, so blocks agree with scalar calls to
+    rounding.
+    """
+
+    def __init__(self, functions: Sequence[TimeFunction]):
+        functions = tuple(functions)
+        self.size = len(functions)
+        kinds = {Constant: [], Polynomial: [], DampedTrig: []}
+        other = []
+        for j, f in enumerate(functions):
+            kinds.get(type(f), other).append(j)
+        self._other = [(j, functions[j]) for j in other]
+
+        self._constant = np.array(kinds[Constant], dtype=np.intp)
+        self._constant_values = np.array(
+            [functions[j].value for j in self._constant], dtype=complex)
+
+        self._poly = np.array(kinds[Polynomial], dtype=np.intp)
+        self._poly_coeffs = _padded([functions[j].coeffs for j in self._poly])
+        self._poly_anti = _padded([functions[j]._poly.integ().coef for j in self._poly])
+
+        self._trig = np.array(kinds[DampedTrig], dtype=np.intp)
+        trig = [functions[j] for j in self._trig]
+        self._amplitude, self._decay, self._frequency, self._phase, self._offset = (
+            np.array([getattr(f, name) for f in trig]) for name in
+            ("amplitude", "decay", "frequency", "phase", "offset"))
+        # the antiderivative's a = w = 0 branch (DampedTrig._antiderivative)
+        self._flat = (self._decay == 0) & (self._frequency == 0)
+        self._trig_denominator = np.where(
+            self._flat, 1.0, self._decay * self._decay + self._frequency * self._frequency)
+
+    def values(self, times) -> np.ndarray:
+        """Block of f_j(t_i), shape (len(times), size)."""
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        column = t[:, None]
+        out = np.empty((t.size, self.size), dtype=complex)
+        out[:, self._constant] = self._constant_values
+        if self._poly.size:
+            out[:, self._poly] = _horner(self._poly_coeffs, column)
+        if self._trig.size:
+            out[:, self._trig] = (self._offset + self._amplitude
+                                  * np.exp(self._decay * column)
+                                  * np.cos(self._frequency * column + self._phase))
+        for j, f in self._other:
+            out[:, j] = f(t)
+        return out
+
+    def integrals(self, t0, t1) -> np.ndarray:
+        """Block of int_{t0}^{t1} f_j per window, shape (windows, size);
+        ``t0`` and ``t1`` broadcast against each other."""
+        t0, t1 = np.broadcast_arrays(np.atleast_1d(np.asarray(t0, dtype=float)),
+                                     np.atleast_1d(np.asarray(t1, dtype=float)))
+        lo, hi = t0[:, None], t1[:, None]
+        out = np.empty((t1.size, self.size), dtype=complex)
+        out[:, self._constant] = self._constant_values * (hi - lo)
+        if self._poly.size:
+            out[:, self._poly] = (_horner(self._poly_anti, hi)
+                                  - _horner(self._poly_anti, lo))
+        if self._trig.size:
+            out[:, self._trig] = self._trig_antiderivative(hi) - self._trig_antiderivative(lo)
+        for j, f in self._other:
+            out[:, j] = f.integrate(t0, t1)
+        return out
+
+    def _trig_antiderivative(self, t):
+        a, w = self._decay, self._frequency
+        arg = w * t + self._phase
+        core = np.exp(a * t) * (a * np.cos(arg) + w * np.sin(arg)) / self._trig_denominator
+        core = np.where(self._flat, t * np.cos(self._phase), core)
+        return self._offset * t + self._amplitude * core
+
+
+def _padded(rows) -> np.ndarray:
+    """Coefficient rows zero-padded on the right into one matrix."""
+    width = max((len(r) for r in rows), default=0)
+    out = np.zeros((len(rows), width),
+                   dtype=np.result_type(float, *{r.dtype for r in rows}))
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
+
+
+def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Ascending coefficient rows evaluated at a column of times, in the
+    operation order of ``numpy.polynomial.polynomial.polyval``."""
+    acc = coeffs[:, -1] + t * 0
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        acc = coeffs[:, k] + acc * t
+    return acc
 
 
 def as_time_function(value) -> TimeFunction:

@@ -23,7 +23,7 @@ so maps from different coefficient fields always commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache, reduce
 from typing import Optional, Sequence, Union
 
@@ -183,30 +183,25 @@ def relations_check(family: WeylFamily) -> WeylRelationsReport:
     d, npar = family.d, family.nparties
     count = family.count
     stack = np.stack([family.unitary_flat(k) for k in range(count)])
-    pairs = [family.index_pair(k) for k in range(count)]
+    # row k: the digits (m_1..m_N, n_1..n_N) of flat index k, first slowest
+    digits = np.indices((d,) * (2 * npar)).reshape(2 * npar, count).T
+    place = d ** np.arange(2 * npar - 1, -1, -1)
+    ms, ns = digits[:, :npar], digits[:, npar:]
 
     lam = 2j * np.pi / d
     product_residual = 0.0
     for a in range(count):
-        ma, na = pairs[a]
-        ua = stack[a]
-        for b in range(count):
-            mb, nb = pairs[b]
-            phase = np.exp(lam * (sum(x * y for x, y in zip(ma, nb)) % d))
-            target = family.flat_index(
-                tuple((x + y) % d for x, y in zip(ma, mb)),
-                tuple((x + y) % d for x, y in zip(na, nb)))
-            res = float(np.max(np.abs(ua @ stack[b] - phase * stack[target])))
-            product_residual = max(product_residual, res)
+        # u_a u_b = lambda^(m_a.n_b) u_(a+b) for every b at once
+        phases = np.exp(lam * ((ns @ ms[a]) % d))
+        targets = ((digits[a] + digits) % d) @ place
+        res = float(np.max(np.abs(stack[a] @ stack
+                                  - phases[:, None, None] * stack[targets])))
+        product_residual = max(product_residual, res)
 
-    adjoint_residual = 0.0
-    for a in range(count):
-        ma, na = pairs[a]
-        phase = np.exp(lam * (sum(x * y for x, y in zip(ma, na)) % d))
-        target = family.flat_index(tuple(-x % d for x in ma),
-                                   tuple(-x % d for x in na))
-        res = float(np.max(np.abs(stack[a].conj().T - phase * stack[target])))
-        adjoint_residual = max(adjoint_residual, res)
+    phases = np.exp(lam * (np.sum(ms * ns, axis=1) % d))
+    targets = ((-digits) % d) @ place
+    adjoint_residual = float(np.max(np.abs(
+        stack.conj().swapaxes(1, 2) - phases[:, None, None] * stack[targets])))
 
     cols = family.vec_columns()
     gram = cols.conj().T @ cols
@@ -232,6 +227,7 @@ class WeylCoefficientField:
     d: int
     nparties: int
     coefficients: tuple
+    _circulant: CirculantGenerator = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         funcs = tuple(as_time_function(c) for c in self.coefficients)
@@ -241,6 +237,8 @@ class WeylCoefficientField:
                 f"field on Z_{self.d}^{self.nparties} x Z_{self.d}^{self.nparties} "
                 f"needs {expected} coefficients, got {len(funcs)}")
         object.__setattr__(self, "coefficients", funcs)
+        object.__setattr__(self, "_circulant",
+                           CirculantGenerator(self.d, 2 * self.nparties, funcs))
 
     @classmethod
     def constant(cls, d: int, nparties: int, values: Sequence[complex]) -> "WeylCoefficientField":
@@ -254,16 +252,15 @@ class WeylCoefficientField:
         return WeylFamily(self.d, self.nparties)
 
     def as_circulant(self) -> CirculantGenerator:
-        """The same coefficients viewed as rates on the doubled lattice."""
-        return CirculantGenerator(self.d, 2 * self.nparties, self.coefficients)
+        """The same coefficients viewed as rates on the doubled lattice
+        (built once, with its coefficient bank)."""
+        return self._circulant
 
     def values(self, t: float = 0.0) -> LatticeField:
-        return LatticeField(self.d, 2 * self.nparties,
-                            np.array([f(t) for f in self.coefficients]))
+        return self._circulant.rates(t)
 
     def integrated(self, t0: float, t1: float) -> LatticeField:
-        return LatticeField(self.d, 2 * self.nparties,
-                            np.array([f.integrate(t0, t1) for f in self.coefficients]))
+        return self._circulant.integrated_rates(t0, t1)
 
 
 # ---------------------------------------------------------------------------

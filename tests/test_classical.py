@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from comdyn import oracle
-from comdyn.classical import (CirculantGenerator, LatticeField,
-                              circulant_matrix, circulant_spectrum,
+from comdyn.classical import (CirculantGenerator, LatticeField, _check_rate_field,
+                              _dft_kernel, circulant_matrix, circulant_spectrum,
                               composition_check, condition_grid, convolve,
                               dft, fourier_modes, idft,
                               kolmogorov_check_markov,
                               kolmogorov_check_nonmarkov, propagate)
 from comdyn.errors import (DimensionMismatchError, NonProbabilisticResultError,
                            PreconditionFailedError)
-from comdyn.timefn import DampedTrig
+from comdyn.timefn import Constant, DampedTrig, Polynomial
 
 from conftest import multiset_residual, random_kolmogorov_rates
 
@@ -77,6 +77,17 @@ def test_dft_roundtrip(rng):
     x = LatticeField(4, 2, rng.normal(size=16) + 1j * rng.normal(size=16))
     assert np.max(np.abs(idft(dft(x)).values - x.values)) < 1e-12
     assert np.max(np.abs(dft(idft(x)).values - x.values)) < 1e-12
+
+
+@pytest.mark.parametrize("d, naxes", [(2, 1), (3, 2), (4, 3), (5, 2), (2, 9)])
+def test_fft_transforms_match_dense_kernel(rng, d, naxes):
+    size = d ** naxes
+    x = LatticeField(d, naxes, rng.normal(size=size) + 1j * rng.normal(size=size))
+    kernel = _dft_kernel(d, naxes)
+    forward = kernel @ x.values
+    inverse = kernel.conj() @ x.values / size
+    assert np.max(np.abs(dft(x).values - forward)) < 1e-12 * np.max(np.abs(forward))
+    assert np.max(np.abs(idft(x).values - inverse)) < 1e-12 * np.max(np.abs(inverse))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +198,61 @@ def test_nonmarkov_fails_on_negative_constant():
     report = kolmogorov_check_nonmarkov(gen, condition_grid(0, 1))
     assert not report.passed
     assert report.first_violation.time <= 0.005 + 1e-12
+
+
+def _scalar_first_violation(gen, times, integrated, tol=1e-10):
+    """Reference check: one scalar call per coefficient and grid point."""
+    for t in times:
+        if integrated and t == 0.0:
+            continue
+        values = np.array([f.integrate(0.0, t) if integrated else f(t)
+                           for f in gen.coefficients], dtype=complex)
+        violation = _check_rate_field(values, float(t), tol,
+                                      "integrated" if integrated else "pointwise")
+        if violation is not None:
+            return violation
+    return None
+
+
+# site 1 turns negative after t = 4/3, site 2 after t = acos(-0.2) ~ 1.77
+_SITE1 = Polynomial([0.6, -0.45])
+_SITE2 = DampedTrig(amplitude=1.0, frequency=1.0, offset=0.2)
+
+
+@pytest.mark.parametrize("origin, index, condition, window", [
+    (-(_SITE1 + _SITE2), 1, "pointwise nonnegativity off the origin", (4 / 3, 4 / 3 + 0.015)),
+    (-(_SITE1 + _SITE2) + Polynomial([0.0, 0.0, 0.01]), 0,
+     "pointwise zero-sum conservation", (0.0, 0.015 + 1e-12)),
+])
+def test_markov_witness_matches_scalar_loop(origin, index, condition, window):
+    gen = CirculantGenerator(3, 1, (origin, _SITE1, _SITE2))
+    grid = condition_grid(0.0, 3.0)
+    report = kolmogorov_check_markov(gen, grid)
+    expected = _scalar_first_violation(gen, grid, integrated=False)
+    assert report.first_violation == expected
+    assert expected.index == index and expected.condition == condition
+    assert window[0] < expected.time <= window[1]
+
+
+def test_nonmarkov_witness_matches_scalar_loop():
+    # int_0^tau (cos u - 0.3) du = sin(tau) - 0.3 tau turns negative near 2.35
+    rate = DampedTrig(amplitude=1.0, frequency=1.0, offset=-0.3)
+    gen = CirculantGenerator(2, 1, (-rate, rate))
+    taus = condition_grid(0.0, 4.0)
+    report = kolmogorov_check_nonmarkov(gen, taus)
+    expected = _scalar_first_violation(gen, taus, integrated=True)
+    assert report.first_violation == expected
+    assert expected.index == 1
+    assert expected.condition == "integrated nonnegativity off the origin"
+    assert 2.35 < expected.time < 2.37
+
+
+def test_nonmarkov_check_rejects_negative_tau_after_clean_prefix():
+    gen = CirculantGenerator.constant(2, 1, [-1.0, 1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        kolmogorov_check_nonmarkov(gen, [0.0, 0.5, -0.5])
+    bad = CirculantGenerator.constant(2, 1, [1.0, -1.0])
+    assert not kolmogorov_check_nonmarkov(bad, [0.0, 0.5, -0.5]).passed
 
 
 # ---------------------------------------------------------------------------

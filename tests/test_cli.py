@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 
-from comdyn.cli import main
+from comdyn import weyl
+from comdyn.cli import _fmt, main, write_channel
 
 
 def write_config(tmp_path, name, payload):
@@ -119,6 +120,21 @@ def test_weyl_run_emits_spectrum_and_channel(tmp_path):
     assert sidecar["reports"]["oracle"]["passed"]
 
 
+def test_channel_csv_bytes(tmp_path):
+    field = weyl.WeylCoefficientField.constant(2, 1, WEYL_CONFIG["rates"])
+    matrix = weyl.evolve(field, 0.0, 1.0).matrix.copy()
+    matrix[0, 1] = complex(-0.0, -0.0)
+    matrix[1, 0] = complex(0.1, -0.0)
+    path = tmp_path / "channel.csv"
+    write_channel(str(path), matrix)
+    lines = ["row,col,re,im"] + [
+        f"{i},{j},{_fmt(matrix[i, j].real)},{_fmt(matrix[i, j].imag)}"
+        for i in range(4) for j in range(4)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert lines[2] == "0,1,-0,-0"
+    assert lines[5] == "1,0,0.10000000000000001,-0"
+
+
 def test_mixture_run(tmp_path):
     config = write_config(tmp_path, "mixture.json", {
         "kind": "mixture",
@@ -194,6 +210,29 @@ def test_precondition_failure_exit_code(tmp_path, capsys):
     config = write_config(tmp_path, "bad_rates.json", payload)
     assert main(["run", config, "--out", str(tmp_path / "x.csv")]) == 2
     assert "Kolmogorov" in capsys.readouterr().err
+
+
+def test_kernel_pole_is_a_precondition_failure(tmp_path, capsys):
+    # f^(3) = (-2)(-1)/4 + 3(-3)/6 = -1, so 1 + f^ vanishes at s = 3
+    config = write_config(tmp_path, "pole.json", {
+        "kind": "kernel", "weights": [-2, 3], "exponents": [-1, -3],
+        "s_values": [3]})
+    assert main(["run", config, "--out", str(tmp_path / "k.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failed: 1 + f^ = ")
+    assert "at s=3.0" in err
+    assert not (tmp_path / "k.csv").exists()
+
+
+def test_tabulated_rate_outside_its_domain_is_an_input_error(tmp_path, capsys):
+    payload = dict(CLASSICAL_CONFIG)
+    # the window [0, 2] leaves the tabulated domain [0, 1]
+    payload["rates"] = [
+        {"kind": "tabulated", "times": [0.0, 1.0], "values": [-0.7, -0.7]},
+        {"kind": "tabulated", "times": [0.0, 1.0], "values": [0.7, 0.7]}]
+    config = write_config(tmp_path, "tabulated.json", payload)
+    assert main(["run", config, "--out", str(tmp_path / "x.csv")]) == 1
+    assert "outside tabulated domain [0.0, 1.0]" in capsys.readouterr().err
 
 
 def test_validate_weyl_config(tmp_path, capsys):

@@ -12,7 +12,8 @@ from comdyn.qubit import (E00, E11, IDENTITY2, SIGMA3, SIGMA_MINUS, SIGMA_PLUS,
                           gamma_eigenvalue, propagate, spectral_projector,
                           v_conjugation)
 from comdyn.superop import validate_channel
-from comdyn.timefn import Constant, DampedTrig
+from comdyn.classical import condition_grid
+from comdyn.timefn import Constant, DampedTrig, Polynomial
 
 from conftest import multiset_residual, random_matrix
 
@@ -231,6 +232,51 @@ def test_propagate_nonmarkov_precondition():
     spec = QubitGeneratorSpec.constant(gamma=-0.5, mu=0.5)
     with pytest.raises(PreconditionFailedError):
         propagate(spec, 0.0, 1.0, "nonmarkov")
+
+
+def _scalar_markov_witness(spec, grid, tol=1e-10):
+    """Reference check: scalar gamma and c evaluations, point by point."""
+    for u in grid:
+        if float(np.real(spec.gamma(u))) < -tol:
+            return "gamma", float(u)
+        cmat = spec.c_matrix(float(u))
+        if np.min(np.linalg.eigvalsh((cmat + cmat.conj().T) / 2.0)) < -tol:
+            return "c", float(u)
+    return None
+
+
+_PSD_C = ((Constant(0.4), Constant(0.1)), (Constant(0.1), Constant(0.3)))
+
+
+@pytest.mark.parametrize("gamma, c, which, window", [
+    # cos(t) + 0.5 < 0 on (2 pi / 3, 4 pi / 3)
+    (DampedTrig(amplitude=1.0, frequency=1.0, offset=0.5), _PSD_C,
+     "gamma", (2 * np.pi / 3, 2 * np.pi / 3 + 0.015)),
+    # det c = 0.3 (0.5 - 0.4 t) - 0.01 < 0 for t > 7/6
+    (Constant(1.0), ((Polynomial([0.5, -0.4]), Constant(0.1)),
+                     (Constant(0.1), Constant(0.3))),
+     "c", (7 / 6, 7 / 6 + 0.015)),
+])
+def test_markov_witness_matches_scalar_loop(gamma, c, which, window):
+    spec = QubitGeneratorSpec(epsilon=Constant(0.2), gamma=gamma, c=c, mu=0.4)
+    expected = _scalar_markov_witness(spec, condition_grid(0.0, 3.0))
+    assert expected[0] == which and window[0] < expected[1] <= window[1]
+    with pytest.raises(PreconditionFailedError) as excinfo:
+        propagate(spec, 0.0, 3.0, "markov")
+    assert excinfo.value.witness == expected
+    u = expected[1]
+    message = (f"gamma({u}) = {spec.gamma(u)} negative" if which == "gamma"
+               else f"c({u}) not positive semidefinite")
+    assert str(excinfo.value) == f"{message} (markov mode)"
+    report = classify(spec, 3.0)
+    assert report.first_markov_violation == (u, f"{which} pointwise")
+
+
+def test_markov_check_raises_on_non_hermitian_c():
+    c = ((Constant(0.4), Polynomial([0.0, 0.1])), (Constant(0.0), Constant(0.3)))
+    spec = QubitGeneratorSpec(epsilon=Constant(0.0), gamma=Constant(1.0), c=c, mu=0.5)
+    with pytest.raises(ValueError, match="not Hermitian at t=0.015"):
+        propagate(spec, 0.0, 3.0, "markov")
 
 
 # ---------------------------------------------------------------------------

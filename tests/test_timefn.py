@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from comdyn.timefn import (Constant, DampedTrig, Polynomial, SumFunction,
-                           Tabulated, as_time_function, from_spec)
+from comdyn.timefn import (CoefficientBank, Constant, DampedTrig, Polynomial,
+                           SumFunction, Tabulated, as_time_function, from_spec)
 
 
 def quad_complex(f, a, b):
@@ -96,3 +96,53 @@ def test_as_time_function_rejects_junk():
     assert as_time_function(3).is_constant
     with pytest.raises(TypeError):
         as_time_function("fast")
+
+
+# ---------------------------------------------------------------------------
+# coefficient bank
+# ---------------------------------------------------------------------------
+
+BANK_KINDS = {
+    "constant": [Constant(0.7), Constant(-1.25), Constant(0.2 - 0.4j)],
+    "polynomial": [Polynomial([1.0, -2.0, 0.5]), Polynomial([3.0]),
+                   Polynomial([0.0, 0.25, 0.0, -0.1]),
+                   Polynomial([1.0 + 0.5j, -0.3j])],
+    "damped-trig": [DampedTrig(amplitude=0.8, decay=-0.3, frequency=2.0,
+                               phase=0.4, offset=0.1),
+                    DampedTrig.sin(amplitude=-1.0, offset=1.0),
+                    DampedTrig.exp(amplitude=2.0, decay=-0.5, offset=-0.2),
+                    DampedTrig(amplitude=1.5, phase=0.3, offset=-0.4),
+                    DampedTrig(amplitude=0.5j, decay=0.2, frequency=-1.0)],
+    "tabulated": [Tabulated(np.linspace(-1.0, 3.0, 9), np.cos(np.linspace(-1.0, 3.0, 9))),
+                  Tabulated([-1.0, 0.5, 3.0], [1.0j, 2.0, -1.0 + 1.0j])],
+    "sum-and-scaled": [Constant(1.0) + 2.0 * DampedTrig.exp(decay=-1.0),
+                       -Polynomial([0.5, 1.0]),
+                       (0.5 - 1.0j) * DampedTrig.cos(frequency=3.0)],
+}
+BANK_KINDS["mixed"] = [f for kind in BANK_KINDS.values() for f in kind][::-1]
+
+
+@pytest.mark.parametrize("kind", sorted(BANK_KINDS))
+def test_bank_matches_scalar_functions(kind):
+    funcs = BANK_KINDS[kind]
+    bank = CoefficientBank(funcs)
+    times = np.linspace(-1.0, 3.0, 41)
+    expected = np.array([[complex(f(t)) for f in funcs] for t in times])
+    got = bank.values(times)
+    assert got.shape == (times.size, len(funcs))
+    assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+    for lo in (0.0, -0.7):
+        expected = np.array([[complex(f.integrate(lo, t)) for f in funcs] for t in times])
+        got = bank.integrals(lo, times)
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+    single = bank.integrals(0.3, 2.1)
+    assert single.shape == (1, len(funcs))
+    assert np.allclose(single[0], [f.integrate(0.3, 2.1) for f in funcs], rtol=1e-14, atol=0)
+
+
+def test_bank_keeps_tabulated_domain_error():
+    bank = CoefficientBank([Constant(1.0), Tabulated([0.0, 1.0], [1.0, 2.0])])
+    with pytest.raises(ValueError, match="outside tabulated domain"):
+        bank.values(np.linspace(0.0, 1.5, 4))
+    with pytest.raises(ValueError, match="outside tabulated domain"):
+        bank.integrals(0.0, [0.5, 2.0])

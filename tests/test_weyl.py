@@ -63,6 +63,36 @@ def test_relations_exhaustive(d, nparties):
     assert report.max_residual < 1e-12
 
 
+def _scalar_relation_residuals(family):
+    """Reference: the product and adjoint rules checked pair by pair."""
+    d = family.d
+    lam = 2j * np.pi / d
+    product = adjoint = 0.0
+    for a in range(family.count):
+        ma, na = family.index_pair(a)
+        ua = family.unitary_flat(a)
+        for b in range(family.count):
+            mb, nb = family.index_pair(b)
+            phase = np.exp(lam * (sum(x * y for x, y in zip(ma, nb)) % d))
+            target = family.flat_index(tuple((x + y) % d for x, y in zip(ma, mb)),
+                                       tuple((x + y) % d for x, y in zip(na, nb)))
+            product = max(product, float(np.max(np.abs(
+                ua @ family.unitary_flat(b) - phase * family.unitary_flat(target)))))
+        phase = np.exp(lam * (sum(x * y for x, y in zip(ma, na)) % d))
+        target = family.flat_index(tuple(-x % d for x in ma), tuple(-x % d for x in na))
+        adjoint = max(adjoint, float(np.max(np.abs(
+            ua.conj().T - phase * family.unitary_flat(target)))))
+    return product, adjoint
+
+
+@pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_relations_check_matches_pairwise_loop(d, nparties):
+    family = WeylFamily(d, nparties)
+    report = relations_check(family)
+    product, adjoint = _scalar_relation_residuals(family)
+    assert (report.product_residual, report.adjoint_residual) == (product, adjoint)
+
+
 @pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)])
 def test_spectrum_phase_kernel_convention(d, nparties):
     assert spectrum_convention_residual(d, nparties) < 1e-10
