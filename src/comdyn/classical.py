@@ -11,7 +11,9 @@ where I(k) is the time integral of the Fourier-transformed rate vector:
 over [t0, t] for inhomogeneous Markovian dynamics and over [0, t - t0] for
 the homogeneous (memory-keeping) variant. Kolmogorov sign/conservation
 conditions are checked pointwise in the Markovian case and on the running
-integrals in the homogeneous case.
+integrals in the homogeneous case. :func:`relaxation` runs that check and
+returns exp(I); it is the one checked core that :func:`propagate` and
+:func:`comdyn.weyl.evolve` share.
 
 Fields on Z_d^n are stored flat in row-major order (first axis slowest).
 The lattice transforms are FFTs on the (d,) * n grid, O(d^n log d^n), with
@@ -31,9 +33,8 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, NonProbabilisticResultError,
                      PreconditionFailedError)
+from .superop import DEFAULT_TOL
 from .timefn import CoefficientBank, as_time_function
-
-DEFAULT_TOL = 1e-10
 
 #: Default number of uniform grid points for condition checks on an interval.
 DEFAULT_GRID_POINTS = 201
@@ -184,10 +185,6 @@ class CirculantGenerator:
     def constant(cls, d: int, naxes: int, values: Sequence[float]) -> "CirculantGenerator":
         return cls(d, naxes, tuple(values))
 
-    @property
-    def is_time_homogeneous(self) -> bool:
-        return all(f.is_constant for f in self.coefficients)
-
     def rates(self, t: float) -> LatticeField:
         return LatticeField(self.d, self.naxes, self.bank.values(t)[0])
 
@@ -324,8 +321,8 @@ def kolmogorov_check_nonmarkov(gen: CirculantGenerator, taus: Sequence[float],
     return KolmogorovReport("nonmarkov", violation is None, violation, taus, tol)
 
 
-def condition_grid(a: float, b: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    return np.linspace(a, b, points)
+def condition_grid(a: float, b: float) -> np.ndarray:
+    return np.linspace(a, b, DEFAULT_GRID_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -344,35 +341,50 @@ def integration_window(t0: float, t: float, mode: PropagationMode) -> tuple:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def propagate(gen: CirculantGenerator, t0: float, t: float,
-              mode: PropagationMode = "markov", tol: float = DEFAULT_TOL,
-              grid_points: int = DEFAULT_GRID_POINTS,
-              check: bool = True) -> LatticeField:
-    """Closed-form stochastic vector P(m) = d^-naxes sum_k lambda^(-m.k) exp(I(k)).
+def kolmogorov_check(gen: CirculantGenerator, t0: float, t: float,
+                     mode: PropagationMode = "markov",
+                     tol: float = DEFAULT_TOL) -> KolmogorovReport:
+    """The Kolmogorov report for ``mode`` on its integration window: the
+    pointwise conditions over [t0, t] or the integrated ones over
+    [0, t - t0], sampled on :data:`DEFAULT_GRID_POINTS` points."""
+    grid = condition_grid(*integration_window(t0, t, mode))
+    if mode == "markov":
+        return kolmogorov_check_markov(gen, grid, tol)
+    return kolmogorov_check_nonmarkov(gen, grid, tol)
 
-    The Kolmogorov report for the requested mode must pass on the relevant
-    window; violations raise :class:`PreconditionFailedError` carrying the
-    witness. A negative output beyond tolerance (possible only for
-    inconsistent inputs) raises :class:`NonProbabilisticResultError`.
+
+def relaxation(gen: CirculantGenerator, t0: float, t: float,
+               mode: PropagationMode = "markov", tol: float = DEFAULT_TOL,
+               check: bool = True) -> LatticeField:
+    """The spectral core shared by every closed form: exp(I~(k)), where I~
+    is the transform of the rates integrated over the mode's window.
+
+    With ``check`` the matching Kolmogorov report must pass first; a
+    violation raises :class:`PreconditionFailedError` carrying the witness.
     """
     lo, hi = integration_window(t0, t, mode)
     if check:
-        grid = condition_grid(lo, hi, grid_points)
-        if mode == "markov":
-            report = kolmogorov_check_markov(gen, grid, tol)
-        else:
-            report = kolmogorov_check_nonmarkov(gen, grid, tol)
+        report = kolmogorov_check(gen, t0, t, mode, tol)
         if not report.passed:
             v = report.first_violation
             raise PreconditionFailedError(
                 f"Kolmogorov {report.mode} check failed at t={v.time}: "
                 f"{v.condition} (index {v.index}, value {v.value:.6e})",
                 witness=report)
+    return LatticeField(gen.d, gen.naxes,
+                        np.exp(dft(gen.integrated_rates(lo, hi)).values))
 
-    integ = gen.integrated_rates(lo, hi)
-    relaxation = np.exp(dft(integ).values)
-    out = idft(LatticeField(gen.d, gen.naxes, relaxation))
-    values = out.values.real
+
+def propagate(gen: CirculantGenerator, t0: float, t: float,
+              mode: PropagationMode = "markov", tol: float = DEFAULT_TOL,
+              check: bool = True) -> LatticeField:
+    """Closed-form stochastic vector P(m) = d^-naxes sum_k lambda^(-m.k) exp(I(k)).
+
+    The inverse transform of :func:`relaxation`, which checks the window
+    unless ``check`` is false. A negative output beyond tolerance (possible
+    only for inconsistent inputs) raises :class:`NonProbabilisticResultError`.
+    """
+    values = idft(relaxation(gen, t0, t, mode, tol, check)).values.real
     worst = float(np.min(values))
     if worst < -max(tol, 1e-12):
         raise NonProbabilisticResultError(

@@ -10,9 +10,11 @@ Two subcommands:
   or the built-in self-test suite when no config is given; emits a
   machine-readable pass/fail report.
 
-Exit codes: 0 success, 1 I/O or schema error, 2 precondition failure (the
-witness is reported). Identical configs produce byte-identical output: the
-core is deterministic and floats are serialized with 17 significant digits.
+Exit codes: 0 success, 1 I/O, schema or other input error, 2 refusal: a
+precondition fails or a result cannot be trusted (the witness is reported).
+Each :class:`~comdyn.errors.ComdynError` carries its code. Identical
+configs produce byte-identical output: the core is deterministic and floats
+are serialized with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import numpy as np
 import jsonschema
 
 from . import classical, generators, kernel, oracle, qubit, timefn, weyl
-from .errors import (NonProbabilisticResultError, PoleEncounteredError,
-                     PreconditionFailedError)
+from .errors import ComdynError
 from .superop import validate_channel
 
 # ---------------------------------------------------------------------------
@@ -141,8 +142,8 @@ KIND_SCHEMAS = {
 }
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(ComdynError, ValueError):
+    exit_code = 1
 
 
 def load_config(path: str) -> dict:
@@ -184,10 +185,6 @@ def _timefn(spec) -> timefn.TimeFunction:
     return timefn.from_spec(spec)
 
 
-def _complex_entry(pair) -> complex:
-    return complex(pair[0], pair[1])
-
-
 def _classical_generator(config) -> classical.CirculantGenerator:
     d, n = config["dims"]["d"], config["dims"]["N"]
     return classical.CirculantGenerator(d, n, tuple(_timefn(r) for r in config["rates"]))
@@ -208,10 +205,47 @@ def _qubit_spec(config) -> qubit.QubitGeneratorSpec:
     )
 
 
-def _kernel_signal(config) -> kernel.EigenmodeSignal:
+def _kernel_table(config) -> tuple:
+    """The config's Laplace table and the worst residual over its s values
+    of the identity s C^ - 1 = K^ C^, where C^ = (1 + f^) / s."""
     if "rate" in config:
-        return kernel.mode_signal(_timefn(config["rate"]))
-    return kernel.ExponentialMixtureSignal(config["weights"], config["exponents"])
+        signal = kernel.mode_signal(_timefn(config["rate"]))
+    else:
+        signal = kernel.ExponentialMixtureSignal(config["weights"], config["exponents"])
+    table = kernel.laplace_table(signal, config["s_values"])
+    worst = 0.0
+    for s, fh, kh in zip(table.s_values, table.f_hat, table.k_hat):
+        chat = (1.0 + fh) / s
+        worst = max(worst, abs(s * chat - 1.0 - kh * chat))
+    return table, worst
+
+
+def _mixture_generators(config) -> list:
+    d, n = config["dims"]["d"], config["dims"]["N"]
+    return [weyl.map_from_coeffs(
+        weyl.WeylCoefficientField(d, n, tuple(_timefn(r) for r in rates)))
+        for rates in config["generators"]]
+
+
+def _mixture_spec(config, cset) -> generators.MixtureSpec:
+    return generators.MixtureSpec(tuple(_timefn(w) for w in config["weights"]), cset)
+
+
+def _mixture_weight_grid(config) -> np.ndarray:
+    """The taus at which the weights must form a distribution: the condition
+    grid of the homogeneous window [0, t - t0]."""
+    window = config["time"]
+    return classical.condition_grid(*classical.integration_window(
+        window["t0"], window["t"], "nonmarkov"))
+
+
+def _resolvent_channels(config) -> tuple:
+    """The base generator, and (s, k, channel report) for every resolvent
+    channel of the config, s slowest."""
+    gen = weyl.map_from_coeffs(_weyl_field(config))
+    return gen, [(s, k, validate_channel(
+        generators.resolvent_channel(gen, float(s), int(k))))
+        for s in config["s_values"] for k in config["k_values"]]
 
 
 # ---------------------------------------------------------------------------
@@ -261,201 +295,173 @@ def write_sidecar(path: str, config: dict, reports: dict, elapsed: float):
 # run: per-kind experiments
 # ---------------------------------------------------------------------------
 
-def _time_grid(config) -> np.ndarray:
-    window = config["time"]
-    return np.linspace(window["t0"], window["t"], window["samples"])
+def _ordered_propagator(lfun, t0: float, t: float, mode: str, steps: int,
+                        size: int) -> np.ndarray:
+    """The oracle's time-ordered product over the mode's integration window;
+    the identity on an empty window."""
+    lo, hi = classical.integration_window(t0, t, mode)
+    if hi > lo:
+        return oracle.ordered_exp(lfun, lo, hi, steps)
+    return np.eye(size)
 
 
-def _oracle_settings(config, args):
-    cfg = config.get("oracle", {})
-    tol = args.tol if args.tol is not None else cfg.get("tol", 1e-7)
-    steps = args.steps if args.steps is not None else cfg.get("steps", 2048)
-    return tol, steps
+def _tabulate(config, args, header: list, row, residual,
+              report_steps: bool = True) -> tuple:
+    """The table of ``row(t)`` over the config's time grid.
+
+    ``row(t)`` returns the table row and the closed form behind it. With
+    ``--oracle`` each row gains the column ``residual(t, closed form,
+    steps)`` and the worst residual is reported. Returns the header, the
+    rows, the last closed form and ``{"oracle": report}``, which is empty
+    without ``--oracle``.
+    """
+    window, settings = config["time"], config.get("oracle", {})
+    tol = args.tol if args.tol is not None else settings.get("tol", 1e-7)
+    steps = args.steps if args.steps is not None else settings.get("steps", 2048)
+    rows, worst, closed = [], 0.0, None
+    for t in np.linspace(window["t0"], window["t"], window["samples"]).tolist():
+        values, closed = row(t)
+        if args.oracle:
+            values.append(residual(t, closed, steps))
+            worst = max(worst, values[-1])
+        rows.append(values)
+    if not args.oracle:
+        return header, rows, closed, {}
+    report = {"max_residual": worst, "tol": tol, "passed": worst <= tol}
+    if report_steps:
+        report["steps"] = steps
+    return header + ["oracle_residual"], rows, closed, {"oracle": report}
 
 
 def _run_classical(config, args):
     gen = _classical_generator(config)
     mode = config.get("mode", "markov")
     t0 = config["time"]["t0"]
-    grid = _time_grid(config)
-    header = ["t"] + [f"P{i}" for i in range(gen.d ** gen.naxes)]
-    use_oracle = args.oracle
-    tol, steps = _oracle_settings(config, args)
-    if use_oracle:
-        header.append("oracle_residual")
-    rows, worst = [], 0.0
-    for t in grid:
-        field = classical.propagate(gen, t0, float(t), mode)
-        row = [float(t)] + [float(v) for v in field.values.real]
-        if use_oracle:
-            lo, hi = classical.integration_window(t0, float(t), mode)
-            if hi > lo:
-                prop = oracle.ordered_exp(
-                    lambda u: classical.circulant_matrix(gen, u), lo, hi, steps)
-            else:
-                prop = np.eye(gen.d ** gen.naxes)
-            reference = prop @ classical.LatticeField.unit(gen.d, gen.naxes).values
-            residual = float(np.max(np.abs(field.values - reference)))
-            worst = max(worst, residual)
-            row.append(residual)
-        rows.append(row)
-    reports = {"mode": mode}
-    if use_oracle:
-        reports["oracle"] = {"max_residual": worst, "tol": tol,
-                             "passed": worst <= tol, "steps": steps}
-    return header, rows, reports
+    size = gen.d ** gen.naxes
+    unit = classical.LatticeField.unit(gen.d, gen.naxes).values
+
+    def row(t):
+        field = classical.propagate(gen, t0, t, mode)
+        return [t] + [float(v) for v in field.values.real], field
+
+    def residual(t, field, steps):
+        prop = _ordered_propagator(lambda u: classical.circulant_matrix(gen, u),
+                                   t0, t, mode, steps, size)
+        return float(np.max(np.abs(field.values - prop @ unit)))
+
+    header, rows, _, oracle_report = _tabulate(
+        config, args, ["t"] + [f"P{i}" for i in range(size)], row, residual)
+    return header, rows, {"mode": mode, **oracle_report}, None
 
 
 def _run_weyl(config, args):
     field = _weyl_field(config)
+    gen = field.as_circulant()
     mode = config.get("mode", "markov")
     t0 = config["time"]["t0"]
-    grid = _time_grid(config)
     family = field.family()
     labels = []
     for flat in range(family.count):
         m, n = family.index_pair(flat)
         tag = "".join(str(v) for v in m) + "_" + "".join(str(v) for v in n)
         labels.extend([f"re_relax_{tag}", f"im_relax_{tag}"])
-    header = ["t"] + labels
-    use_oracle = args.oracle
-    tol, steps = _oracle_settings(config, args)
-    if use_oracle:
-        header.append("oracle_residual")
-    rows, worst = [], 0.0
-    for t in grid:
-        lo, hi = classical.integration_window(t0, float(t), mode)
-        relax = np.exp(classical.dft(field.integrated(lo, hi)).values)
-        row = [float(t)]
-        for value in relax:
-            row.extend([float(value.real), float(value.imag)])
-        if use_oracle:
-            channel = weyl.evolve(field, t0, float(t), mode, family=family)
-            if hi > lo:
-                prop = oracle.ordered_exp(
-                    lambda u: weyl.map_from_coeffs(field, u, family).matrix,
-                    lo, hi, steps)
-            else:
-                prop = np.eye(family.dim ** 2)
-            residual = float(np.max(np.abs(channel.matrix - prop)))
-            worst = max(worst, residual)
-            row.append(residual)
-        rows.append(row)
-    final_map = weyl.evolve(field, t0, float(grid[-1]), mode, family=family)
+
+    def row(t):
+        relax = classical.relaxation(gen, t0, t, mode)
+        values = [t]
+        for value in relax.values:
+            values.extend([float(value.real), float(value.imag)])
+        return values, relax
+
+    def residual(t, relax, steps):
+        channel = weyl.WeylSpectrum(family, relax).assemble()
+        prop = _ordered_propagator(
+            lambda u: weyl.map_from_coeffs(field, u, family).matrix,
+            t0, t, mode, steps, family.dim ** 2)
+        return float(np.max(np.abs(channel.matrix - prop)))
+
+    header, rows, relax, oracle_report = _tabulate(
+        config, args, ["t"] + labels, row, residual)
+    final_map = weyl.WeylSpectrum(family, relax).assemble()
     reports = {"mode": mode,
-               "final_channel": validate_channel(final_map).as_dict()}
-    if use_oracle:
-        reports["oracle"] = {"max_residual": worst, "tol": tol,
-                             "passed": worst <= tol, "steps": steps}
-    return header, rows, reports, {"channel_matrix": final_map.matrix}
+               "final_channel": validate_channel(final_map).as_dict(),
+               **oracle_report}
+    return header, rows, reports, final_map.matrix
 
 
 def _run_mixture(config, args):
-    d, n = config["dims"]["d"], config["dims"]["N"]
-    gens = [weyl.map_from_coeffs(
-        weyl.WeylCoefficientField(d, n, tuple(_timefn(r) for r in rates)))
-        for rates in config["generators"]]
-    cset = generators.CommutingGeneratorSet.from_generators(gens)
-    spec = generators.MixtureSpec(tuple(_timefn(w) for w in config["weights"]), cset)
+    cset = generators.CommutingGeneratorSet.from_generators(
+        _mixture_generators(config))
+    spec = _mixture_spec(config, cset)
+    spec.validate_weights(_mixture_weight_grid(config))
     t0 = config["time"]["t0"]
-    grid = _time_grid(config)
     n_modes = cset.basis.eigenvalues.size
+
+    def row(t):
+        values = [t]
+        for value in spec.eigenvalue_mixture(t - t0):
+            values.extend([float(value.real), float(value.imag)])
+        return values, None
+
+    def residual(t, _, steps):
+        tau = t - t0
+        amap = generators.mixture_map(spec, t0, t)
+        direct = sum(w * oracle.expm(tau * g.matrix)
+                     for w, g in zip(spec.weight_values(tau), cset.generators))
+        return float(np.max(np.abs(amap.matrix - direct)))
+
     header = ["t"] + [v for a in range(n_modes) for v in (f"re_c{a}", f"im_c{a}")]
-    use_oracle = args.oracle
-    tol, _ = _oracle_settings(config, args)
-    if use_oracle:
-        header.append("oracle_residual")
-    rows, worst = [], 0.0
-    for t in grid:
-        tau = float(t) - t0
-        values = spec.eigenvalue_mixture(tau)
-        row = [float(t)]
-        for value in values:
-            row.extend([float(value.real), float(value.imag)])
-        if use_oracle:
-            amap = generators.mixture_map(spec, t0, float(t))
-            weights = spec.weight_values(tau)
-            direct = sum(w * oracle.expm(tau * g.matrix)
-                         for w, g in zip(weights, gens))
-            residual = float(np.max(np.abs(amap.matrix - direct)))
-            worst = max(worst, residual)
-            row.append(residual)
-        rows.append(row)
-    reports = {"n_generators": len(gens)}
-    if use_oracle:
-        reports["oracle"] = {"max_residual": worst, "tol": tol,
-                             "passed": worst <= tol}
-    return header, rows, reports
+    header, rows, _, oracle_report = _tabulate(config, args, header, row, residual,
+                                               report_steps=False)
+    return header, rows, {"n_generators": len(cset), **oracle_report}, None
 
 
 def _run_resolvent(config, args):
-    field = _weyl_field(config)
-    gen = weyl.map_from_coeffs(field)
+    gen, channels = _resolvent_channels(config)
     header = ["s", "k", "cp", "tp", "unital", "choi_min_eigenvalue",
               "tp_residual", "unital_residual"]
-    rows = []
-    for s in config["s_values"]:
-        for k in config["k_values"]:
-            channel = generators.resolvent_channel(gen, float(s), int(k))
-            rep = validate_channel(channel)
-            rows.append([float(s), float(k), float(rep.cp), float(rep.tp),
-                         float(rep.unital), rep.choi_min_eigenvalue,
-                         rep.tp_residual, rep.unital_residual])
-    return header, rows, {"generator_norm": gen.norm()}
+    rows = [[float(s), float(k), float(rep.cp), float(rep.tp), float(rep.unital),
+             rep.choi_min_eigenvalue, rep.tp_residual, rep.unital_residual]
+            for s, k, rep in channels]
+    return header, rows, {"generator_norm": gen.norm()}, None
 
 
 def _run_qubit(config, args):
     spec = _qubit_spec(config)
     mode = config.get("mode", "markov")
-    rho0 = np.array([[_complex_entry(e) for e in row]
+    rho0 = np.array([[complex(*e) for e in row]
                      for row in config["initial_state"]])
     t0 = config["time"]["t0"]
-    grid = _time_grid(config)
-    header = ["t", "rho00", "rho11", "re_rho01", "im_rho01", "purity"]
-    use_oracle = args.oracle
-    tol, steps = _oracle_settings(config, args)
-    if use_oracle:
-        header.append("oracle_residual")
-    rows, worst = [], 0.0
-    for t in grid:
-        amap = qubit.propagate(spec, t0, float(t), mode)
+
+    def row(t):
+        amap = qubit.propagate(spec, t0, t, mode)
         rho = amap.apply(rho0)
         purity = float(np.real(np.trace(rho @ rho)))
-        row = [float(t), float(rho[0, 0].real), float(rho[1, 1].real),
-               float(rho[0, 1].real), float(rho[0, 1].imag), purity]
-        if use_oracle:
-            lo, hi = classical.integration_window(t0, float(t), mode)
-            if hi > lo:
-                prop = oracle.ordered_exp(
-                    lambda u: qubit.build_generator(spec, u).matrix, lo, hi, steps)
-            else:
-                prop = np.eye(4)
-            residual = float(np.max(np.abs(amap.matrix - prop)))
-            worst = max(worst, residual)
-            row.append(residual)
-        rows.append(row)
+        return [t, float(rho[0, 0].real), float(rho[1, 1].real),
+                float(rho[0, 1].real), float(rho[0, 1].imag), purity], amap
+
+    def residual(t, amap, steps):
+        prop = _ordered_propagator(lambda u: qubit.build_generator(spec, u).matrix,
+                                   t0, t, mode, steps, 4)
+        return float(np.max(np.abs(amap.matrix - prop)))
+
+    header, rows, _, oracle_report = _tabulate(
+        config, args, ["t", "rho00", "rho11", "re_rho01", "im_rho01", "purity"],
+        row, residual)
     reports = {"mode": mode,
                "classification": qubit.classify(
-                   spec, config["time"]["t"] - t0).as_dict()}
-    if use_oracle:
-        reports["oracle"] = {"max_residual": worst, "tol": tol,
-                             "passed": worst <= tol, "steps": steps}
-    return header, rows, reports
+                   spec, config["time"]["t"] - t0).as_dict(),
+               **oracle_report}
+    return header, rows, reports, None
 
 
 def _run_kernel(config, args):
-    signal = _kernel_signal(config)
+    table, identity_residual = _kernel_table(config)
     header = ["s", "re_f_hat", "im_f_hat", "re_k_hat", "im_k_hat", "quad_error"]
-    table = kernel.laplace_table(signal, config["s_values"])
-    rows = []
-    identity_residual = 0.0
-    for s, fh, kh, err in zip(table.s_values, table.f_hat, table.k_hat,
-                              table.errors):
-        chat = (1.0 + fh) / s
-        identity_residual = max(identity_residual,
-                                abs(s * chat - 1.0 - kh * chat))
-        rows.append([float(s), fh.real, fh.imag, kh.real, kh.imag, float(err)])
-    return header, rows, {"laplace_identity_residual": identity_residual}
+    rows = [[float(s), fh.real, fh.imag, kh.real, kh.imag, float(err)]
+            for s, fh, kh, err in zip(table.s_values, table.f_hat, table.k_hat,
+                                      table.errors)]
+    return header, rows, {"laplace_identity_residual": identity_residual}, None
 
 
 _RUNNERS = {
@@ -475,14 +481,12 @@ def run_experiment(config: dict, args) -> int:
         print("error: no output path (use --out or the 'output' field)",
               file=sys.stderr)
         return 1
-    result = _RUNNERS[config["kind"]](config, args)
-    header, rows, reports = result[0], result[1], result[2]
-    extra = result[3] if len(result) > 3 else {}
+    header, rows, reports, channel = _RUNNERS[config["kind"]](config, args)
     try:
         write_table(out_path, args.format, header, rows)
-        if "channel_matrix" in extra:
+        if channel is not None:
             channel_path = out_path + ".channel.csv"
-            write_channel(channel_path, extra["channel_matrix"])
+            write_channel(channel_path, channel)
             reports["channel_matrix_path"] = channel_path
         write_sidecar(out_path + ".meta.json", config, reports,
                       time.perf_counter() - started)
@@ -499,14 +503,10 @@ def run_experiment(config: dict, args) -> int:
 def _validate_classical(config, tol):
     gen = _classical_generator(config)
     window = config["time"]
-    grid = classical.condition_grid(window["t0"], window["t"])
-    taus = classical.condition_grid(0.0, window["t"] - window["t0"])
-    return [
-        {"name": "kolmogorov_markov",
-         **classical.kolmogorov_check_markov(gen, grid, tol).as_dict()},
-        {"name": "kolmogorov_nonmarkov",
-         **classical.kolmogorov_check_nonmarkov(gen, taus, tol).as_dict()},
-    ]
+    return [{"name": f"kolmogorov_{mode}",
+             **classical.kolmogorov_check(gen, window["t0"], window["t"], mode,
+                                          tol).as_dict()}
+            for mode in ("markov", "nonmarkov")]
 
 
 def _validate_weyl(config, tol):
@@ -520,16 +520,11 @@ def _validate_weyl(config, tol):
     convention = weyl.spectrum_convention_residual(field.d, field.nparties)
     checks.append({"name": "spectrum_convention", "passed": convention < 1e-10,
                    "residual": convention})
-    gen = field.as_circulant()
-    if mode == "markov":
-        grid = classical.condition_grid(window["t0"], window["t"])
-        report = classical.kolmogorov_check_markov(gen, grid, tol)
-    else:
-        taus = classical.condition_grid(0.0, window["t"] - window["t0"])
-        report = classical.kolmogorov_check_nonmarkov(gen, taus, tol)
+    report = classical.kolmogorov_check(field.as_circulant(), window["t0"],
+                                        window["t"], mode, tol)
     checks.append({"name": f"kolmogorov_{mode}", **report.as_dict()})
     if report.passed:
-        amap = weyl.evolve(field, window["t0"], window["t"], mode)
+        amap = weyl.evolve(field, window["t0"], window["t"], mode, tol)
         rep = validate_channel(amap)
         checks.append({"name": "channel_cptp_unital",
                        "passed": rep.cp and rep.tp and rep.unital,
@@ -562,20 +557,16 @@ def _validate_qubit(config, tol):
 
 
 def _validate_mixture(config, tol):
-    d, n = config["dims"]["d"], config["dims"]["N"]
-    gens = [weyl.map_from_coeffs(
-        weyl.WeylCoefficientField(d, n, tuple(_timefn(r) for r in rates)))
-        for rates in config["generators"]]
-    checks = []
+    gens = _mixture_generators(config)
     try:
         cset = generators.CommutingGeneratorSet.from_generators(gens)
-        checks.append({"name": "commuting_set", "passed": True})
     except ValueError as exc:
         return [{"name": "commuting_set", "passed": False, "detail": str(exc)}]
-    spec = generators.MixtureSpec(tuple(_timefn(w) for w in config["weights"]), cset)
-    window = config["time"]
+    checks = [{"name": "commuting_set", "passed": True}]
+    spec = _mixture_spec(config, cset)
+    grid = _mixture_weight_grid(config)
     try:
-        spec.validate_weights(np.linspace(0.0, window["t"] - window["t0"], 101), tol)
+        spec.validate_weights(grid, tol)
         checks.append({"name": "weights_probability", "passed": True})
     except Exception as exc:
         checks.append({"name": "weights_probability", "passed": False,
@@ -584,25 +575,14 @@ def _validate_mixture(config, tol):
 
 
 def _validate_resolvent(config, tol):
-    field = _weyl_field(config)
-    gen = weyl.map_from_coeffs(field)
-    checks = []
-    for s in config["s_values"]:
-        for k in config["k_values"]:
-            rep = validate_channel(generators.resolvent_channel(gen, float(s), int(k)))
-            checks.append({"name": f"resolvent_s{s}_k{k}",
-                           "passed": rep.cp and rep.tp and rep.unital,
-                           **rep.as_dict()})
-    return checks
+    _, channels = _resolvent_channels(config)
+    return [{"name": f"resolvent_s{s}_k{k}",
+             "passed": rep.cp and rep.tp and rep.unital, **rep.as_dict()}
+            for s, k, rep in channels]
 
 
 def _validate_kernel(config, tol):
-    signal = _kernel_signal(config)
-    table = kernel.laplace_table(signal, config["s_values"])
-    worst = 0.0
-    for s, fh, kh in zip(table.s_values, table.f_hat, table.k_hat):
-        chat = (1.0 + fh) / s
-        worst = max(worst, abs(s * chat - 1.0 - kh * chat))
+    _, worst = _kernel_table(config)
     return [{"name": "laplace_identity", "passed": worst < 1e-12,
              "residual": worst}]
 
@@ -629,8 +609,7 @@ def self_test(tol: float = 1e-10) -> list:
             checks.append({"name": f"spectrum_convention_d{d}_N{n}",
                            "passed": residual < 1e-10, "residual": residual})
     gen = classical.CirculantGenerator.constant(3, 1, [-1.5, 1.0, 0.5])
-    report = classical.kolmogorov_check_markov(
-        gen, classical.condition_grid(0.0, 1.0), tol)
+    report = classical.kolmogorov_check(gen, 0.0, 1.0, "markov", tol)
     checks.append({"name": "kolmogorov_canonical", **report.as_dict()})
     size = 9
     values = np.arange(1.0, size + 1.0)
@@ -711,13 +690,13 @@ def main(argv=None) -> int:
             return run_experiment(config, args)
         config = load_config(args.config) if args.config else None
         return validate_command(config, args.tol, args.out)
-    except (ConfigError, ValueError) as exc:
+    except ComdynError as exc:
+        prefix = "error" if exc.exit_code == 1 else "precondition failed"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PreconditionFailedError, NonProbabilisticResultError,
-            PoleEncounteredError) as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

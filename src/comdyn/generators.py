@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
+from .classical import condition_grid
 from .errors import (DefectiveMapError, InvalidWeightsError,
                      QuadratureNotConvergedError, SingularEigenvalueError,
                      SingularResolventError)
@@ -176,7 +177,7 @@ class MixtureSpec:
 
 
 def mixture_map(spec: MixtureSpec, t0: float, t: float,
-                tol: float = DEFAULT_TOL, grid_points: int = 41) -> SuperOperator:
+                tol: float = DEFAULT_TOL) -> SuperOperator:
     """A_{t,t0} = sum_k p_k(t-t0) exp((t-t0) L_k), assembled spectrally.
 
     Depends on t and t0 only through tau = t - t0 (homogeneous by
@@ -186,7 +187,7 @@ def mixture_map(spec: MixtureSpec, t0: float, t: float,
     tau = t - t0
     if tau < 0:
         raise ValueError(f"need t >= t0, got t0={t0}, t={t}")
-    spec.validate_weights(np.linspace(0.0, tau, grid_points), tol)
+    spec.validate_weights(condition_grid(0.0, tau), tol)
     return spec.generator_set.basis.assemble(spec.eigenvalue_mixture(tau))
 
 

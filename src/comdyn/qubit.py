@@ -212,8 +212,7 @@ def _first_sign_violation(spec: QubitGeneratorSpec, grid: np.ndarray, tol: float
 
 
 def propagate(spec: QubitGeneratorSpec, t0: float, t: float,
-              mode: PropagationMode = "markov", tol: float = DEFAULT_TOL,
-              grid_points: int = 201, check: bool = True) -> SuperOperator:
+              mode: PropagationMode = "markov", tol: float = DEFAULT_TOL) -> SuperOperator:
     """Closed-form propagator sum_a exp(int lambda_a) g_a tr(h_a^dag .).
 
     Markovian mode requires gamma(u) > -tol and c(u) >= 0 pointwise on
@@ -221,20 +220,19 @@ def propagate(spec: QubitGeneratorSpec, t0: float, t: float,
     [0, tau] to satisfy the same signs for tau <= t - t0.
     """
     lo, hi = integration_window(t0, t, mode)
-    if check:
-        grid = condition_grid(lo, hi, grid_points)
-        violation = _first_sign_violation(spec, grid, tol, integrated=mode != "markov")
-        if violation is not None:
-            u, which = violation
-            if mode == "markov":
-                message = (f"gamma({u}) = {spec.gamma(u)} negative" if which == "gamma"
-                           else f"c({u}) not positive semidefinite")
-                raise PreconditionFailedError(f"{message} (markov mode)",
-                                              witness=(which, u))
-            message = (f"int_0^{u} gamma < 0" if which == "gamma"
-                       else f"int_0^{u} c not positive semidefinite")
-            raise PreconditionFailedError(f"{message} (nonmarkov mode)",
-                                          witness=(f"{which}-integral", u))
+    violation = _first_sign_violation(spec, condition_grid(lo, hi), tol,
+                                      integrated=mode != "markov")
+    if violation is not None:
+        u, which = violation
+        if mode == "markov":
+            message = (f"gamma({u}) = {spec.gamma(u)} negative" if which == "gamma"
+                       else f"c({u}) not positive semidefinite")
+            raise PreconditionFailedError(f"{message} (markov mode)",
+                                          witness=(which, u))
+        message = (f"int_0^{u} gamma < 0" if which == "gamma"
+                   else f"int_0^{u} c not positive semidefinite")
+        raise PreconditionFailedError(f"{message} (nonmarkov mode)",
+                                      witness=(f"{which}-integral", u))
     integrals = eigenvalue_integrals(spec, lo, hi)
     return _assemble(spec.mu, np.exp(integrals))
 
@@ -302,10 +300,10 @@ class ClassificationReport:
 
 
 def classify(spec: QubitGeneratorSpec, horizon: float,
-             grid_points: int = 201, tol: float = DEFAULT_TOL) -> ClassificationReport:
+             tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Check the pointwise (Markovian) and integrated (non-Markovian)
     admissibility conditions on [0, horizon]."""
-    grid = condition_grid(0.0, horizon, grid_points)
+    grid = condition_grid(0.0, horizon)
     markov_violation = _first_sign_violation(spec, grid, tol, integrated=False)
     if markov_violation is not None:
         markov_violation = (markov_violation[0], f"{markov_violation[1]} pointwise")

@@ -72,18 +72,6 @@ def check_finite_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
-def is_positive_semidefinite(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    if not is_hermitian(a, tol):
-        return False
-    return bool(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2.0)) >= -tol)
-
-
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product tr(a^dag b), conjugate-linear in a."""
     a = np.asarray(a)

@@ -30,10 +30,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import classical
-from .classical import (CirculantGenerator, LatticeField, PropagationMode,
-                        condition_grid, dft)
-from .errors import (DimensionMismatchError, NormalizationError,
-                     PreconditionFailedError)
+from .classical import CirculantGenerator, LatticeField, PropagationMode, dft
+from .errors import DimensionMismatchError, NormalizationError
 from .superop import DEFAULT_TOL, SuperOperator
 from .timefn import Constant, as_time_function
 
@@ -256,12 +254,6 @@ class WeylCoefficientField:
         (built once, with its coefficient bank)."""
         return self._circulant
 
-    def values(self, t: float = 0.0) -> LatticeField:
-        return self._circulant.rates(t)
-
-    def integrated(self, t0: float, t1: float) -> LatticeField:
-        return self._circulant.integrated_rates(t0, t1)
-
 
 # ---------------------------------------------------------------------------
 # maps from coefficient fields
@@ -294,7 +286,7 @@ def map_from_coeffs(field: WeylCoefficientField, t: float = 0.0,
                     family: Optional[WeylFamily] = None) -> SuperOperator:
     if family is None:
         family = field.family()
-    return map_from_values(family, field.values(t))
+    return map_from_values(family, field.as_circulant().rates(t))
 
 
 @dataclass(frozen=True)
@@ -314,13 +306,10 @@ class WeylSpectrum:
         return SuperOperator(self.family.dim,
                              np.outer(col, col.conj()) / self.family.dim)
 
-    def assemble(self, values: Optional[np.ndarray] = None) -> SuperOperator:
-        """sum_{m,n} v(m, n) P_{m,n}; defaults to the stored eigenvalues."""
-        if values is None:
-            values = self.eigenvalues.values
-        values = np.asarray(values, dtype=complex).reshape(-1)
+    def assemble(self) -> SuperOperator:
+        """sum_{m,n} a~(m, n) P_{m,n} over the stored eigenvalues."""
         cols = self.family.vec_columns()
-        matrix = (cols * values) @ cols.conj().T / self.family.dim
+        matrix = (cols * self.eigenvalues.values) @ cols.conj().T / self.family.dim
         return SuperOperator(self.family.dim, matrix)
 
 
@@ -334,7 +323,7 @@ def map_spectrum(field: WeylCoefficientField, t: float = 0.0,
     is the doubled-lattice Fourier transform a~(k, l)."""
     if family is None:
         family = field.family()
-    return spectrum_of_values(family, field.values(t))
+    return spectrum_of_values(family, field.as_circulant().rates(t))
 
 
 def spectrum_convention_residual(d: int, nparties: int = 1,
@@ -399,7 +388,7 @@ def lindblad_decomposition(field: WeylCoefficientField, t: float = 0.0,
                            family: Optional[WeylFamily] = None) -> LindbladDecomposition:
     if family is None:
         family = field.family()
-    values = field.values(t).values
+    values = field.as_circulant().rates(t).values
     total = complex(np.sum(values))
     if abs(total) > tol:
         raise NormalizationError(
@@ -415,34 +404,17 @@ def lindblad_decomposition(field: WeylCoefficientField, t: float = 0.0,
 
 def evolve(field: WeylCoefficientField, t0: float, t: float,
            mode: PropagationMode = "markov", tol: float = DEFAULT_TOL,
-           grid_points: int = classical.DEFAULT_GRID_POINTS,
-           check: bool = True, family: Optional[WeylFamily] = None) -> SuperOperator:
+           family: Optional[WeylFamily] = None) -> SuperOperator:
     """Closed-form dynamical map A_{t,t0} = sum exp(I~(m,n)) P_{m,n}.
 
-    I~ integrates the Fourier rates over [t0, t] (markov) or [0, t - t0]
-    (nonmarkov). The coefficient field, viewed as a classical generator on
-    the doubled lattice, must pass the matching Kolmogorov check.
+    The relaxation factors exp(I~) come from :func:`classical.relaxation`
+    of the field viewed as a classical generator on the doubled lattice, so
+    the field must pass the matching Kolmogorov check.
     """
-    lo, hi = classical.integration_window(t0, t, mode)
     if family is None:
         family = field.family()
-    if check:
-        lattice_gen = field.as_circulant()
-        grid = condition_grid(lo, hi, grid_points)
-        if mode == "markov":
-            report = classical.kolmogorov_check_markov(lattice_gen, grid, tol)
-        else:
-            report = classical.kolmogorov_check_nonmarkov(lattice_gen, grid, tol)
-        if not report.passed:
-            v = report.first_violation
-            raise PreconditionFailedError(
-                f"Kolmogorov {report.mode} check failed at t={v.time}: "
-                f"{v.condition} (index {v.index}, value {v.value:.6e})",
-                witness=report)
-    integ = field.integrated(lo, hi)
-    relaxation = np.exp(dft(integ).values)
-    return WeylSpectrum(family, LatticeField(field.d, 2 * field.nparties,
-                                             relaxation)).assemble(relaxation)
+    return WeylSpectrum(family, classical.relaxation(
+        field.as_circulant(), t0, t, mode, tol)).assemble()
 
 
 def diagonal_action(field: WeylCoefficientField) -> CirculantGenerator:

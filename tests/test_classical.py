@@ -7,8 +7,8 @@ from comdyn.classical import (CirculantGenerator, LatticeField, _check_rate_fiel
                               _dft_kernel, circulant_matrix, circulant_spectrum,
                               composition_check, condition_grid, convolve,
                               dft, fourier_modes, idft,
-                              kolmogorov_check_markov,
-                              kolmogorov_check_nonmarkov, propagate)
+                              kolmogorov_check, kolmogorov_check_markov,
+                              kolmogorov_check_nonmarkov, propagate, relaxation)
 from comdyn.errors import (DimensionMismatchError, NonProbabilisticResultError,
                            PreconditionFailedError)
 from comdyn.timefn import Constant, DampedTrig, Polynomial
@@ -297,6 +297,36 @@ def test_propagate_rejects_invalid_rates():
         propagate(gen, 0.0, 1.0)
     assert excinfo.value.witness is not None
     assert not excinfo.value.witness.passed
+
+
+@pytest.mark.parametrize("mode", ["markov", "nonmarkov"])
+def test_kolmogorov_check_reads_the_mode_window(mode):
+    # the off-origin rate 1 - t turns negative after t = 1; its integral
+    # t - t^2/2 only after t = 2
+    gen = CirculantGenerator(2, 1, (Polynomial([-1.0, 1.0]), Polynomial([1.0, -1.0])))
+    report = kolmogorov_check(gen, 0.5, 2.0, mode)
+    if mode == "markov":
+        expected = kolmogorov_check_markov(gen, condition_grid(0.5, 2.0))
+    else:
+        expected = kolmogorov_check_nonmarkov(gen, condition_grid(0.0, 1.5))
+    assert report.mode == mode
+    assert report.passed == (mode == "nonmarkov")
+    assert np.array_equal(report.grid, expected.grid)
+    assert report.first_violation == expected.first_violation
+    with pytest.raises(ValueError):
+        kolmogorov_check(gen, 2.0, 0.5, mode)
+
+
+def test_relaxation_is_the_spectral_core_of_propagate(rng):
+    gen = CirculantGenerator.constant(3, 2, random_kolmogorov_rates(rng, 3, 2))
+    relax = relaxation(gen, 0.2, 1.1)
+    expected = np.exp(dft(gen.integrated_rates(0.2, 1.1)).values)
+    assert np.array_equal(relax.values, expected)
+    assert np.array_equal(idft(relax).values.real, propagate(gen, 0.2, 1.1).values)
+    bad = CirculantGenerator.constant(2, 1, [0.5, -0.5])
+    with pytest.raises(PreconditionFailedError, match=r"failed at t=0\.0: .*\(index 1,"):
+        relaxation(bad, 0.0, 1.0)
+    assert np.all(np.abs(relaxation(bad, 0.0, 1.0, check=False).values) > 0)
 
 
 def test_unchecked_propagation_flags_negative_output():

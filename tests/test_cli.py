@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from comdyn import weyl
 from comdyn.cli import _fmt, main, write_channel
@@ -269,3 +270,95 @@ def test_validate_report_to_file(tmp_path):
     out = tmp_path / "report.json"
     assert main(["validate", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["passed"]
+
+
+MIXTURE_CONFIG = {
+    "kind": "mixture",
+    "dims": {"d": 2, "N": 1},
+    "generators": [[-1, 0.5, 0.25, 0.25], [-0.6, 0.2, 0.2, 0.2]],
+    "weights": [0.7, 0.3],
+    "time": {"t0": 0, "t": 1, "samples": 3},
+}
+
+RESOLVENT_CONFIG = {
+    "kind": "resolvent",
+    "dims": {"d": 2, "N": 1},
+    "rates": [-0.8, 0.5, 0.3, 0.0],
+    "s_values": [0.5],
+    "k_values": [0],
+}
+
+BACKWARDS = {"time": {"t0": 2.0, "t": 1.0, "samples": 3}}
+
+FAILURE_PATHS = {
+    # name: (command, config, extra argv, exit code, stderr prefix)
+    "weyl-kolmogorov": (
+        "run", dict(WEYL_CONFIG, rates=[1.1, -0.5, -0.3, -0.3]), [], 2,
+        "precondition failed: Kolmogorov markov check failed at t=0.0: "),
+    # the off-origin rate 0.5 - t turns negative after t = 0.5, so the
+    # refusal comes from the window [0, 1] of the last sample
+    "weyl-kolmogorov-late": (
+        "run", dict(WEYL_CONFIG, rates=[
+            {"kind": "polynomial", "coeffs": [-1.1, 1.0]},
+            {"kind": "polynomial", "coeffs": [0.5, -1.0]}, 0.3, 0.3],
+            time={"t0": 0.0, "t": 1.0, "samples": 3}), [], 2,
+        "precondition failed: Kolmogorov markov check failed at t=0.505: "
+        "pointwise nonnegativity off the origin (index 1,"),
+    "qubit-negative-gamma": (
+        "run", dict(QUBIT_CONFIG, gamma=-1.0), [], 2,
+        "precondition failed: gamma(0.0) = -1.0 negative"),
+    "kernel-divergent-transform": (
+        "run", {"kind": "kernel", "rate": {"kind": "damped-trig", "decay": 2.0},
+                "s_values": [0.5]}, [], 2,
+        "precondition failed: s=0.5 does not dominate"),
+    "mixture-weights": (
+        "run", dict(MIXTURE_CONFIG, weights=[0.7, 0.7]), [], 2,
+        "precondition failed: weights sum to 1.4 at tau=0.0"),
+    # the weights stay a distribution on [0, 0.75] and break at tau = 0.765
+    "mixture-weights-late": (
+        "run", dict(MIXTURE_CONFIG, weights=[
+            {"kind": "polynomial", "coeffs": [0.7, 0.0, -1.2]},
+            {"kind": "polynomial", "coeffs": [0.3, 0.0, 1.2]}]), [], 2,
+        "precondition failed: negative weight -2.270e-03 at tau=0.765"),
+    "mixture-weights-oracle": (
+        "run", dict(MIXTURE_CONFIG, weights=[0.7, 0.7]), ["--oracle"], 2,
+        "precondition failed: weights sum to 1.4 at tau=0.0"),
+    "resolvent-singular-run": (
+        "run", dict(RESOLVENT_CONFIG, rates=[1.0, -0.5, -0.25, -0.25],
+                    s_values=[1.5]), [], 2,
+        "precondition failed: (s - L) numerically singular at s=1.5"),
+    "resolvent-singular-validate": (
+        "validate", dict(RESOLVENT_CONFIG, rates=[1.0, -0.5, -0.25, -0.25],
+                         s_values=[1.5]), [], 2,
+        "precondition failed: (s - L) numerically singular at s=1.5"),
+    "classical-backwards-window": (
+        "run", dict(CLASSICAL_CONFIG, **BACKWARDS), [], 1,
+        "error: need t >= t0, got t0=2.0, t=1.5"),
+    "mixture-backwards-window": (
+        "run", dict(MIXTURE_CONFIG, **BACKWARDS), [], 1,
+        "error: need t >= t0, got t0=2.0, t=1.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILURE_PATHS))
+def test_failure_paths_exit_with_their_code_and_write_nothing(tmp_path, capsys, name):
+    command, payload, extra, code, prefix = FAILURE_PATHS[name]
+    config = write_config(tmp_path, "config.json", payload)
+    out = tmp_path / "result.out"
+    assert main([command, config, "--out", str(out)] + extra) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_validate_weyl_applies_its_tolerance_to_the_channel(tmp_path):
+    # a -1e-9 rate passes the 1e-8 Kolmogorov tolerance, so the report must
+    # go on to the channel check instead of refusing at the default 1e-10
+    payload = dict(WEYL_CONFIG, rates=[-0.6, -1e-9, 0.3, 0.3])
+    config = write_config(tmp_path, "weyl.json", payload)
+    out = tmp_path / "report.json"
+    main(["validate", config, "--tol", "1e-8", "--out", str(out)])
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    assert names[-2:] == ["kolmogorov_markov", "channel_cptp_unital"]
