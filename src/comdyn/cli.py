@@ -26,10 +26,9 @@ import time
 from typing import Optional
 
 import numpy as np
-import jsonschema
 
 from . import classical, generators, kernel, oracle, qubit, timefn, weyl
-from .errors import ComdynError
+from .errors import ComdynError, InvalidWeightsError
 from .superop import validate_channel
 
 # ---------------------------------------------------------------------------
@@ -142,6 +141,192 @@ KIND_SCHEMAS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# config checking
+# ---------------------------------------------------------------------------
+#
+# The schemas above are the one definition of the config format. They are
+# compiled once, at import, into checkers that walk a config in one pass.
+# The checkers implement exactly the JSON Schema (Draft 2020-12) keywords
+# in _KEYWORDS, with one deliberate difference: ``integer`` accepts only
+# ints, not integer-valued floats such as 3.0, which numpy refuses later.
+# Compiling refuses any other keyword, so a schema can never loosen silently.
+
+_TYPES = {
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+}
+_KEYWORDS = frozenset({
+    "type", "const", "enum", "minimum", "maximum", "minItems", "maxItems",
+    "items", "properties", "required", "additionalProperties", "oneOf"})
+
+
+class _Invalid:
+    """The first violation found: its message, formatted only when it is
+    reported, and the path to the offending value, innermost key first (each
+    caller appends its key on the way out)."""
+
+    __slots__ = ("template", "args", "path")
+
+    def __init__(self, template: str, *args):
+        self.template, self.args, self.path = template, args, []
+
+    @property
+    def message(self) -> str:
+        return self.template.format(*self.args)
+
+    def at(self, key) -> "_Invalid":
+        self.path.append(key)
+        return self
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: ``1 == 1.0``, but a bool equals only a bool."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return type(a) is type(b) and a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _check_bounds(schema):
+    lo, hi = schema.get("minimum"), schema.get("maximum")
+    is_number = _TYPES["number"]
+
+    def check(v):
+        if not is_number(v):
+            return None
+        if lo is not None and v < lo:
+            return _Invalid("{!r} is less than the minimum of {!r}", v, lo)
+        if hi is not None and v > hi:
+            return _Invalid("{!r} is greater than the maximum of {!r}", v, hi)
+        return None
+    return check
+
+
+def _check_array(schema):
+    lo, hi = schema.get("minItems"), schema.get("maxItems")
+    item = _compile(schema["items"]) if "items" in schema else None
+
+    def check(v):
+        if not isinstance(v, list):
+            return None
+        if lo is not None and len(v) < lo:
+            return _Invalid("{!r} should be non-empty" if lo == 1
+                            else "{!r} is too short", v)
+        if hi is not None and len(v) > hi:
+            return _Invalid("{!r} is too long", v)
+        if item is not None:
+            for i, x in enumerate(v):
+                error = item(x)
+                if error is not None:
+                    return error.at(i)
+        return None
+    return check
+
+
+def _check_object(schema):
+    properties = {k: _compile(s) for k, s in schema.get("properties", {}).items()}
+    required = schema.get("required", [])
+    closed = "additionalProperties" in schema
+    if closed and schema["additionalProperties"] is not False:
+        raise ValueError("config schema 'additionalProperties' must be false")
+
+    def check(v):
+        if not isinstance(v, dict):
+            return None
+        for key in required:
+            if key not in v:
+                return _Invalid("{!r} is a required property", key)
+        if closed:
+            extra = [key for key in v if key not in properties]
+            if extra:
+                return _Invalid("Additional properties are not allowed ({} {} unexpected)",
+                                ", ".join(map(repr, extra)),
+                                "was" if len(extra) == 1 else "were")
+        for key, sub in properties.items():
+            if key in v:
+                error = sub(v[key])
+                if error is not None:
+                    return error.at(key)
+        return None
+    return check
+
+
+def _check_one_of(schema):
+    branches = [_compile(b) for b in schema["oneOf"]]
+    # a branch's tag: its properties fixed by 'const', such as a time
+    # function's kind; a value carrying one branch's tag gets that
+    # branch's error instead of the generic one
+    tags = [{k: s["const"] for k, s in b.get("properties", {}).items() if "const" in s}
+            for b in schema["oneOf"]]
+
+    def check(v):
+        errors = [branch(v) for branch in branches]
+        matched = sum(error is None for error in errors)
+        if matched == 1:
+            return None
+        if matched > 1:
+            return _Invalid("{!r} is valid under more than one of the given schemas", v)
+        claimed = [error for error, tag in zip(errors, tags)
+                   if tag and isinstance(v, dict)
+                   and all(k in v and _equal(v[k], c) for k, c in tag.items())]
+        if len(claimed) == 1:
+            return claimed[0]
+        return _Invalid("{!r} is not valid under any of the given schemas", v)
+    return check
+
+
+def _compile(schema: dict):
+    """``schema`` as a function from a value to its first ``_Invalid``, or
+    None when the value is valid."""
+    unknown = set(schema) - _KEYWORDS
+    if unknown:
+        raise ValueError(f"config schema keywords {sorted(unknown)} are not implemented")
+    checks = []
+    if "type" in schema:
+        name = schema["type"]
+        if name not in _TYPES:
+            raise ValueError(f"config schema type {name!r} is not implemented")
+        is_type = _TYPES[name]
+        checks.append(lambda v: None if is_type(v)
+                      else _Invalid("{!r} is not of type {!r}", v, name))
+    if "const" in schema:
+        const = schema["const"]
+        checks.append(lambda v: None if _equal(v, const)
+                      else _Invalid("{!r} was expected", const))
+    if "enum" in schema:
+        options = schema["enum"]
+        checks.append(lambda v: None if any(_equal(v, o) for o in options)
+                      else _Invalid("{!r} is not one of {!r}", v, options))
+    if "minimum" in schema or "maximum" in schema:
+        checks.append(_check_bounds(schema))
+    if {"minItems", "maxItems", "items"} & set(schema):
+        checks.append(_check_array(schema))
+    if {"properties", "required", "additionalProperties"} & set(schema):
+        checks.append(_check_object(schema))
+    if "oneOf" in schema:
+        checks.append(_check_one_of(schema))
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(v):
+        for each in checks:
+            error = each(v)
+            if error is not None:
+                return error
+        return None
+    return check
+
+
+_KIND_CHECKERS = {kind: _compile(schema) for kind, schema in KIND_SCHEMAS.items()}
+
+
 class ConfigError(ComdynError, ValueError):
     exit_code = 1
 
@@ -159,14 +344,13 @@ def validate_config(config: dict) -> dict:
     if not isinstance(config, dict) or "kind" not in config:
         raise ConfigError("config must be an object with a 'kind' field")
     kind = config["kind"]
-    if kind not in KIND_SCHEMAS:
+    if not isinstance(kind, str) or kind not in KIND_SCHEMAS:
         raise ConfigError(
             f"unknown kind {kind!r}; expected one of {sorted(KIND_SCHEMAS)}")
-    try:
-        jsonschema.validate(config, KIND_SCHEMAS[kind])
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    error = _KIND_CHECKERS[kind](config)
+    if error is not None:
+        path = ".".join(str(p) for p in reversed(error.path)) or "(root)"
+        raise ConfigError(f"config invalid at {path}: {error.message}")
     if kind == "kernel" and ("rate" in config) == ("weights" in config):
         raise ConfigError(
             "kernel config needs exactly one of 'rate' or 'weights'+'exponents'")
@@ -568,7 +752,7 @@ def _validate_mixture(config, tol):
     try:
         spec.validate_weights(grid, tol)
         checks.append({"name": "weights_probability", "passed": True})
-    except Exception as exc:
+    except InvalidWeightsError as exc:
         checks.append({"name": "weights_probability", "passed": False,
                        "detail": str(exc)})
     return checks
@@ -646,8 +830,12 @@ def validate_command(config: Optional[dict], tol: float, out_path: Optional[str]
     payload = {"passed": passed, "checks": checks}
     text = json.dumps(payload, indent=2, default=str) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 1
     else:
         print(text, end="")
     return 0 if passed else 2

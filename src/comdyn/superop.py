@@ -250,12 +250,14 @@ def f_coefficients(a: SuperOperator, basis: Optional[np.ndarray] = None,
 
     Returns c with A = sum_ab c[a, b] F_ab. Over matrix units this is the
     Choi matrix of A, so A is completely positive iff c is positive
-    semidefinite.
+    semidefinite. Without an explicit basis the matrix units are used, and
+    c[(k, l), (i, j)] = A[(i, k), (j, l)] is an index reshuffle of A.
     """
+    dim = a.dim
+    tensor = a.matrix.reshape(dim, dim, dim, dim)
     if basis is None:
-        basis = matrix_units(a.dim)
+        return tensor.transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim)
     basis = _check_orthonormal(basis, tol)
-    tensor = a.matrix.reshape(a.dim, a.dim, a.dim, a.dim)
     return np.einsum("bij,akl,ikjl->ab", basis, basis.conj(), tensor, optimize=True)
 
 

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial as _NPoly
-from scipy.interpolate import CubicSpline
 
 
 class TimeFunction:
@@ -178,6 +177,8 @@ class Tabulated(TimeFunction):
         values = np.asarray(values)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("tabulated kind needs at least two samples")
+        # imported here: scipy.interpolate costs ~0.1 s and only this kind needs it
+        from scipy.interpolate import CubicSpline
         self.times = times
         self.values = values
         self._spline = CubicSpline(times, values, extrapolate=False)

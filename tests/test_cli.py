@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from comdyn import weyl
+from comdyn import cli, weyl
 from comdyn.cli import _fmt, main, write_channel
 
 
@@ -337,6 +340,25 @@ FAILURE_PATHS = {
     "mixture-backwards-window": (
         "run", dict(MIXTURE_CONFIG, **BACKWARDS), [], 1,
         "error: need t >= t0, got t0=2.0, t=1.0"),
+    # validate reads the tabulated weights on [0, 1], past their domain
+    "mixture-tabulated-weights-validate": (
+        "validate", dict(MIXTURE_CONFIG, weights=[
+            {"kind": "tabulated", "times": [0.0, 0.5], "values": [0.7, 0.7]},
+            {"kind": "tabulated", "times": [0.0, 0.5], "values": [0.3, 0.3]}]),
+        [], 1, "error: t=0.505 outside tabulated domain [0.0, 0.5]"),
+    # an integer field takes only ints, not integer-valued floats
+    "integer-float-samples": (
+        "run", dict(CLASSICAL_CONFIG, time={"t0": 0.0, "t": 2.0, "samples": 3.0}),
+        [], 1, "error: config invalid at time.samples: 3.0 is not of type 'integer'"),
+    "integer-float-dims": (
+        "run", dict(CLASSICAL_CONFIG, dims={"d": 2.0, "N": 1}), [], 1,
+        "error: config invalid at dims.d: 2.0 is not of type 'integer'"),
+    "integer-float-oracle-steps": (
+        "run", dict(CLASSICAL_CONFIG, oracle={"steps": 8.0}), ["--oracle"], 1,
+        "error: config invalid at oracle.steps: 8.0 is not of type 'integer'"),
+    "integer-float-k-values": (
+        "run", dict(RESOLVENT_CONFIG, k_values=[1.0]), [], 1,
+        "error: config invalid at k_values.0: 1.0 is not of type 'integer'"),
 }
 
 
@@ -362,3 +384,57 @@ def test_validate_weyl_applies_its_tolerance_to_the_channel(tmp_path):
     main(["validate", config, "--tol", "1e-8", "--out", str(out)])
     names = [c["name"] for c in json.loads(out.read_text())["checks"]]
     assert names[-2:] == ["kolmogorov_markov", "channel_cptp_unital"]
+
+
+def test_validate_report_to_a_missing_directory_is_an_output_error(tmp_path, capsys):
+    config = write_config(tmp_path, "weyl.json", WEYL_CONFIG)
+    out = tmp_path / "missing" / "report.json"
+    assert main(["validate", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["weyl.json"]
+
+
+def test_config_messages_name_the_time_function_kind_they_break(tmp_path, capsys):
+    # a value tagged with one time-function kind gets that kind's error, not
+    # "not valid under any of the given schemas"
+    payload = dict(CLASSICAL_CONFIG, rates=[
+        -0.7, {"kind": "polynomial", "coeffs": []}])
+    config = write_config(tmp_path, "bad.json", payload)
+    assert main(["run", config, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: config invalid at rates.1.coeffs: [] should be non-empty\n")
+    payload = dict(CLASSICAL_CONFIG, rates=[-0.7, {"kind": "bogus"}])
+    config = write_config(tmp_path, "bad.json", payload)
+    assert main(["run", config, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: config invalid at rates.1: {'kind': 'bogus'} is not valid under "
+        "any of the given schemas\n")
+
+
+@pytest.mark.parametrize("kind", [[], {}, 3, None])
+def test_kind_that_is_not_a_string_is_a_config_error(tmp_path, capsys, kind):
+    config = write_config(tmp_path, "bad.json", dict(CLASSICAL_CONFIG, kind=kind))
+    assert main(["run", config, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown kind ")
+
+
+def test_schema_with_an_unimplemented_keyword_does_not_compile():
+    with pytest.raises(ValueError, match="'pattern'"):
+        cli._compile({"type": "string", "pattern": "^a"})
+    with pytest.raises(ValueError, match="'null'"):
+        cli._compile({"type": "null"})
+    with pytest.raises(ValueError, match="additionalProperties"):
+        cli._compile({"type": "object", "additionalProperties": True})
+
+
+def test_importing_the_cli_loads_neither_jsonschema_nor_scipy_interpolate():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, comdyn.cli; "
+            "print(sorted(m for m in ('jsonschema', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -161,6 +161,14 @@ def test_f_rejects_non_orthonormal_basis(rng):
         f_coefficients(op, basis)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_choi_reshuffle_equals_the_matrix_unit_einsum(rng, dim):
+    # without a basis f_coefficients reshuffles indices; an explicit basis
+    # goes through the einsum, which must give the same entries exactly
+    op = random_superoperator(rng, dim)
+    assert np.array_equal(f_coefficients(op), f_coefficients(op, matrix_units(dim)))
+
+
 def test_cp_criterion_basis_independent(rng):
     op = random_superoperator(rng, 2)
     w = random_unitary(rng, 4)
