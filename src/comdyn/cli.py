@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -148,12 +149,15 @@ KIND_SCHEMAS = {
 # The schemas above are the one definition of the config format. They are
 # compiled once, at import, into checkers that walk a config in one pass.
 # The checkers implement exactly the JSON Schema (Draft 2020-12) keywords
-# in _KEYWORDS, with one deliberate difference: ``integer`` accepts only
-# ints, not integer-valued floats such as 3.0, which numpy refuses later.
+# in _KEYWORDS, with two deliberate differences: ``integer`` accepts only
+# ints, not integer-valued floats such as 3.0, which numpy refuses later;
+# and ``number`` refuses the non-finite floats NaN and +-Infinity, which
+# json.load accepts and which would otherwise fail later without a path.
 # Compiling refuses any other keyword, so a schema can never loosen silently.
 
 _TYPES = {
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                         or isinstance(v, float) and math.isfinite(v)),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
@@ -192,6 +196,12 @@ def _equal(a, b) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
     return a == b
+
+
+def _type_error(v, name: str) -> _Invalid:
+    if name == "number" and isinstance(v, float):
+        return _Invalid("{!r} is not a finite number", v)
+    return _Invalid("{!r} is not of type {!r}", v, name)
 
 
 def _check_bounds(schema):
@@ -294,8 +304,7 @@ def _compile(schema: dict):
         if name not in _TYPES:
             raise ValueError(f"config schema type {name!r} is not implemented")
         is_type = _TYPES[name]
-        checks.append(lambda v: None if is_type(v)
-                      else _Invalid("{!r} is not of type {!r}", v, name))
+        checks.append(lambda v: None if is_type(v) else _type_error(v, name))
     if "const" in schema:
         const = schema["const"]
         checks.append(lambda v: None if _equal(v, const)
@@ -457,14 +466,25 @@ def write_table(path: str, fmt: str, header: list, rows: list):
 def write_channel(path: str, matrix: np.ndarray):
     """One ``row,col,re,im`` line per matrix entry, row-major, in the
     17-digit format of :func:`_fmt`; written a row at a time, so no text
-    for the whole matrix is held in memory."""
+    for the whole matrix is held in memory.
+
+    A Weyl channel has few distinct values per row, so each row formats
+    only its distinct values, keyed by their bit patterns (which keeps
+    ``-0.0`` apart from ``0.0`` and one NaN sign from the other), and fills
+    a line template built once per matrix."""
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    lines = [f"{j},%s,%s\n" for j in range(matrix.shape[1])]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("row,col,re,im\n")
         for i, row in enumerate(matrix):
-            handle.write("".join(
-                f"{i},{j},{re:.17g},{im:.17g}\n"
-                for j, (re, im) in enumerate(zip(row.real.tolist(),
-                                                 row.imag.tolist()))))
+            # the row's re, im, re, im, ... parts as 64-bit patterns
+            keys = row.view(np.int64).tolist()
+            text = dict(zip(keys, row.view(np.float64).tolist()))
+            for key, value in text.items():
+                text[key] = _fmt(value)
+            prefix = f"{i},"
+            handle.write((prefix + prefix.join(lines))
+                         % tuple(map(text.__getitem__, keys)))
 
 
 def write_sidecar(path: str, config: dict, reports: dict, elapsed: float):

@@ -116,10 +116,29 @@ class WeylFamily:
     # -- unitaries -------------------------------------------------------------
 
     def _build_stack(self) -> np.ndarray:
-        stack = np.empty((self.count, self.dim, self.dim), dtype=complex)
-        for flat in range(self.count):
-            m, n = self.index_pair(flat)
-            stack[flat] = weyl_unitary(self.d, m, n)
+        """Every u_{m,n} in flat order, as one batched Kronecker product.
+
+        Party k's factor of each unitary is the single-site u_{m_k,n_k}. The
+        stack, viewed with one row and one column axis per party, takes the
+        first party's factors and is multiplied in place by each next
+        party's, the left-to-right products ``reduce(np.kron, ...)`` forms;
+        so the stack is bit-identical to :func:`weyl_unitary`, and nothing
+        larger than one party's factors is allocated beside it."""
+        d, npar, count = self.d, self.nparties, self.count
+        singles = np.stack([_single_weyl(d, m, n) for m in range(d) for n in range(d)])
+        # rows 0..N-1: the m digits of every flat index, rows N..2N-1: its
+        # n digits, first party first
+        digits = np.indices((d,) * (2 * npar)).reshape(2 * npar, count)
+        stack = np.empty((count, self.dim, self.dim), dtype=complex)
+        view = stack.reshape((count,) + (d,) * (2 * npar))
+        for party in range(npar):
+            shape = [count] + [1] * (2 * npar)
+            shape[1 + party] = shape[1 + npar + party] = d
+            factor = singles[digits[party] * d + digits[npar + party]].reshape(shape)
+            if party == 0:
+                view[...] = factor
+            else:
+                view *= factor
         return stack
 
     def unitary(self, m: Index, n: Index) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comdyn import cli, weyl
 from comdyn.cli import _fmt, main, write_channel
@@ -124,6 +125,15 @@ def test_weyl_run_emits_spectrum_and_channel(tmp_path):
     assert sidecar["reports"]["oracle"]["passed"]
 
 
+def channel_reference(matrix) -> bytes:
+    """The channel CSV formatted one entry at a time with ``_fmt``."""
+    rows, cols = matrix.shape
+    lines = ["row,col,re,im"] + [
+        f"{i},{j},{_fmt(matrix[i, j].real)},{_fmt(matrix[i, j].imag)}"
+        for i in range(rows) for j in range(cols)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_channel_csv_bytes(tmp_path):
     field = weyl.WeylCoefficientField.constant(2, 1, WEYL_CONFIG["rates"])
     matrix = weyl.evolve(field, 0.0, 1.0).matrix.copy()
@@ -131,12 +141,75 @@ def test_channel_csv_bytes(tmp_path):
     matrix[1, 0] = complex(0.1, -0.0)
     path = tmp_path / "channel.csv"
     write_channel(str(path), matrix)
-    lines = ["row,col,re,im"] + [
-        f"{i},{j},{_fmt(matrix[i, j].real)},{_fmt(matrix[i, j].imag)}"
-        for i in range(4) for j in range(4)]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_bytes() == channel_reference(matrix)
+    lines = path.read_text().splitlines()
     assert lines[2] == "0,1,-0,-0"
     assert lines[5] == "1,0,0.10000000000000001,-0"
+
+
+NAN = float("nan")
+# values whose bit patterns differ although some compare equal (the zeros)
+# or unequal to themselves (the NaNs)
+SPECIAL = [NAN, -NAN, float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
+           1e16, 0.1, -0.1, 1.0, 2.5e-17]
+
+
+def _special_matrix():
+    pool = np.array(SPECIAL)
+    matrix = np.empty((6, len(SPECIAL)), dtype=complex)
+    matrix.real[0], matrix.imag[0] = pool, pool[::-1]
+    matrix.real[1], matrix.imag[1] = pool[::-1], pool          # repeats row 0
+    matrix[2] = complex(-0.0, NAN)                             # all entries equal
+    matrix.real[3], matrix.imag[3] = np.repeat(pool[:7], 2)[:13], -0.0
+    matrix[4] = matrix[0]                                      # a repeated row
+    matrix.real[5], matrix.imag[5] = np.roll(pool, 3), np.roll(pool, 5)
+    return matrix
+
+
+def _dense_matrix():
+    rng = np.random.default_rng(5)
+    return rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+
+
+@pytest.mark.parametrize("make", [
+    _special_matrix, _dense_matrix,
+    lambda: np.array([[complex(-NAN, 1e16)]]),
+    lambda: np.array([[complex(0.0, -0.0)]]),
+    lambda: _special_matrix().T,
+    lambda: _special_matrix().real,
+], ids=["special", "dense-64", "1x1-nan", "1x1-zeros", "transposed", "real"])
+def test_channel_csv_bytes_on_special_values(tmp_path, make):
+    matrix = make()
+    path = tmp_path / "channel.csv"
+    write_channel(str(path), matrix)
+    assert path.read_bytes() == channel_reference(matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_channel_csv_bytes_with_repeated_values(tmp_path_factory, data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    parts = data.draw(st.lists(st.sampled_from(SPECIAL), min_size=2 * rows * cols,
+                               max_size=2 * rows * cols))
+    matrix = np.array(parts).view(complex).reshape(rows, cols)
+    path = tmp_path_factory.mktemp("channel") / "channel.csv"
+    write_channel(str(path), matrix)
+    assert path.read_bytes() == channel_reference(matrix)
+
+
+def test_weyl_run_writes_the_channel_of_its_window(tmp_path):
+    # d = 2, N = 2: a 16 x 16 channel written through the command line
+    rates = [-1.5] + [0.1] * 15
+    payload = dict(WEYL_CONFIG, dims={"d": 2, "N": 2}, rates=rates,
+                   time={"t0": 0.25, "t": 1.0, "samples": 3})
+    config = write_config(tmp_path, "weyl22.json", payload)
+    out = tmp_path / "weyl22.csv"
+    assert main(["run", config, "--out", str(out)]) == 0
+    field = weyl.WeylCoefficientField.constant(2, 2, rates)
+    expected = weyl.evolve(field, 0.25, 1.0).matrix
+    assert expected.shape == (16, 16)
+    channel = tmp_path / "weyl22.csv.channel.csv"
+    assert channel.read_bytes() == channel_reference(expected)
 
 
 def test_mixture_run(tmp_path):
@@ -359,6 +432,16 @@ FAILURE_PATHS = {
     "integer-float-k-values": (
         "run", dict(RESOLVENT_CONFIG, k_values=[1.0]), [], 1,
         "error: config invalid at k_values.0: 1.0 is not of type 'integer'"),
+    # JSON NaN and Infinity are refused with their path before any numpy
+    # call can warn about them
+    "non-finite-t": (
+        "run", dict(CLASSICAL_CONFIG, time={"t0": 0.0, "t": float("inf"),
+                                            "samples": 3}), [], 1,
+        "error: config invalid at time.t: inf is not a finite number"),
+    "non-finite-rate-amplitude": (
+        "run", dict(CLASSICAL_CONFIG, rates=[
+            -0.7, {"kind": "damped-trig", "amplitude": float("nan")}]), [], 1,
+        "error: config invalid at rates.1.amplitude: nan is not a finite number"),
 }
 
 

@@ -2,12 +2,14 @@
 
 Valid configs of every kind are mutated at random, and ``validate_config``
 must refuse a mutated config exactly when the reference does. The reference
-is jsonschema's Draft 2020-12 validator with the one documented difference
+is jsonschema's Draft 2020-12 validator with the two documented differences
 built in: its ``integer`` type takes only ints, as the checker's does,
-where the draft also takes integer-valued floats such as ``3.0``.
+where the draft also takes integer-valued floats such as ``3.0``; and its
+``number`` type refuses NaN and +-Infinity, which the draft takes.
 """
 
 import copy
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,10 @@ jsonschema = pytest.importorskip("jsonschema")
 
 Draft = jsonschema.Draft202012Validator
 IntOnly = jsonschema.validators.extend(
-    Draft, type_checker=Draft.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+    Draft, type_checker=Draft.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
+        "number": lambda _, v: (isinstance(v, int) and not isinstance(v, bool)
+                                or isinstance(v, float) and math.isfinite(v))}))
 
 # -- valid configs ----------------------------------------------------------
 
@@ -163,8 +167,14 @@ def integer_to_float(data, config):
              st.sampled_from([2.0, 1.0, 0.0]))
 
 
+def non_finite(data, config):
+    _replace(data, config, lambda p, v: _is_number(v),
+             st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]))
+
+
 MUTATIONS = [drop_key, add_key, change_type, bool_for_number, empty_array,
-             mu_out_of_range, wrong_timefn_kind, c_wrong_shape, integer_to_float]
+             mu_out_of_range, wrong_timefn_kind, c_wrong_shape, integer_to_float,
+             non_finite]
 
 # -- the comparison -------------------------------------------------------------
 
@@ -183,6 +193,10 @@ def _reference_accepts(config) -> bool:
 
 def _has_integral_float(node) -> bool:
     return any(isinstance(v, float) and v.is_integer() for _, v in _nodes(node))
+
+
+def _has_non_finite(node) -> bool:
+    return any(isinstance(v, float) and not math.isfinite(v) for _, v in _nodes(node))
 
 
 def _accepts(config) -> bool:
@@ -209,8 +223,9 @@ def test_checker_agrees_with_jsonschema_on_mutated_configs(kind, data):
     if isinstance(kind, str) and kind in KIND_SCHEMAS:
         draft = Draft(KIND_SCHEMAS[kind]).is_valid(mutated)
         # the draft's verdict differs only where it takes 3.0 as an integer
+        # or a non-finite float as a number
         assert draft == IntOnly(KIND_SCHEMAS[kind]).is_valid(mutated) or (
-            draft and _has_integral_float(mutated))
+            draft and (_has_integral_float(mutated) or _has_non_finite(mutated)))
 
 
 def test_reference_differs_from_the_draft_only_on_integer_valued_floats():
@@ -224,15 +239,33 @@ def test_reference_differs_from_the_draft_only_on_integer_valued_floats():
     assert _accepts(config) and IntOnly(schema).is_valid(config)
 
 
+@pytest.mark.parametrize("value", [math.nan, -math.nan, math.inf, -math.inf])
+def test_reference_differs_from_the_draft_on_non_finite_numbers(value):
+    schema = KIND_SCHEMAS["resolvent"]
+    config = {"kind": "resolvent", "dims": {"d": 2, "N": 1}, "rates": [0.0],
+              "s_values": [value], "k_values": [1]}
+    assert Draft(schema).is_valid(config)
+    assert not IntOnly(schema).is_valid(config)
+    assert not _accepts(config)
+
+
+NON_FINITE = [math.nan, -math.nan, math.inf, -math.inf]
+
 # Keyword semantics the config schemas cannot show, because no two of their
 # oneOf branches overlap and every const is a string.
 KEYWORD_CASES = [
     ({"oneOf": [{"type": "number"}, {"type": "integer"}, {"type": "string"}]},
-     [1, 1.5, "a", True, None]),
+     [1, 1.5, "a", True, None] + NON_FINITE),
+    ({"type": "number"}, [0, -0.0, 1e308, 5e-324] + NON_FINITE),
+    ({"type": "integer"}, [0, 1.0] + NON_FINITE),
+    ({"oneOf": [{"type": "number"}, {"type": "string"}]}, ["nan"] + NON_FINITE),
     ({"const": 1}, [1, 1.0, True, "1", [1]]),
     ({"enum": [0, "a", [1, 2]]}, [0, 0.0, False, "a", [1, 2], [1.0, 2.0], [True, 2]]),
     ({"const": {"a": [1]}}, [{"a": [1]}, {"a": [True]}, {"a": [1.0]}, {"a": [1], "b": 0}]),
-    ({"minimum": 0, "maximum": 1}, ["x", -1, 2, True, 0.5, None]),
+    ({"minimum": 0, "maximum": 1}, ["x", -1, 2, True, 0.5, None] + NON_FINITE),
+    ({"type": "number", "minimum": 0, "maximum": 1}, [0.5] + NON_FINITE),
+    ({"type": "array", "items": {"type": "number"}}, [[1.0], [1.0, math.nan],
+                                                      [math.inf], [-math.inf, 0]]),
     ({"minItems": 2, "maxItems": 3, "items": {"type": "integer"}},
      ["ab", [], [0], [0, 2], [0, 1, 2, 0], [0, True], [0, 1.0]]),
     ({"type": "object", "properties": {"a": {"type": "string"}}, "required": ["a"],

@@ -105,6 +105,18 @@ def test_family_index_roundtrip():
         assert family.flat_index(m, n) == flat
 
 
+@pytest.mark.parametrize("d,nparties", [(2, 1), (2, 3), (2, 4), (3, 2), (4, 2),
+                                        (5, 2), (3, 3), (2, 5)])
+def test_family_stack_is_bit_identical_to_per_unitary_kron(d, nparties):
+    # the batched build must reproduce reduce(np.kron, ...) to the bit,
+    # signed zeros included
+    family = WeylFamily(d, nparties)
+    assert family._stack.shape == (family.count, family.dim, family.dim)
+    for flat in range(family.count):
+        assert (family._stack[flat].tobytes()
+                == weyl_unitary(d, *family.index_pair(flat)).tobytes()), flat
+
+
 # ---------------------------------------------------------------------------
 # maps from coefficient fields
 # ---------------------------------------------------------------------------
