@@ -193,12 +193,12 @@ class CirculantGenerator:
 
 
 def circulant_matrix(gen: CirculantGenerator, t: float = 0.0) -> np.ndarray:
-    """Dense generator matrix L(m, n) = a_t(m - n)."""
-    field = gen.rates(t)
-    matrix = circulant_from_field(field)
-    if np.max(np.abs(matrix.imag)) <= 1e-14 * max(1.0, np.max(np.abs(matrix))):
-        return matrix.real.copy()
-    return matrix
+    """Dense generator matrix L(m, n) = a_t(m - n), real when the rates are
+    real to rounding (every rate is an entry of L, so the rates decide)."""
+    values = gen.rates(t).values
+    if np.max(np.abs(values.imag)) <= 1e-14 * max(1.0, np.max(np.abs(values))):
+        values = values.real
+    return values[_difference_index_map(gen.d, gen.naxes)]
 
 
 def circulant_spectrum(gen: CirculantGenerator, t: float = 0.0) -> LatticeField:

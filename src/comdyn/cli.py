@@ -268,13 +268,28 @@ def _check_object(schema):
     return check
 
 
+def _claims(branch: dict):
+    """Whether a failing value still belongs to ``branch``: an object that
+    carries the branch's tag (its properties fixed by 'const', such as a
+    time function's kind), or, for an untagged branch, a value of the
+    branch's type apart from finiteness (so a NaN rate belongs to the
+    number branch)."""
+    tag = {k: s["const"] for k, s in branch.get("properties", {}).items() if "const" in s}
+    if tag:
+        return lambda v: (isinstance(v, dict)
+                          and all(k in v and _equal(v[k], c) for k, c in tag.items()))
+    name = branch.get("type")
+    if name is None:
+        return lambda v: False
+    is_type = _TYPES[name]
+    return lambda v: is_type(v) or name == "number" and isinstance(v, float)
+
+
 def _check_one_of(schema):
     branches = [_compile(b) for b in schema["oneOf"]]
-    # a branch's tag: its properties fixed by 'const', such as a time
-    # function's kind; a value carrying one branch's tag gets that
-    # branch's error instead of the generic one
-    tags = [{k: s["const"] for k, s in b.get("properties", {}).items() if "const" in s}
-            for b in schema["oneOf"]]
+    # a value that belongs to one branch gets that branch's error instead
+    # of the generic one
+    claims = [_claims(b) for b in schema["oneOf"]]
 
     def check(v):
         errors = [branch(v) for branch in branches]
@@ -283,9 +298,7 @@ def _check_one_of(schema):
             return None
         if matched > 1:
             return _Invalid("{!r} is valid under more than one of the given schemas", v)
-        claimed = [error for error, tag in zip(errors, tags)
-                   if tag and isinstance(v, dict)
-                   and all(k in v and _equal(v[k], c) for k, c in tag.items())]
+        claimed = [error for error, claim in zip(errors, claims) if claim(v)]
         if len(claimed) == 1:
             return claimed[0]
         return _Invalid("{!r} is not valid under any of the given schemas", v)
@@ -741,13 +754,12 @@ def _validate_qubit(config, tol):
     window = config["time"]
     horizon = window["t"] - window["t0"]
     classification = qubit.classify(spec, horizon)
-    samples = np.linspace(window["t0"], window["t"], 7)
+    gens = [qubit.build_generator(spec, float(u)).matrix
+            for u in np.linspace(window["t0"], window["t"], 7)]
     worst = 0.0
-    for i, u in enumerate(samples):
-        gen_u = qubit.build_generator(spec, float(u))
-        for v in samples[i + 1:]:
-            gen_v = qubit.build_generator(spec, float(v))
-            comm = gen_u.matrix @ gen_v.matrix - gen_v.matrix @ gen_u.matrix
+    for i, gen_u in enumerate(gens):
+        for gen_v in gens[i + 1:]:
+            comm = gen_u @ gen_v - gen_v @ gen_u
             worst = max(worst, float(np.linalg.norm(comm, 2)))
     mode = config.get("mode", "markov")
     admissible = (classification.markovian if mode == "markov"

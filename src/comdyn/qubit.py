@@ -79,7 +79,9 @@ class QubitGeneratorSpec:
 
     ``c`` is a 2x2 nest of TimeFunctions that must be Hermitian at every
     sampled time; ``mu`` is the mixing parameter in [0, 1]. ``bank`` holds
-    (epsilon, gamma, c00, c01, c10, c11) in that column order.
+    (epsilon, gamma, c00, c01, c10, c11) in that column order, and
+    ``basis`` the generator's (6, 4, 4) coefficient matrices in the same
+    order (see :func:`build_generator`).
     """
 
     epsilon: TimeFunction
@@ -87,6 +89,7 @@ class QubitGeneratorSpec:
     c: tuple
     mu: float
     bank: CoefficientBank = dataclass_field(init=False, repr=False, compare=False)
+    basis: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", as_time_function(self.epsilon))
@@ -99,6 +102,7 @@ class QubitGeneratorSpec:
             raise ValueError(f"mixing parameter must lie in [0, 1], got {self.mu}")
         object.__setattr__(self, "bank", CoefficientBank(
             (self.epsilon, self.gamma) + rows[0] + rows[1]))
+        object.__setattr__(self, "basis", _generator_basis(float(self.mu)))
 
     @classmethod
     def constant(cls, epsilon=0.0, gamma=0.0, c=((0.0, 0.0), (0.0, 0.0)),
@@ -108,10 +112,21 @@ class QubitGeneratorSpec:
     def c_matrix(self, t: float, tol: float = 1e-9) -> np.ndarray:
         cmat = np.array([[self.c[0][0](t), self.c[0][1](t)],
                          [self.c[1][0](t), self.c[1][1](t)]], dtype=complex)
-        scale = max(1.0, float(np.max(np.abs(cmat))))
-        if np.max(np.abs(cmat - cmat.conj().T)) > tol * scale:
-            raise ValueError(f"c(t) is not Hermitian at t={t}")
-        return cmat
+        return _require_hermitian(cmat, t, tol)
+
+
+def _require_hermitian(cmat: np.ndarray, t: float, tol: float = 1e-9) -> np.ndarray:
+    """``cmat``, unless max |c - c^dag| exceeds ``tol`` max(1, max |c|).
+
+    Scalar arithmetic on the four entries: |c_ab - conj(c_ba)| is the same
+    for (0, 1) and (1, 0), and |c_aa - conj(c_aa)| = 2 |Im c_aa| exactly.
+    """
+    c00, c01, c10, c11 = cmat.ravel().tolist()
+    scale = max(1.0, abs(c00), abs(c01), abs(c10), abs(c11))
+    skew = max(2.0 * abs(c00.imag), abs(c01 - c10.conjugate()), 2.0 * abs(c11.imag))
+    if skew > tol * scale:
+        raise ValueError(f"c(t) is not Hermitian at t={t}")
+    return cmat
 
 
 def _dissipator(jump: np.ndarray) -> np.ndarray:
@@ -120,30 +135,32 @@ def _dissipator(jump: np.ndarray) -> np.ndarray:
             - 0.5 * (np.kron(IDENTITY2, jj) + np.kron(jj.T, IDENTITY2)))
 
 
-def build_generator(spec: QubitGeneratorSpec, t: float = 0.0) -> SuperOperator:
-    """Assemble the generator at time t as a 4x4 superoperator."""
-    eps = complex(spec.epsilon(t))
-    gam = complex(spec.gamma(t))
-    cmat = spec.c_matrix(t)
-    mu = float(spec.mu)
-
-    matrix = np.zeros((4, 4), dtype=complex)
+def _generator_basis(mu: float) -> np.ndarray:
+    """The generator's coefficient matrices, shape (6, 4, 4), in the bank's
+    column order (epsilon, gamma, c00, c01, c10, c11)."""
     # Hamiltonian rotation -i/2 eps [sigma_3, .]
-    matrix += (-0.5j * eps) * (np.kron(IDENTITY2, SIGMA3) - np.kron(SIGMA3.T, IDENTITY2))
+    rotation = -0.5j * (np.kron(IDENTITY2, SIGMA3) - np.kron(SIGMA3.T, IDENTITY2))
     # pumping gamma (mu D[sigma+] + (1 - mu) D[sigma-])
-    matrix += gam * (mu * _dissipator(SIGMA_PLUS) + (1.0 - mu) * _dissipator(SIGMA_MINUS))
+    pumping = mu * _dissipator(SIGMA_PLUS) + (1.0 - mu) * _dissipator(SIGMA_MINUS)
     # dephasing sum c_ab (pi_a rho pi_b - 1/2 {pi_b pi_a, rho})
+    dephasing = []
     projectors = (PI0, PI1)
     for alpha in range(2):
         for beta in range(2):
-            coeff = cmat[alpha, beta]
-            if coeff == 0:
-                continue
             sandwich = np.kron(projectors[beta].T, projectors[alpha])
             product = projectors[beta] @ projectors[alpha]
             anti = 0.5 * (np.kron(IDENTITY2, product) + np.kron(product.T, IDENTITY2))
-            matrix += coeff * (sandwich - anti)
-    return SuperOperator(2, matrix)
+            dephasing.append(sandwich - anti)
+    return np.stack([rotation, pumping] + dephasing)
+
+
+def build_generator(spec: QubitGeneratorSpec, t: float = 0.0) -> SuperOperator:
+    """Assemble the generator at time t as a 4x4 superoperator: the bank's
+    row at t contracted with the spec's fixed basis, summed term by term
+    in column order."""
+    row = spec.bank.values(t)[0]
+    _require_hermitian(row[2:].reshape(2, 2), t)
+    return SuperOperator(2, np.einsum("k,kij->ij", row, spec.basis))
 
 
 def gamma_eigenvalue(spec: QubitGeneratorSpec, t: float = 0.0) -> complex:

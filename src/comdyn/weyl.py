@@ -91,6 +91,7 @@ class WeylFamily:
         self.count = self.dim ** 2        # number of (m, n) pairs, d^(2N)
         self._stack: Optional[np.ndarray] = None
         self._vec_columns: Optional[np.ndarray] = None
+        self._conjugation: Optional[np.ndarray] = None
         if self.dim <= CACHE_DIM_CAP:
             self._stack = self._build_stack()
 
@@ -153,6 +154,16 @@ class WeylFamily:
             return self._stack[flat].copy()
         m, n = self.index_pair(flat)
         return weyl_unitary(self.d, m, n)
+
+    def conjugation_index(self) -> np.ndarray:
+        """Flat index of u_{n,-m}, the unitary that the coefficient a(m, n)
+        at each flat (m, n) conjugates with; computed once."""
+        if self._conjugation is None:
+            d, npar = self.d, self.nparties
+            digits = np.indices((d,) * (2 * npar)).reshape(2 * npar, self.count)
+            swapped = np.concatenate([digits[npar:], (-digits[:npar]) % d])
+            self._conjugation = d ** np.arange(2 * npar - 1, -1, -1) @ swapped
+        return self._conjugation
 
     def vec_columns(self) -> np.ndarray:
         """(dim^2, count) array whose columns are vec(u_{m,n}) in flat order."""
@@ -278,26 +289,27 @@ class WeylCoefficientField:
 # maps from coefficient fields
 # ---------------------------------------------------------------------------
 
-def _conjugation_index(family: WeylFamily, flat: int) -> int:
-    """Flat index of the unitary u_{n, -m} paired with coefficient a(m, n)."""
-    m, n = family.index_pair(flat)
-    return family.flat_index(n, tuple((-x) % family.d for x in m))
-
-
 def map_from_values(family: WeylFamily, values: LatticeField) -> SuperOperator:
-    """A x = sum a(m, n) u_{n,-m} x u_{n,-m}^dag for a fixed coefficient field."""
+    """A x = sum a(m, n) u_{n,-m} x u_{n,-m}^dag for a fixed coefficient field.
+
+    With each u = u_{n,-m} flattened into a row of U, in flat (m, n) order,
+    the sum over (m, n) of a(m, n) conj(u)[i, j] u[k, l] is the one matrix
+    product (a conj(U))^T U; reordered from rows (i, j) and columns (k, l)
+    to rows (i, k) and columns (j, l), it is the sum of the Kronecker
+    products a(m, n) conj(u) (x) u.
+    """
     if (values.d, values.naxes) != (family.d, 2 * family.nparties):
         raise DimensionMismatchError(
             f"coefficient field lives on Z_{values.d}^{values.naxes}, family "
             f"needs Z_{family.d}^{2 * family.nparties}")
-    dim = family.dim
-    matrix = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for flat in range(family.count):
-        coeff = values.values[flat]
-        if coeff == 0:
-            continue
-        u = family.unitary_flat(_conjugation_index(family, flat))
-        matrix += coeff * np.kron(u.conj(), u)
+    dim, order = family.dim, family.conjugation_index()
+    if family._stack is not None:
+        stack = family._stack[order]
+    else:
+        stack = np.stack([family.unitary_flat(k) for k in order])
+    stack = stack.reshape(family.count, dim * dim)
+    products = (values.values[:, None] * stack.conj()).T @ stack
+    matrix = products.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
     return SuperOperator(dim, matrix)
 
 
@@ -357,12 +369,10 @@ def spectrum_convention_residual(d: int, nparties: int = 1,
         idx = np.arange(family.count)
         values = 1.0 / (idx + 2.0) + 1j / (3.0 * idx + 7.0)
     field = LatticeField(d, 2 * nparties, values)
-    op = map_from_values(family, field)
-    spec = spectrum_of_values(family, field)
-    cols = family.vec_columns()
-    image = op.matrix @ cols
-    expected = cols * spec.eigenvalues.values
-    return float(np.max(np.abs(image - expected)))
+    # one (D^2, D^2) temporary at a time beside the family's own arrays
+    image = map_from_values(family, field).matrix @ family.vec_columns()
+    image -= family.vec_columns() * spectrum_of_values(family, field).eigenvalues.values
+    return float(np.max(np.abs(image)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +397,7 @@ class LindbladDecomposition:
 
     def jump_operator(self, position: int) -> np.ndarray:
         return self.family.unitary_flat(
-            _conjugation_index(self.family, self.jump_indices[position]))
+            int(self.family.conjugation_index()[self.jump_indices[position]]))
 
     def assemble(self) -> SuperOperator:
         """sum' a(m,n) (u x u^dag - x); equals the generator it came from."""

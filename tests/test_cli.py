@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comdyn import cli, weyl
+from comdyn import cli, qubit, weyl
 from comdyn.cli import _fmt, main, write_channel
 
 
@@ -333,6 +333,39 @@ def test_validate_flags_sign_violation(tmp_path, capsys):
     assert any("first_violation" in c for c in failing)
 
 
+def test_validate_qubit_builds_each_sampled_generator_once(tmp_path, capsys, monkeypatch):
+    # a time-dependent gamma, so the sampled commutators are rounding-sized
+    # but not zero
+    payload = dict(QUBIT_CONFIG, epsilon={"kind": "damped-trig", "amplitude": 0.4,
+                                          "decay": -0.2, "frequency": 1.3,
+                                          "phase": 0.5, "offset": 0.1},
+                   gamma={"kind": "damped-trig", "amplitude": 0.3, "decay": -0.3,
+                          "frequency": 1.1, "phase": 0.5, "offset": 0.5},
+                   c=[[{"kind": "polynomial", "coeffs": [0.3, 0.1]}, 0.05],
+                      [0.05, 0.2]])
+    config = write_config(tmp_path, "qubit.json", payload)
+    spec = cli._qubit_spec(cli.load_config(config))
+    # every pair of the 7 sample points, the later generator rebuilt per pair
+    samples = np.linspace(0.0, 8.0, 7)
+    worst = 0.0
+    for i, u in enumerate(samples):
+        gen_u = qubit.build_generator(spec, float(u))
+        for v in samples[i + 1:]:
+            gen_v = qubit.build_generator(spec, float(v))
+            comm = gen_u.matrix @ gen_v.matrix - gen_v.matrix @ gen_u.matrix
+            worst = max(worst, float(np.linalg.norm(comm, 2)))
+    assert worst > 0.0
+    calls = []
+    build = qubit.build_generator
+    monkeypatch.setattr(qubit, "build_generator",
+                        lambda spec, t=0.0: calls.append(t) or build(spec, t))
+    assert main(["validate", config]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    commutativity = next(c for c in checks if c["name"] == "commutativity")
+    assert commutativity["max_commutator"] == worst
+    assert calls == samples.tolist()
+
+
 def test_validate_self_test(capsys):
     assert main(["validate"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -442,6 +475,10 @@ FAILURE_PATHS = {
         "run", dict(CLASSICAL_CONFIG, rates=[
             -0.7, {"kind": "damped-trig", "amplitude": float("nan")}]), [], 1,
         "error: config invalid at rates.1.amplitude: nan is not a finite number"),
+    # a bare rate belongs to the number branch of a time function's oneOf
+    "non-finite-rate": (
+        "run", dict(CLASSICAL_CONFIG, rates=[-0.7, float("nan")]), [], 1,
+        "error: config invalid at rates.1: nan is not a finite number"),
 }
 
 

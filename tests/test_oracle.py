@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from comdyn import classical, oracle, qubit
 from comdyn.errors import OverflowInExponentialError
@@ -105,6 +106,74 @@ def test_stepped_propagation_error_estimate():
     finer = oracle.ordered_exp(noncommuting_rotation, 0.0, 1.0, 2 * stepped.steps)
     change = np.linalg.norm(finer - stepped.propagator)
     assert change < 4.0 * stepped.error_estimate
+
+
+def test_ordered_exp_of_a_real_generator_is_real():
+    a = np.array([[-1.0, 0.5, 0.2], [0.7, -0.9, 0.1], [0.3, 0.4, -0.3]])
+    b = np.array([[0.2, -0.1, 0.0], [0.0, 0.3, -0.4], [0.1, 0.0, 0.2]])
+
+    def lfun(u):
+        return a + np.sin(u) * b
+
+    steps, t0, t1 = 300, 0.2, 1.7
+    product = oracle.ordered_exp(lfun, t0, t1, steps)
+    assert product.dtype == np.float64
+    h = (t1 - t0) / steps
+    reference = np.eye(3, dtype=complex)
+    for j in range(steps):
+        reference = scipy.linalg.expm(h * lfun(t0 + (j + 0.5) * h)) @ reference
+    assert np.max(np.abs(product - reference)) <= 1e-14
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 200])
+def test_ordered_exp_calls_lfun_once_per_midpoint_in_order(monkeypatch, chunk_bytes):
+    if chunk_bytes is not None:  # six 2x2 steps per chunk
+        monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk_bytes)
+    m = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for steps in (1, 7, 300):
+        times = []
+
+        def lfun(u):
+            times.append(u)
+            return m
+
+        oracle.ordered_exp(lfun, 0.5, 2.0, steps)
+        h = 1.5 / steps
+        assert times == [0.5 + (j + 0.5) * h for j in range(steps)]
+
+
+def test_ordered_exp_takes_one_stacked_expm_per_chunk(monkeypatch):
+    spec = qubit.QubitGeneratorSpec.constant(epsilon=0.3, gamma=1.0, mu=0.25)
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    steps = 1024
+    oracle.ordered_exp(lambda u: qubit.build_generator(spec, u).matrix, 0.0, 1.0, steps)
+    chunk = oracle.CHUNK_BYTES // (16 * 4 * 4)
+    assert len(calls) == -(-steps // chunk) <= 4
+    assert sum(shape[0] for shape in calls) == steps
+
+
+def test_ordered_exp_overflow_names_the_first_bad_step(monkeypatch):
+    # two 2x2 steps per chunk; the generator blows up from t = 0.6 on, so
+    # steps 5, 6 and 7 of 8 (midpoints 0.6875, 0.8125, 0.9375) overflow
+    # and the witness is step 5, the second of its chunk
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", 64)
+
+    def lfun(u):
+        return (1e4 if u > 0.6 else 1.0) * np.eye(2)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowInExponentialError) as caught:
+            oracle.ordered_exp(lfun, 0.0, 1.0, 8)
+    assert str(caught.value) == ("matrix exponential overflowed at step 5 of 8 "
+                                 "(midpoint t=0.6875, step norm 1.768e+03)")
+    assert caught.value.exit_code == 2
 
 
 # ---------------------------------------------------------------------------

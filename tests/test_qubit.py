@@ -349,3 +349,70 @@ def test_classify_negative_gamma_rejected_in_both_senses():
     report = classify(spec, 1.0)
     assert not report.markovian
     assert not report.nonmarkovian_valid
+
+
+# ---------------------------------------------------------------------------
+# the generator as a bank row contracted with a fixed basis
+# ---------------------------------------------------------------------------
+
+def _dissipator_reference(jump):
+    jj = jump.conj().T @ jump
+    return (np.kron(jump.conj(), jump)
+            - 0.5 * (np.kron(IDENTITY2, jj) + np.kron(jj.T, IDENTITY2)))
+
+
+def build_generator_reference(spec, t=0.0):
+    """The generator assembled term by term from scalar coefficient calls."""
+    eps = complex(spec.epsilon(t))
+    gam = complex(spec.gamma(t))
+    cmat = spec.c_matrix(t)
+    mu = float(spec.mu)
+    matrix = np.zeros((4, 4), dtype=complex)
+    matrix += (-0.5j * eps) * (np.kron(IDENTITY2, SIGMA3) - np.kron(SIGMA3.T, IDENTITY2))
+    matrix += gam * (mu * _dissipator_reference(SIGMA_PLUS)
+                     + (1.0 - mu) * _dissipator_reference(SIGMA_MINUS))
+    projectors = (E00, E11)
+    for alpha in range(2):
+        for beta in range(2):
+            coeff = cmat[alpha, beta]
+            if coeff == 0:
+                continue
+            sandwich = np.kron(projectors[beta].T, projectors[alpha])
+            product = projectors[beta] @ projectors[alpha]
+            anti = 0.5 * (np.kron(IDENTITY2, product) + np.kron(product.T, IDENTITY2))
+            matrix += coeff * (sandwich - anti)
+    return matrix
+
+
+def random_qubit_spec(rng, mu):
+    """Polynomial and damped-trig coefficients with a Hermitian c whose
+    off-diagonal pair is complex."""
+    def trig():
+        return DampedTrig(amplitude=rng.uniform(-1, 1), decay=-rng.uniform(0, 0.5),
+                          frequency=rng.uniform(0, 3), phase=rng.uniform(0, 6),
+                          offset=rng.uniform(-1, 1))
+    off_re, off_im = rng.uniform(-0.5, 0.5, size=2)
+    c = ((Polynomial(rng.uniform(0, 1, size=2)), Constant(off_re - 1j * off_im)),
+         (Constant(off_re + 1j * off_im), trig()))
+    return QubitGeneratorSpec(trig(), Polynomial(rng.uniform(0, 1, size=3)), c, mu)
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.0, 1.0, Fraction(2, 7), Fraction(1, 2)])
+def test_build_generator_matches_term_by_term_assembly(rng, mu):
+    for _ in range(5):
+        spec = random_qubit_spec(rng, mu)
+        for t in rng.uniform(0.0, 3.0, size=4):
+            got = build_generator(spec, float(t)).matrix
+            assert np.max(np.abs(got - build_generator_reference(spec, float(t)))) <= 1e-15
+
+
+def test_build_generator_refuses_non_hermitian_c_with_the_same_message():
+    spec = QubitGeneratorSpec(Constant(0.1), Constant(0.5),
+                              ((Constant(0.2), Polynomial([0.1, 0.3])),
+                               (Constant(0.1), Constant(0.4))), 0.5)
+    assert np.max(np.abs(build_generator(spec, 0.0).matrix
+                         - build_generator_reference(spec, 0.0))) <= 1e-15
+    for builder in (build_generator, build_generator_reference):
+        with pytest.raises(ValueError) as caught:
+            builder(spec, 0.5)
+        assert str(caught.value) == "c(t) is not Hermitian at t=0.5"

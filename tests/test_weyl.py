@@ -10,7 +10,7 @@ from comdyn.timefn import Constant, DampedTrig
 from comdyn.weyl import (WeylCoefficientField, WeylFamily, diagonal_action,
                          embed_stochastic_matrix, evolve,
                          lindblad_decomposition, map_from_coeffs,
-                         map_spectrum, relations_check,
+                         map_from_values, map_spectrum, relations_check,
                          spectrum_convention_residual, weyl_unitary)
 
 from conftest import (multiset_residual, random_matrix,
@@ -388,3 +388,44 @@ def test_embedded_stochastic_matrix_acts_on_diagonal(rng):
     rho_t = embedded.apply(np.diag(p0).astype(complex))
     assert np.max(np.abs(np.diag(rho_t).real - transition @ p0)) < 1e-12
     assert np.max(np.abs(rho_t - np.diag(np.diag(rho_t)))) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# map_from_values as one matrix product
+# ---------------------------------------------------------------------------
+
+def map_from_values_reference(family, values):
+    """sum a(m, n) conj(u) (x) u over u = u_{n,-m}, one Kronecker product
+    per nonzero coefficient."""
+    dim = family.dim
+    matrix = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for flat in range(family.count):
+        coeff = values.values[flat]
+        if coeff == 0:
+            continue
+        m, n = family.index_pair(flat)
+        u = family.unitary(n, tuple((-x) % family.d for x in m))
+        matrix += coeff * np.kron(u.conj(), u)
+    return matrix
+
+
+@pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_map_from_values_matches_kronecker_sum(rng, d, nparties):
+    family = WeylFamily(d, nparties)
+    for _ in range(3):
+        # complex coefficients of unit l1 norm, about a third of them zero
+        values = rng.normal(size=family.count) + 1j * rng.normal(size=family.count)
+        values[rng.uniform(size=family.count) < 0.3] = 0.0
+        values /= np.sum(np.abs(values))
+        field = LatticeField(d, 2 * nparties, values)
+        got = map_from_values(family, field).matrix
+        assert np.max(np.abs(got - map_from_values_reference(family, field))) <= 1e-15
+
+
+def test_conjugation_index_pairs_each_coefficient_with_u_n_minus_m():
+    family = WeylFamily(3, 2)
+    index = family.conjugation_index()
+    for flat in range(family.count):
+        m, n = family.index_pair(flat)
+        assert index[flat] == family.flat_index(n, tuple((-x) % 3 for x in m))
+    assert family.conjugation_index() is index
