@@ -437,14 +437,6 @@ def _mixture_spec(config, cset) -> generators.MixtureSpec:
     return generators.MixtureSpec(tuple(_timefn(w) for w in config["weights"]), cset)
 
 
-def _mixture_weight_grid(config) -> np.ndarray:
-    """The taus at which the weights must form a distribution: the condition
-    grid of the homogeneous window [0, t - t0]."""
-    window = config["time"]
-    return classical.condition_grid(*classical.integration_window(
-        window["t0"], window["t"], "nonmarkov"))
-
-
 def _resolvent_channels(config) -> tuple:
     """The base generator, and (s, k, channel report) for every resolvent
     channel of the config, s slowest."""
@@ -610,8 +602,8 @@ def _run_mixture(config, args):
     cset = generators.CommutingGeneratorSet.from_generators(
         _mixture_generators(config))
     spec = _mixture_spec(config, cset)
-    spec.validate_weights(_mixture_weight_grid(config))
     t0 = config["time"]["t0"]
+    spec.validate_weights(t0, config["time"]["t"])
     n_modes = cset.basis.eigenvalues.size
 
     def row(t):
@@ -667,7 +659,7 @@ def _run_qubit(config, args):
         row, residual)
     reports = {"mode": mode,
                "classification": qubit.classify(
-                   spec, config["time"]["t"] - t0).as_dict(),
+                   spec, t0, config["time"]["t"]).as_dict(),
                **oracle_report}
     return header, rows, reports, None
 
@@ -752,15 +744,12 @@ def _validate_weyl(config, tol):
 def _validate_qubit(config, tol):
     spec = _qubit_spec(config)
     window = config["time"]
-    horizon = window["t"] - window["t0"]
-    classification = qubit.classify(spec, horizon)
-    gens = [qubit.build_generator(spec, float(u)).matrix
-            for u in np.linspace(window["t0"], window["t"], 7)]
-    worst = 0.0
-    for i, gen_u in enumerate(gens):
-        for gen_v in gens[i + 1:]:
-            comm = gen_u @ gen_v - gen_v @ gen_u
-            worst = max(worst, float(np.linalg.norm(comm, 2)))
+    classification = qubit.classify(spec, window["t0"], window["t"], tol)
+    # L(t) = sum_k f_k(t) B_k over the fixed basis, so commuting B_k
+    # certify [L(t), L(s)] = 0 at every pair of times
+    basis = spec.basis
+    worst = max(float(np.linalg.norm(a @ b - b @ a, 2))
+                for i, a in enumerate(basis) for b in basis[i + 1:])
     mode = config.get("mode", "markov")
     admissible = (classification.markovian if mode == "markov"
                   else classification.nonmarkovian_valid)
@@ -780,9 +769,9 @@ def _validate_mixture(config, tol):
         return [{"name": "commuting_set", "passed": False, "detail": str(exc)}]
     checks = [{"name": "commuting_set", "passed": True}]
     spec = _mixture_spec(config, cset)
-    grid = _mixture_weight_grid(config)
+    window = config["time"]
     try:
-        spec.validate_weights(grid, tol)
+        spec.validate_weights(window["t0"], window["t"], tol)
         checks.append({"name": "weights_probability", "passed": True})
     except InvalidWeightsError as exc:
         checks.append({"name": "weights_probability", "passed": False,

@@ -22,19 +22,19 @@ Three building blocks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .classical import condition_grid
+from .classical import condition_grid, integration_window
 from .errors import (DefectiveMapError, InvalidWeightsError,
                      QuadratureNotConvergedError, SingularEigenvalueError,
                      SingularResolventError)
 from .superop import (DEFAULT_TOL, SpectralDecomposition, SuperOperator,
                       diagonalize, dual)
-from .timefn import as_time_function
+from .timefn import CoefficientBank, as_time_function
 
 #: Pairwise commutator cap for a set to count as commuting.
 COMMUTATOR_TOL = 1e-10
@@ -134,10 +134,12 @@ def _in_basis(gen: SuperOperator, basis: SpectralDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Time-dependent probability weights over a commuting generator set."""
+    """Time-dependent probability weights over a commuting generator set,
+    evaluated together through one :class:`CoefficientBank`."""
 
     weights: tuple                     # TimeFunctions p_k
     generator_set: CommutingGeneratorSet
+    bank: CoefficientBank = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         funcs = tuple(as_time_function(w) for w in self.weights)
@@ -145,16 +147,26 @@ class MixtureSpec:
             raise InvalidWeightsError(
                 f"{len(funcs)} weights for {len(self.generator_set)} generators")
         object.__setattr__(self, "weights", funcs)
+        object.__setattr__(self, "bank", CoefficientBank(funcs))
 
     def weight_values(self, tau: float) -> np.ndarray:
-        return np.array([w(tau) for w in self.weights])
+        return self.bank.values(tau)[0]
 
-    def validate_weights(self, grid: Sequence[float], tol: float = DEFAULT_TOL):
-        for tau in grid:
-            values = self.weight_values(float(tau))
-            if float(np.max(np.abs(values.imag))) > tol:
+    def validate_weights(self, t0: float, t: float, tol: float = DEFAULT_TOL):
+        """Require a probability distribution at every tau of the condition
+        grid on the homogeneous window [0, t - t0], evaluated in one bank
+        call; raises :class:`InvalidWeightsError` at the first tau that
+        fails (complex, then negative, then not summing to 1)."""
+        taus = condition_grid(*integration_window(t0, t, "nonmarkov"))
+        block = self.bank.values(taus)
+        flagged = ((np.max(np.abs(block.imag), axis=1) > tol)
+                   | (np.min(block.real, axis=1) < -tol)
+                   | (np.abs(np.sum(block.real, axis=1) - 1.0) > tol))
+        for row in np.flatnonzero(flagged):
+            tau = taus[row]
+            if float(np.max(np.abs(block[row].imag))) > tol:
                 raise InvalidWeightsError(f"weights not real at tau={tau}")
-            real = values.real
+            real = block[row].real
             if float(np.min(real)) < -tol:
                 raise InvalidWeightsError(
                     f"negative weight {np.min(real):.3e} at tau={tau}")
@@ -182,13 +194,10 @@ def mixture_map(spec: MixtureSpec, t0: float, t: float,
 
     Depends on t and t0 only through tau = t - t0 (homogeneous by
     construction); the weights must form a probability distribution on
-    [0, tau].
+    [0, tau] (see :meth:`MixtureSpec.validate_weights`).
     """
-    tau = t - t0
-    if tau < 0:
-        raise ValueError(f"need t >= t0, got t0={t0}, t={t}")
-    spec.validate_weights(condition_grid(0.0, tau), tol)
-    return spec.generator_set.basis.assemble(spec.eigenvalue_mixture(tau))
+    spec.validate_weights(t0, t, tol)
+    return spec.generator_set.basis.assemble(spec.eigenvalue_mixture(t - t0))
 
 
 def mixture_generator_eigenvalues(spec: MixtureSpec, t: float,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,6 +42,8 @@ PI0 = E00   # sigma- sigma+
 PI1 = E11   # sigma+ sigma-
 SIGMA3 = PI1 - PI0
 IDENTITY2 = np.eye(2, dtype=complex)
+#: The orthonormal family (e11, sigma+, sigma-, e00) that V maps onto g.
+_F = (E11, SIGMA_PLUS, SIGMA_MINUS, E00)
 
 
 def _is_exact_number(mu) -> bool:
@@ -79,9 +81,10 @@ class QubitGeneratorSpec:
 
     ``c`` is a 2x2 nest of TimeFunctions that must be Hermitian at every
     sampled time; ``mu`` is the mixing parameter in [0, 1]. ``bank`` holds
-    (epsilon, gamma, c00, c01, c10, c11) in that column order, and
-    ``basis`` the generator's (6, 4, 4) coefficient matrices in the same
-    order (see :func:`build_generator`).
+    (epsilon, gamma, c00, c01, c10, c11) in that column order, ``basis``
+    the generator's (6, 4, 4) coefficient matrices in the same order (see
+    :func:`build_generator`), and ``projectors`` the (4, 4, 4) stack of
+    mode projectors vec(g_a) vec(h_a)^dag of the damping basis.
     """
 
     epsilon: TimeFunction
@@ -90,6 +93,7 @@ class QubitGeneratorSpec:
     mu: float
     bank: CoefficientBank = dataclass_field(init=False, repr=False, compare=False)
     basis: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    projectors: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", as_time_function(self.epsilon))
@@ -103,16 +107,13 @@ class QubitGeneratorSpec:
         object.__setattr__(self, "bank", CoefficientBank(
             (self.epsilon, self.gamma) + rows[0] + rows[1]))
         object.__setattr__(self, "basis", _generator_basis(float(self.mu)))
+        object.__setattr__(self, "projectors",
+                           _rank_one_stack(*damping_basis(float(self.mu))))
 
     @classmethod
     def constant(cls, epsilon=0.0, gamma=0.0, c=((0.0, 0.0), (0.0, 0.0)),
                  mu=0.5) -> "QubitGeneratorSpec":
         return cls(epsilon, gamma, c, mu)
-
-    def c_matrix(self, t: float, tol: float = 1e-9) -> np.ndarray:
-        cmat = np.array([[self.c[0][0](t), self.c[0][1](t)],
-                         [self.c[1][0](t), self.c[1][1](t)]], dtype=complex)
-        return _require_hermitian(cmat, t, tol)
 
 
 def _require_hermitian(cmat: np.ndarray, t: float, tol: float = 1e-9) -> np.ndarray:
@@ -163,69 +164,72 @@ def build_generator(spec: QubitGeneratorSpec, t: float = 0.0) -> SuperOperator:
     return SuperOperator(2, np.einsum("k,kij->ij", row, spec.basis))
 
 
-def gamma_eigenvalue(spec: QubitGeneratorSpec, t: float = 0.0) -> complex:
-    """The complex eigenvalue on sigma+.
+def _modes(row: np.ndarray) -> np.ndarray:
+    """The four mode eigenvalues (0, Gamma, conj Gamma, -gamma) from a bank
+    row (epsilon, gamma, c00, c01, c10, c11) of values or integrals."""
+    eps, gamma, c00, _, c10, c11 = row
+    big_gamma = -0.5 * (gamma + c00 + c11 - 2.0 * c10 + 2.0j * eps)
+    return np.array([0.0, big_gamma, np.conj(big_gamma), -gamma])
 
-    For real c_10 this is the closed form
-    -1/2 [gamma + c_00 + c_11 - 2 c_10 + 2 i eps]; for complex c_10 the
-    value is extracted from the assembled generator instead.
-    """
-    cmat = spec.c_matrix(t)
-    if abs(cmat[1, 0].imag) <= 1e-12 * max(1.0, float(np.max(np.abs(cmat)))):
-        return -0.5 * (complex(spec.gamma(t)) + cmat[0, 0] + cmat[1, 1]
-                       - 2.0 * cmat[1, 0] + 2.0j * complex(spec.epsilon(t)))
-    gen = build_generator(spec, t)
-    return complex(np.vdot(SIGMA_PLUS, gen.apply(SIGMA_PLUS)))
+
+def gamma_eigenvalue(spec: QubitGeneratorSpec, t: float = 0.0) -> complex:
+    """The complex eigenvalue on sigma+,
+    Gamma = -1/2 [gamma + c_00 + c_11 - 2 c_10 + 2 i eps], exact for every
+    Hermitian c (complex c_10 included)."""
+    row = spec.bank.values(t)[0]
+    _require_hermitian(row[2:].reshape(2, 2), t)
+    return complex(_modes(row)[1])
 
 
 def eigenvalue_integrals(spec: QubitGeneratorSpec, t0: float, t1: float) -> np.ndarray:
     """Integrals over [t0, t1] of the four mode eigenvalues
     (0, Gamma, conj Gamma, -gamma)."""
-    eps_int, gamma_int, c00, _, c10, c11 = spec.bank.integrals(t0, t1)[0]
-    big_gamma = -0.5 * (gamma_int + c00 + c11 - 2.0 * c10 + 2.0j * eps_int)
-    return np.array([0.0, big_gamma, np.conj(big_gamma), -gamma_int])
+    return _modes(spec.bank.integrals(t0, t1)[0])
 
 
-def _assemble(mu: float, mode_values: Sequence[complex]) -> SuperOperator:
-    g, h = damping_basis(float(mu))
-    matrix = np.zeros((4, 4), dtype=complex)
-    for value, gm, hm in zip(mode_values, g, h):
-        col = np.asarray(gm, dtype=complex).reshape(-1, order="F")
-        row = np.asarray(hm, dtype=complex).reshape(-1, order="F")
-        matrix += value * np.outer(col, row.conj())
-    return SuperOperator(2, matrix)
+def _rank_one_stack(lefts, rights) -> np.ndarray:
+    """The stack vec(l_a) vec(r_a)^dag of superoperator matrices, with vec
+    stacking columns; shape (len(lefts), 4, 4)."""
+    cols = np.stack([np.asarray(m, dtype=complex).reshape(-1, order="F") for m in lefts])
+    rows = np.stack([np.asarray(m, dtype=complex).reshape(-1, order="F") for m in rights])
+    return cols[:, :, None] * rows.conj()[:, None, :]
 
 
-def _first_sign_violation(spec: QubitGeneratorSpec, grid: np.ndarray, tol: float,
-                          integrated: bool) -> Optional[tuple]:
-    """(time, "gamma" or "c") at the first grid point where gamma < -tol or
-    c is not positive semidefinite, gamma first at equal times; None if none.
+def _sign_check(spec: QubitGeneratorSpec, t0: float, t: float,
+                mode: PropagationMode, tol: float) -> tuple:
+    """The mode's integration window, and the first sign violation on its
+    condition grid: (time, "gamma" or "c") at the first point where
+    gamma < -tol or c is not positive semidefinite, gamma first at equal
+    times; None if none.
 
-    Pointwise (``integrated`` false) c must also be Hermitian, as in
-    :meth:`QubitGeneratorSpec.c_matrix`, which raises at the first point
-    where it is not. Integrated checks use int_0^tau over the nonzero taus.
+    Markovian mode checks the values pointwise on [t0, t], where c must
+    also be Hermitian (raising at the first point where it is not); the
+    homogeneous mode checks int_0^tau over the nonzero taus of [0, t - t0].
     """
-    if integrated:
+    lo, hi = integration_window(t0, t, mode)
+    grid = condition_grid(lo, hi)
+    pointwise = mode == "markov"
+    if pointwise:
+        block = spec.bank.values(grid)
+    else:
         grid = grid[grid != 0.0]
         block = spec.bank.integrals(0.0, grid)
-    else:
-        block = spec.bank.values(grid)
     cmats = block[:, 2:].reshape(-1, 2, 2)
     adjoints = cmats.conj().swapaxes(1, 2)
     min_eigs = np.min(np.linalg.eigvalsh((cmats + adjoints) / 2.0), axis=1)
     flagged = (block[:, 1].real < -tol) | (min_eigs < -tol)
-    if not integrated:
+    if pointwise:
         scale = np.maximum(1.0, np.max(np.abs(cmats), axis=(1, 2)))
         flagged |= np.max(np.abs(cmats - adjoints), axis=(1, 2)) > 1e-9 * scale
     if not np.any(flagged):
-        return None
+        return (lo, hi), None
     row = int(np.argmax(flagged))
-    t = float(grid[row])
+    u = float(grid[row])
     if block[row, 1].real < -tol:
-        return t, "gamma"
-    if not integrated:
-        spec.c_matrix(t)  # raises when c(t) is not Hermitian
-    return t, "c"
+        return (lo, hi), (u, "gamma")
+    if pointwise:
+        _require_hermitian(cmats[row], u)
+    return (lo, hi), (u, "c")
 
 
 def propagate(spec: QubitGeneratorSpec, t0: float, t: float,
@@ -236,9 +240,7 @@ def propagate(spec: QubitGeneratorSpec, t0: float, t: float,
     [t0, t]; the homogeneous mode requires the running integrals over
     [0, tau] to satisfy the same signs for tau <= t - t0.
     """
-    lo, hi = integration_window(t0, t, mode)
-    violation = _first_sign_violation(spec, condition_grid(lo, hi), tol,
-                                      integrated=mode != "markov")
+    (lo, hi), violation = _sign_check(spec, t0, t, mode, tol)
     if violation is not None:
         u, which = violation
         if mode == "markov":
@@ -250,8 +252,8 @@ def propagate(spec: QubitGeneratorSpec, t0: float, t: float,
                    else f"int_0^{u} c not positive semidefinite")
         raise PreconditionFailedError(f"{message} (nonmarkov mode)",
                                       witness=(f"{which}-integral", u))
-    integrals = eigenvalue_integrals(spec, lo, hi)
-    return _assemble(spec.mu, np.exp(integrals))
+    factors = np.exp(eigenvalue_integrals(spec, lo, hi))
+    return SuperOperator(2, np.einsum("a,aij->ij", factors, spec.projectors))
 
 
 @dataclass(frozen=True)
@@ -274,28 +276,17 @@ def v_conjugation(mu: float) -> VConjugation:
     if not 0.0 <= float(mu) <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {mu}")
     g, h = damping_basis(float(mu))
-    f = (E11, SIGMA_PLUS, SIGMA_MINUS, E00)
-
-    def rank_one_sum(lefts, rights):
-        matrix = np.zeros((4, 4), dtype=complex)
-        for lm, rm in zip(lefts, rights):
-            col = np.asarray(lm, dtype=complex).reshape(-1, order="F")
-            row = np.asarray(rm, dtype=complex).reshape(-1, order="F")
-            matrix += np.outer(col, row.conj())
-        return SuperOperator(2, matrix)
-
     return VConjugation(
-        v=rank_one_sum(g, f),
-        v_inverse=rank_one_sum(f, h),
-        v_inverse_dual=rank_one_sum(h, f),
+        v=SuperOperator(2, _rank_one_stack(g, _F).sum(axis=0)),
+        v_inverse=SuperOperator(2, _rank_one_stack(_F, h).sum(axis=0)),
+        v_inverse_dual=SuperOperator(2, _rank_one_stack(h, _F).sum(axis=0)),
     )
 
 
 def spectral_projector(index: int) -> SuperOperator:
     """P_index x = f_index (f_index, x) over f = (e11, s+, s-, e00)."""
-    f = (E11, SIGMA_PLUS, SIGMA_MINUS, E00)[index]
-    col = f.reshape(-1, order="F")
-    return SuperOperator(2, np.outer(col, col.conj()))
+    f = (_F[index],)
+    return SuperOperator(2, _rank_one_stack(f, f)[0])
 
 
 @dataclass(frozen=True)
@@ -316,15 +307,15 @@ class ClassificationReport:
         }
 
 
-def classify(spec: QubitGeneratorSpec, horizon: float,
+def classify(spec: QubitGeneratorSpec, t0: float, t: float,
              tol: float = DEFAULT_TOL) -> ClassificationReport:
-    """Check the pointwise (Markovian) and integrated (non-Markovian)
-    admissibility conditions on [0, horizon]."""
-    grid = condition_grid(0.0, horizon)
-    markov_violation = _first_sign_violation(spec, grid, tol, integrated=False)
+    """Check the pointwise (Markovian) conditions on [t0, t] and the
+    integrated (non-Markovian) ones on [0, t - t0]: the windows
+    :func:`propagate` checks in each mode."""
+    _, markov_violation = _sign_check(spec, t0, t, "markov", tol)
     if markov_violation is not None:
         markov_violation = (markov_violation[0], f"{markov_violation[1]} pointwise")
-    nonmarkov_violation = _first_sign_violation(spec, grid, tol, integrated=True)
+    _, nonmarkov_violation = _sign_check(spec, t0, t, "nonmarkov", tol)
     if nonmarkov_violation is not None:
         nonmarkov_violation = (nonmarkov_violation[0], f"{nonmarkov_violation[1]} integral")
     return ClassificationReport(
@@ -332,5 +323,5 @@ def classify(spec: QubitGeneratorSpec, horizon: float,
         nonmarkovian_valid=nonmarkov_violation is None,
         first_markov_violation=markov_violation,
         first_nonmarkov_violation=nonmarkov_violation,
-        horizon=horizon,
+        horizon=t - t0,
     )

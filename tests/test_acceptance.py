@@ -300,7 +300,7 @@ def test_criterion_8_two_level_dynamics():
         c=((Constant(0.0), Constant(0.0)), (Constant(0.0), Constant(0.0))),
         mu=0.5)
     horizon = np.pi - 1e-9
-    classification = classify(cosine, horizon)
+    classification = classify(cosine, 0.0, horizon)
     time, _ = classification.first_markov_violation
     classify_ok = (not classification.markovian
                    and classification.nonmarkovian_valid

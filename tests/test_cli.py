@@ -333,9 +333,10 @@ def test_validate_flags_sign_violation(tmp_path, capsys):
     assert any("first_violation" in c for c in failing)
 
 
-def test_validate_qubit_builds_each_sampled_generator_once(tmp_path, capsys, monkeypatch):
-    # a time-dependent gamma, so the sampled commutators are rounding-sized
-    # but not zero
+def test_validate_qubit_certifies_commutativity_on_the_fixed_basis(
+        tmp_path, capsys, monkeypatch):
+    # L(t) = sum_k f_k(t) B_k: the report is the largest commutator of the
+    # six fixed B_k, with no generator built at any time
     payload = dict(QUBIT_CONFIG, epsilon={"kind": "damped-trig", "amplitude": 0.4,
                                           "decay": -0.2, "frequency": 1.3,
                                           "phase": 0.5, "offset": 0.1},
@@ -344,17 +345,11 @@ def test_validate_qubit_builds_each_sampled_generator_once(tmp_path, capsys, mon
                    c=[[{"kind": "polynomial", "coeffs": [0.3, 0.1]}, 0.05],
                       [0.05, 0.2]])
     config = write_config(tmp_path, "qubit.json", payload)
-    spec = cli._qubit_spec(cli.load_config(config))
-    # every pair of the 7 sample points, the later generator rebuilt per pair
-    samples = np.linspace(0.0, 8.0, 7)
-    worst = 0.0
-    for i, u in enumerate(samples):
-        gen_u = qubit.build_generator(spec, float(u))
-        for v in samples[i + 1:]:
-            gen_v = qubit.build_generator(spec, float(v))
-            comm = gen_u.matrix @ gen_v.matrix - gen_v.matrix @ gen_u.matrix
-            worst = max(worst, float(np.linalg.norm(comm, 2)))
-    assert worst > 0.0
+    basis = cli._qubit_spec(cli.load_config(config)).basis
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert len(pairs) == 15
+    reference = max(float(np.linalg.norm(basis[i] @ basis[j] - basis[j] @ basis[i], 2))
+                    for i, j in pairs)
     calls = []
     build = qubit.build_generator
     monkeypatch.setattr(qubit, "build_generator",
@@ -362,8 +357,69 @@ def test_validate_qubit_builds_each_sampled_generator_once(tmp_path, capsys, mon
     assert main(["validate", config]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     commutativity = next(c for c in checks if c["name"] == "commutativity")
-    assert commutativity["max_commutator"] == worst
-    assert calls == samples.tolist()
+    assert commutativity["max_commutator"] == reference == 0.0
+    assert commutativity["passed"]
+    assert calls == []
+    # a basis matrix that does not commute with the others is refused
+    generator_basis = qubit._generator_basis
+
+    def broken_basis(mu):
+        out = generator_basis(mu).copy()
+        out[0] = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        return out
+    monkeypatch.setattr(qubit, "_generator_basis", broken_basis)
+    assert main(["validate", config]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    commutativity = next(c for c in checks if c["name"] == "commutativity")
+    assert not commutativity["passed"] and commutativity["max_commutator"] > 1e-10
+
+
+def test_validate_tol_reaches_the_qubit_classification(tmp_path):
+    # gamma = -1e-6 is inadmissible at tol 1e-10 and within tol 1e-3, as
+    # for the classical rates [1e-6, -1e-6]
+    qubit_config = write_config(tmp_path, "qubit.json", dict(QUBIT_CONFIG, gamma=-1e-6))
+    classical_config = write_config(tmp_path, "classical.json",
+                                    dict(CLASSICAL_CONFIG, rates=[1e-6, -1e-6]))
+    for config in (qubit_config, classical_config):
+        assert main(["validate", config, "--tol", "1e-10"]) == 2
+        assert main(["validate", config, "--tol", "1e-3"]) == 0
+
+
+def _qubit_window_config(tmp_path, gamma_coeffs):
+    """A Markov qubit config on the window [2, 3] with a polynomial gamma."""
+    return write_config(tmp_path, "qubit.json", dict(
+        QUBIT_CONFIG, gamma={"kind": "polynomial", "coeffs": gamma_coeffs},
+        time={"t0": 2.0, "t": 3.0, "samples": 3}))
+
+
+def test_qubit_markov_classification_uses_the_run_window(tmp_path, capsys):
+    # gamma = t - 1 >= 1 on [t0, t] = [2, 3], negative on [0, 1)
+    config = _qubit_window_config(tmp_path, [-1.0, 1.0])
+    out = tmp_path / "qubit.csv"
+    assert main(["run", config, "--out", str(out)]) == 0
+    classification = json.loads(
+        (tmp_path / "qubit.csv.meta.json").read_text())["reports"]["classification"]
+    assert classification["markovian"]
+    assert classification["first_markov_violation"] is None
+    assert classification["horizon"] == 1.0
+    assert main(["validate", config]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert next(c for c in checks if c["name"] == "admissible_markov")["markovian"]
+
+
+def test_qubit_markov_violation_inside_the_run_window(tmp_path, capsys):
+    # gamma = 2.75 - t is positive on [0, 1] and negative on (2.75, 3]
+    config = _qubit_window_config(tmp_path, [2.75, -1.0])
+    assert main(["run", config, "--out", str(tmp_path / "qubit.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failed: gamma(")
+    run_witness = float(err[len("precondition failed: gamma("):err.index(")")])
+    assert 2.75 < run_witness <= 2.755 + 1e-12
+    assert main(["validate", config]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    admissible = next(c for c in checks if c["name"] == "admissible_markov")
+    assert not admissible["passed"]
+    assert admissible["first_markov_violation"] == [run_witness, "gamma pointwise"]
 
 
 def test_validate_self_test(capsys):

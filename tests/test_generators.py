@@ -10,7 +10,8 @@ from comdyn.generators import (CommutingGeneratorSet, MixtureSpec,
                                resolvent_channel, resolvent_generator,
                                weighted_generator)
 from comdyn.superop import SuperOperator, validate_channel
-from comdyn.timefn import Constant, DampedTrig
+from comdyn.classical import condition_grid, integration_window
+from comdyn.timefn import Constant, DampedTrig, Polynomial, Tabulated
 from comdyn.weyl import WeylCoefficientField, map_from_coeffs
 
 from conftest import random_unital_tp_generator
@@ -109,6 +110,59 @@ def test_mixture_rejects_bad_weights():
         mixture_map(spec, 0.0, 1.0)
     with pytest.raises(InvalidWeightsError):
         MixtureSpec((Constant(1.0),), cset)
+
+
+def validate_weights_reference(spec, t0, t, tol=1e-10):
+    """The weight check as a scalar loop: every weight called at every tau
+    of the homogeneous window's condition grid."""
+    for tau in condition_grid(*integration_window(t0, t, "nonmarkov")):
+        values = np.array([w(float(tau)) for w in spec.weights])
+        if float(np.max(np.abs(values.imag))) > tol:
+            raise InvalidWeightsError(f"weights not real at tau={tau}")
+        real = values.real
+        if float(np.min(real)) < -tol:
+            raise InvalidWeightsError(
+                f"negative weight {np.min(real):.3e} at tau={tau}")
+        if abs(float(np.sum(real)) - 1.0) > tol:
+            raise InvalidWeightsError(
+                f"weights sum to {np.sum(real)} at tau={tau}")
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except (InvalidWeightsError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("weights, window, expected", [
+    (exp_weights(), (0.3, 2.3), None),
+    # 0.7 - 1.2 tau^2 turns negative after tau = 0.764
+    ((Polynomial([0.7, 0.0, -1.2]), Polynomial([0.3, 0.0, 1.2])), (0.0, 1.0),
+     "negative weight -2.270e-03 at tau=0.765"),
+    ((Constant(0.4), Constant(0.4)), (0.5, 1.5), "weights sum to 0.8 at tau=0.0"),
+    ((Constant(0.5 + 0.1j), Constant(0.5 - 0.1j)), (0.0, 1.0),
+     "weights not real at tau=0.0"),
+    # read on [0, 1], past the tabulated domain [0, 0.5]: an input error
+    ((Tabulated([0.0, 0.5], [0.7, 0.7]), Tabulated([0.0, 0.5], [0.3, 0.3])),
+     (0.0, 1.0), "t=0.505 outside tabulated domain [0.0, 0.5]"),
+    # t < t0 is refused by the window rule, as for every other check
+    (exp_weights(), (2.0, 1.0), "need t >= t0, got t0=2.0, t=1.0"),
+])
+def test_validate_weights_matches_the_scalar_loop(weights, window, expected):
+    cset = CommutingGeneratorSet.from_generators(dephasing_pair())
+    spec = MixtureSpec(weights, cset)
+    got = _verdict(spec.validate_weights, *window)
+    assert got == _verdict(validate_weights_reference, spec, *window)
+    assert (got and got[1]) == expected
+    if expected is not None and "weight" not in expected:
+        assert got[0] is ValueError
+        with pytest.raises(ValueError):
+            mixture_map(spec, *window)
+    for tau in condition_grid(0.0, 0.5):
+        assert np.array_equal(spec.weight_values(tau),
+                              np.array([w(tau) for w in spec.weights]))
 
 
 def test_mixture_eigenvalues_integrate_to_map():

@@ -7,11 +7,12 @@ import scipy.linalg
 from comdyn import oracle
 from comdyn.errors import PreconditionFailedError
 from comdyn.qubit import (E00, E11, IDENTITY2, SIGMA3, SIGMA_MINUS, SIGMA_PLUS,
-                          QubitGeneratorSpec, build_generator, classify,
+                          QubitGeneratorSpec, _require_hermitian,
+                          build_generator, classify,
                           damping_basis, eigenvalue_integrals,
                           gamma_eigenvalue, propagate, spectral_projector,
                           v_conjugation)
-from comdyn.superop import validate_channel
+from comdyn.superop import SuperOperator, validate_channel
 from comdyn.classical import condition_grid
 from comdyn.timefn import Constant, DampedTrig, Polynomial
 
@@ -131,8 +132,8 @@ def test_gamma_eigenvalue_matches_spectrum():
 
 
 def test_gamma_eigenvalue_complex_offdiagonal():
-    # complex c10: the value is read off the generator, and still matches
-    # both the sigma+ eigenvalue and the closed expression
+    # complex c10: the closed form matches both the sigma+ eigenvalue and
+    # the literal expression
     c10 = 0.2 + 0.3j
     spec = QubitGeneratorSpec.constant(
         epsilon=0.4, gamma=0.8, c=((0.5, np.conj(c10)), (c10, 0.7)), mu=0.5)
@@ -234,12 +235,18 @@ def test_propagate_nonmarkov_precondition():
         propagate(spec, 0.0, 1.0, "nonmarkov")
 
 
+def _c_matrix_reference(spec, t):
+    """c(t) from scalar coefficient calls, refused when not Hermitian."""
+    cmat = np.array([[f(t) for f in row] for row in spec.c], dtype=complex)
+    return _require_hermitian(cmat, t)
+
+
 def _scalar_markov_witness(spec, grid, tol=1e-10):
     """Reference check: scalar gamma and c evaluations, point by point."""
     for u in grid:
         if float(np.real(spec.gamma(u))) < -tol:
             return "gamma", float(u)
-        cmat = spec.c_matrix(float(u))
+        cmat = _c_matrix_reference(spec, float(u))
         if np.min(np.linalg.eigvalsh((cmat + cmat.conj().T) / 2.0)) < -tol:
             return "c", float(u)
     return None
@@ -268,7 +275,7 @@ def test_markov_witness_matches_scalar_loop(gamma, c, which, window):
     message = (f"gamma({u}) = {spec.gamma(u)} negative" if which == "gamma"
                else f"c({u}) not positive semidefinite")
     assert str(excinfo.value) == f"{message} (markov mode)"
-    report = classify(spec, 3.0)
+    report = classify(spec, 0.0, 3.0)
     assert report.first_markov_violation == (u, f"{which} pointwise")
 
 
@@ -326,7 +333,7 @@ def test_v_diagonalizes_the_generator():
 def test_classify_constant_markovian():
     spec = QubitGeneratorSpec.constant(gamma=1.0, c=((0.2, 0.0), (0.0, 0.2)),
                                        mu=0.5)
-    report = classify(spec, 5.0)
+    report = classify(spec, 0.0, 5.0)
     assert report.markovian and report.nonmarkovian_valid
 
 
@@ -336,7 +343,7 @@ def test_classify_cosine_gamma():
         c=((Constant(0.0), Constant(0.0)), (Constant(0.0), Constant(0.0))),
         mu=0.5)
     horizon = np.pi - 1e-9
-    report = classify(spec, horizon)
+    report = classify(spec, 0.0, horizon)
     assert not report.markovian
     assert report.nonmarkovian_valid
     time, condition = report.first_markov_violation
@@ -346,7 +353,7 @@ def test_classify_cosine_gamma():
 
 def test_classify_negative_gamma_rejected_in_both_senses():
     spec = QubitGeneratorSpec.constant(gamma=-1.0, mu=0.5)
-    report = classify(spec, 1.0)
+    report = classify(spec, 0.0, 1.0)
     assert not report.markovian
     assert not report.nonmarkovian_valid
 
@@ -365,7 +372,7 @@ def build_generator_reference(spec, t=0.0):
     """The generator assembled term by term from scalar coefficient calls."""
     eps = complex(spec.epsilon(t))
     gam = complex(spec.gamma(t))
-    cmat = spec.c_matrix(t)
+    cmat = _c_matrix_reference(spec, t)
     mu = float(spec.mu)
     matrix = np.zeros((4, 4), dtype=complex)
     matrix += (-0.5j * eps) * (np.kron(IDENTITY2, SIGMA3) - np.kron(SIGMA3.T, IDENTITY2))
@@ -416,3 +423,60 @@ def test_build_generator_refuses_non_hermitian_c_with_the_same_message():
         with pytest.raises(ValueError) as caught:
             builder(spec, 0.5)
         assert str(caught.value) == "c(t) is not Hermitian at t=0.5"
+
+
+# ---------------------------------------------------------------------------
+# the propagator on the spec's fixed mode projectors
+# ---------------------------------------------------------------------------
+
+def _assemble_reference(mu, mode_values):
+    """The propagator as a sum of rank-one terms, the damping basis rebuilt
+    for every call."""
+    g, h = damping_basis(float(mu))
+    matrix = np.zeros((4, 4), dtype=complex)
+    for value, gm, hm in zip(mode_values, g, h):
+        col = np.asarray(gm, dtype=complex).reshape(-1, order="F")
+        row = np.asarray(hm, dtype=complex).reshape(-1, order="F")
+        matrix += value * np.outer(col, row.conj())
+    return SuperOperator(2, matrix)
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.0, 1.0, Fraction(2, 7), Fraction(1, 2)])
+def test_propagate_equals_the_rank_one_reference(rng, mu):
+    for _ in range(5):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        cmat = 0.2 * a @ a.conj().T
+        spec = QubitGeneratorSpec(
+            DampedTrig(amplitude=rng.uniform(-1, 1), decay=-0.3,
+                       frequency=rng.uniform(0, 3), phase=rng.uniform(0, 6)),
+            Polynomial(rng.uniform(0, 1, size=2)),
+            tuple(tuple(Constant(complex(v)) for v in row) for row in cmat), mu)
+        t0 = float(rng.uniform(0.0, 1.0))
+        t = t0 + float(rng.uniform(0.0, 2.0))
+        for mode, window in (("markov", (t0, t)), ("nonmarkov", (0.0, t - t0))):
+            modes = np.exp(eigenvalue_integrals(spec, *window))
+            assert np.array_equal(propagate(spec, t0, t, mode).matrix,
+                                  _assemble_reference(spec.mu, modes).matrix)
+        modes = rng.normal(size=4) + 1j * rng.normal(size=4)
+        assert np.array_equal(np.einsum("a,aij->ij", modes, spec.projectors),
+                              _assemble_reference(mu, modes).matrix)
+
+
+def test_classify_checks_the_propagation_windows():
+    # gamma = 1.5 - t: pointwise fine on [0, 1.5], negative past 1.5; its
+    # running integral stays positive until tau = 3
+    spec = QubitGeneratorSpec(Constant(0.0), Polynomial([1.5, -1.0]),
+                              ((Constant(0.0), Constant(0.0)),
+                               (Constant(0.0), Constant(0.0))), 0.5)
+    report = classify(spec, 1.0, 2.5)
+    assert report.horizon == 1.5
+    markov_time, condition = report.first_markov_violation
+    assert condition == "gamma pointwise" and 1.5 < markov_time <= 1.5 + 1.5 / 200
+    assert report.nonmarkovian_valid
+    with pytest.raises(PreconditionFailedError) as excinfo:
+        propagate(spec, 1.0, 2.5, "markov")
+    assert excinfo.value.witness == ("gamma", markov_time)
+    propagate(spec, 1.0, 2.5, "nonmarkov")
+    assert classify(spec, 0.0, 1.5).markovian
+    with pytest.raises(ValueError, match="need t >= t0"):
+        classify(spec, 2.0, 1.0)
