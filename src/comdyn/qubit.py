@@ -116,8 +116,10 @@ class QubitGeneratorSpec:
         return cls(epsilon, gamma, c, mu)
 
 
-def _require_hermitian(cmat: np.ndarray, t: float, tol: float = 1e-9) -> np.ndarray:
-    """``cmat``, unless max |c - c^dag| exceeds ``tol`` max(1, max |c|).
+def _require_hermitian(cmat: np.ndarray, t: float, tol: float = 1e-9,
+                       name: str = "c(t)") -> np.ndarray:
+    """``cmat``, unless max |c - c^dag| exceeds ``tol`` max(1, max |c|);
+    ``name`` says what ``cmat`` is in the refusal.
 
     Scalar arithmetic on the four entries: |c_ab - conj(c_ba)| is the same
     for (0, 1) and (1, 0), and |c_aa - conj(c_aa)| = 2 |Im c_aa| exactly.
@@ -126,7 +128,7 @@ def _require_hermitian(cmat: np.ndarray, t: float, tol: float = 1e-9) -> np.ndar
     scale = max(1.0, abs(c00), abs(c01), abs(c10), abs(c11))
     skew = max(2.0 * abs(c00.imag), abs(c01 - c10.conjugate()), 2.0 * abs(c11.imag))
     if skew > tol * scale:
-        raise ValueError(f"c(t) is not Hermitian at t={t}")
+        raise ValueError(f"{name} is not Hermitian at t={t}")
     return cmat
 
 
@@ -202,9 +204,10 @@ def _sign_check(spec: QubitGeneratorSpec, t0: float, t: float,
     gamma < -tol or c is not positive semidefinite, gamma first at equal
     times; None if none.
 
-    Markovian mode checks the values pointwise on [t0, t], where c must
-    also be Hermitian (raising at the first point where it is not); the
-    homogeneous mode checks int_0^tau over the nonzero taus of [0, t - t0].
+    Markovian mode checks the values pointwise on [t0, t]; the homogeneous
+    mode checks int_0^tau over the nonzero taus of [0, t - t0]. In both, c
+    (or its integral) must also be Hermitian, raising at the first point
+    where it is not.
     """
     lo, hi = integration_window(t0, t, mode)
     grid = condition_grid(lo, hi)
@@ -217,18 +220,16 @@ def _sign_check(spec: QubitGeneratorSpec, t0: float, t: float,
     cmats = block[:, 2:].reshape(-1, 2, 2)
     adjoints = cmats.conj().swapaxes(1, 2)
     min_eigs = np.min(np.linalg.eigvalsh((cmats + adjoints) / 2.0), axis=1)
-    flagged = (block[:, 1].real < -tol) | (min_eigs < -tol)
-    if pointwise:
-        scale = np.maximum(1.0, np.max(np.abs(cmats), axis=(1, 2)))
-        flagged |= np.max(np.abs(cmats - adjoints), axis=(1, 2)) > 1e-9 * scale
+    scale = np.maximum(1.0, np.max(np.abs(cmats), axis=(1, 2)))
+    flagged = ((block[:, 1].real < -tol) | (min_eigs < -tol)
+               | (np.max(np.abs(cmats - adjoints), axis=(1, 2)) > 1e-9 * scale))
     if not np.any(flagged):
         return (lo, hi), None
     row = int(np.argmax(flagged))
     u = float(grid[row])
     if block[row, 1].real < -tol:
         return (lo, hi), (u, "gamma")
-    if pointwise:
-        _require_hermitian(cmats[row], u)
+    _require_hermitian(cmats[row], u, name="c(t)" if pointwise else "int_0^t c")
     return (lo, hi), (u, "c")
 
 

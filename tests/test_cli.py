@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comdyn import cli, qubit, weyl
+from comdyn import cli, generators, oracle, qubit, weyl
 from comdyn.cli import _fmt, main, write_channel
 
 
@@ -228,6 +228,46 @@ def test_mixture_run(tmp_path):
     assert header[1] == "re_c0"
     sidecar = json.loads((tmp_path / "mixture.csv.meta.json").read_text())
     assert sidecar["reports"]["oracle"]["max_residual"] < 1e-10
+
+
+def test_mixture_oracle_run_checks_the_weights_once(tmp_path, monkeypatch):
+    # the run checks the weights on [0, t - t0], which holds every row's
+    # window, so the per-row oracle residuals must not check them again
+    calls = []
+    check = generators.MixtureSpec.validate_weights
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return check(self, *args, **kwargs)
+
+    monkeypatch.setattr(generators.MixtureSpec, "validate_weights", counted)
+    payload = dict(MIXTURE_CONFIG, time={"t0": 0.5, "t": 2.0, "samples": 5})
+    config = write_config(tmp_path, "mixture.json", payload)
+    out = tmp_path / "mixture.csv"
+    assert main(["run", config, "--out", str(out), "--oracle"]) == 0
+    assert calls == [(0.5, 2.0)]
+    # each residual is the one the checked mixture_map gives
+    cset = generators.CommutingGeneratorSet.from_generators(
+        cli._mixture_generators(payload))
+    spec = cli._mixture_spec(payload, cset)
+    header, rows = read_csv(out)
+    for t, residual in zip(rows[:, 0], rows[:, header.index("oracle_residual")]):
+        amap = generators.mixture_map(spec, 0.5, t)
+        direct = sum(w * oracle.expm((t - 0.5) * g.matrix)
+                     for w, g in zip(spec.weight_values(t - 0.5), cset.generators))
+        assert residual == float(np.max(np.abs(amap.matrix - direct)))
+
+
+def test_run_sidecar_records_the_versions(tmp_path):
+    import scipy
+    import comdyn
+    config = write_config(tmp_path, "classical.json", CLASSICAL_CONFIG)
+    out = tmp_path / "classical.csv"
+    assert main(["run", config, "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "classical.csv.meta.json").read_text())
+    assert sidecar["versions"] == {"comdyn": comdyn.__version__,
+                                   "numpy": np.__version__,
+                                   "scipy": scipy.__version__}
 
 
 def test_resolvent_run(tmp_path):
@@ -472,6 +512,14 @@ FAILURE_PATHS = {
     "qubit-negative-gamma": (
         "run", dict(QUBIT_CONFIG, gamma=-1.0), [], 2,
         "precondition failed: gamma(0.0) = -1.0 negative"),
+    # c01 = 0.1 t against c10 = 0: the homogeneous check refuses the
+    # integrated c at the first nonzero tau of [0, 3]
+    "qubit-non-hermitian-nonmarkov": (
+        "run", dict(QUBIT_CONFIG, mode="nonmarkov",
+                    time={"t0": 0.0, "t": 3.0, "samples": 2},
+                    c=[[0.4, {"kind": "polynomial", "coeffs": [0.0, 0.1]}],
+                       [0.0, 0.3]]),
+        [], 1, "error: int_0^t c is not Hermitian at t=0.015"),
     "kernel-divergent-transform": (
         "run", {"kind": "kernel", "rate": {"kind": "damped-trig", "decay": 2.0},
                 "s_values": [0.5]}, [], 2,
@@ -603,6 +651,19 @@ def test_schema_with_an_unimplemented_keyword_does_not_compile():
         cli._compile({"type": "null"})
     with pytest.raises(ValueError, match="additionalProperties"):
         cli._compile({"type": "object", "additionalProperties": True})
+
+
+def test_importing_the_cli_loads_the_top_level_scipy_package():
+    # perfbench/passrun.py reads sys.modules["scipy"].__version__ after its
+    # import-only pass, so a comdyn that never imported scipy would crash
+    # every benchmark run; the bare scipy package costs 10 ms or less to
+    # import beside numpy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, comdyn.cli; print(sys.modules['scipy'].__version__)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip()
 
 
 def test_importing_the_cli_loads_neither_jsonschema_nor_scipy_interpolate():

@@ -286,6 +286,16 @@ def test_markov_check_raises_on_non_hermitian_c():
         propagate(spec, 0.0, 3.0, "markov")
 
 
+def test_nonmarkov_check_raises_on_non_hermitian_c():
+    # the integral of c01 = 0.1 t is 0.05 tau^2 while c10 integrates to 0,
+    # so the integrated c is not Hermitian from the first nonzero tau on
+    c = ((Constant(0.4), Polynomial([0.0, 0.1])), (Constant(0.0), Constant(0.3)))
+    spec = QubitGeneratorSpec(epsilon=Constant(0.0), gamma=Constant(1.0), c=c, mu=0.5)
+    with pytest.raises(ValueError) as caught:
+        propagate(spec, 0.0, 3.0, "nonmarkov")
+    assert str(caught.value) == "int_0^t c is not Hermitian at t=0.015"
+
+
 # ---------------------------------------------------------------------------
 # the diagonalizing map V
 # ---------------------------------------------------------------------------

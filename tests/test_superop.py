@@ -237,6 +237,25 @@ def test_validate_completely_depolarizing():
     assert np.max(np.abs(coeffs - np.eye(dim * dim) / dim)) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_validate_channel_matches_out_of_place_arithmetic(rng, dim):
+    # the in-place Hermitian part must give the report of the plain
+    # expressions to the bit, on maps that do and do not preserve hermiticity
+    kraus = [random_matrix(rng, dim) for _ in range(3)]
+    cp_map = SuperOperator.from_action(lambda x: sum(k @ x @ k.conj().T for k in kraus), dim)
+    for op in (cp_map, random_superoperator(rng, dim)):
+        coeffs = f_coefficients(op)
+        herm_residual = float(np.max(np.abs(coeffs - coeffs.conj().T)))
+        report = validate_channel(op)
+        assert report.hermiticity_residual == herm_residual
+        if report.hermiticity_preserving:
+            min_eig = float(np.min(np.linalg.eigvalsh((coeffs + coeffs.conj().T) / 2.0)))
+        else:
+            min_eig = float(np.min(np.linalg.eigvals(coeffs).real))
+        assert report.choi_min_eigenvalue == min_eig
+    assert validate_channel(cp_map).hermiticity_preserving
+
+
 # ---------------------------------------------------------------------------
 # spectral decomposition
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comdyn import oracle
 from comdyn.classical import (CirculantGenerator, LatticeField, convolve,
@@ -85,12 +88,145 @@ def _scalar_relation_residuals(family):
     return product, adjoint
 
 
-@pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 1)])
 def test_relations_check_matches_pairwise_loop(d, nparties):
     family = WeylFamily(d, nparties)
     report = relations_check(family)
     product, adjoint = _scalar_relation_residuals(family)
     assert (report.product_residual, report.adjoint_residual) == (product, adjoint)
+
+
+def _dense_relations_check(family):
+    """Reference: the exhaustive check with dense (count, D, D) products,
+    one batched product u_a @ stack per a."""
+    d, npar = family.d, family.nparties
+    count = family.count
+    stack = np.stack([family.unitary_flat(k) for k in range(count)])
+    digits = np.indices((d,) * (2 * npar)).reshape(2 * npar, count).T
+    place = d ** np.arange(2 * npar - 1, -1, -1)
+    ms, ns = digits[:, :npar], digits[:, npar:]
+
+    lam = 2j * np.pi / d
+    product_residual = 0.0
+    for a in range(count):
+        phases = np.exp(lam * ((ns @ ms[a]) % d))
+        targets = ((digits[a] + digits) % d) @ place
+        res = float(np.max(np.abs(stack[a] @ stack
+                                  - phases[:, None, None] * stack[targets])))
+        product_residual = max(product_residual, res)
+
+    phases = np.exp(lam * (np.sum(ms * ns, axis=1) % d))
+    targets = ((-digits) % d) @ place
+    adjoint_residual = float(np.max(np.abs(
+        stack.conj().swapaxes(1, 2) - phases[:, None, None] * stack[targets])))
+
+    cols = family.vec_columns()
+    gram = cols.conj().T @ cols
+    orthogonality_residual = float(np.max(np.abs(
+        gram - family.dim * np.eye(count))))
+    return (product_residual, adjoint_residual, orthogonality_residual)
+
+
+@pytest.mark.parametrize("d,nparties", [(2, 4), (4, 2)])
+def test_relations_check_matches_dense_products(d, nparties):
+    family = WeylFamily(d, nparties)
+    report = relations_check(family)
+    assert (report.product_residual, report.adjoint_residual,
+            report.orthogonality_residual) == _dense_relations_check(family)
+
+
+def _corruptible_family(d, nparties):
+    """A family whose stack is its own copy, so corrupting it leaves the
+    cached unitaries of other families alone."""
+    family = WeylFamily(d, nparties)
+    family._stack = family._stack.copy()
+    return family
+
+
+def _support(family):
+    return np.argmax(np.abs(family._stack), axis=1)
+
+
+def _flip_support_phase(family):
+    family._stack[5, _support(family)[5, 3], 3] *= -1.0
+
+
+def _swap_unitaries(family):
+    # two shifts u_{0,n}: equal entries on different rows
+    family._stack[[1, 2]] = family._stack[[2, 1]]
+
+
+def _raise_an_exact_zero(family):
+    row = (_support(family)[7, 2] + 1) % family.dim
+    assert family._stack[7, row, 2] == 0.0
+    family._stack[7, row, 2] = 1e-13
+
+
+def _replace_by_a_dense_unitary(family):
+    # the normalized DFT matrix: unitary, with no zero entry
+    k = np.arange(family.dim)
+    family._stack[11] = np.exp(2j * np.pi * np.outer(k, k) / family.dim) / np.sqrt(family.dim)
+
+
+@pytest.mark.parametrize("corrupt,off_support", [
+    (_flip_support_phase, False), (_swap_unitaries, False),
+    (_replace_by_a_dense_unitary, True), (_raise_an_exact_zero, True)])
+@pytest.mark.parametrize("d,nparties", [(2, 3), (3, 2)])
+def test_relations_check_never_falls_below_the_dense_check_on_a_corrupt_stack(
+        d, nparties, corrupt, off_support):
+    family = _corruptible_family(d, nparties)
+    corrupt(family)
+    report = relations_check(family)
+    product, _, _ = _dense_relations_check(family)
+    assert report.product_residual >= product
+    if not off_support:
+        # the column form holds every nonzero entry the dense products see
+        assert report.product_residual == product
+    if corrupt is _raise_an_exact_zero:
+        # the dense residual stays near 1e-13 and passes, while the bound
+        # adds (2 D s + 1) 1e-13 and fails
+        assert product < 1e-12 <= report.product_residual
+    else:
+        assert not report.passed() and product >= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 1), (2, 3)]),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                          st.integers(0, 10 ** 6), st.floats(-16.0, -1.0),
+                          st.floats(0.0, 2 * np.pi)), min_size=1, max_size=4))
+def test_relations_check_bounds_the_dense_check_under_sparse_perturbations(
+        shape, perturbations):
+    family = _corruptible_family(*shape)
+    support = _support(family)
+    off_support = False
+    for k, i, j, exponent, angle in perturbations:
+        k, i, j = k % family.count, i % family.dim, j % family.dim
+        family._stack[k, i, j] += 10.0 ** exponent * np.exp(1j * angle)
+        off_support |= bool(i != support[k, j])
+    report = relations_check(family)
+    product, _, _ = _dense_relations_check(family)
+    if off_support:
+        assert report.product_residual >= product
+    else:
+        # on the support alone the two checks take the maximum over the same
+        # entries, but BLAS rounds each complex product with a fused
+        # multiply-add where numpy rounds twice: one ulp of the largest
+        # product apart, in either direction
+        scale = float(np.max(np.abs(family._stack))) ** 2
+        assert abs(report.product_residual - product) <= 4 * np.finfo(float).eps * scale
+
+
+def test_relations_check_memory_peak_stays_below_the_dense_check():
+    family = WeylFamily(2, 4)
+    tracemalloc.start()
+    try:
+        relations_check(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense check peaked at 4.88 MB on a fresh D = 16 family
+    assert peak <= 4_875_000
 
 
 @pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)])
@@ -115,6 +251,15 @@ def test_family_stack_is_bit_identical_to_per_unitary_kron(d, nparties):
     for flat in range(family.count):
         assert (family._stack[flat].tobytes()
                 == weyl_unitary(d, *family.index_pair(flat)).tobytes()), flat
+
+
+@pytest.mark.parametrize("d,nparties", [(2, 1), (3, 2), (2, 4), (4, 2)])
+def test_vec_columns_copy_the_stack_column_by_column(d, nparties):
+    family = WeylFamily(d, nparties)
+    cols = family.vec_columns()
+    reference = np.stack([family.unitary_flat(k).reshape(-1, order="F")
+                          for k in range(family.count)], axis=1)
+    assert cols.flags.c_contiguous and cols.tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------------------
