@@ -320,6 +320,16 @@ class ChannelReport:
     def cptp(self) -> bool:
         return self.cp and self.tp
 
+    def agrees_with(self, other: "ChannelReport", atol: float) -> bool:
+        """Whether two reports on the same map, computed two ways, say the
+        same: equal tolerance and flags, and every figure within ``atol``."""
+        flags = ("cp", "tp", "unital", "hermiticity_preserving", "tol")
+        figures = ("choi_min_eigenvalue", "tp_residual", "unital_residual",
+                   "hermiticity_residual")
+        return (all(getattr(self, f) == getattr(other, f) for f in flags)
+                and all(abs(getattr(self, f) - getattr(other, f)) <= atol
+                        for f in figures))
+
     def as_dict(self) -> dict:
         return {
             "cp": self.cp,

@@ -32,7 +32,7 @@ import numpy as np
 from . import classical
 from .classical import CirculantGenerator, LatticeField, PropagationMode, dft
 from .errors import DimensionMismatchError, NormalizationError
-from .superop import DEFAULT_TOL, SuperOperator
+from .superop import DEFAULT_TOL, ChannelReport, SuperOperator
 from .timefn import Constant, as_time_function
 
 Index = Union[int, Sequence[int]]
@@ -210,33 +210,39 @@ class WeylRelationsReport:
         }
 
 
-def _product_residual(stack: np.ndarray, digits: np.ndarray, d: int) -> float:
-    """Residual of u_a u_b = lambda^(m_a.n_b) u_(a+b) over every pair (a, b),
-    checked on the column form of the stack in O(D^5) work rather than the
-    O(D^6) of dense products.
-
-    Column j of u_k holds vals[k, j] at row rows[k, j] (its largest entry),
-    plus entries off that support of modulus at most ``off`` (0 for a Weyl
-    family). Column j of M_a M_b, for the monomial parts M, is
-    p = vals[a, r] vals[b, j] at row rows[a, r] with r = rows[b, j]; against
-    the entry q of phi_ab M_(a+b) it differs by |p - q| where the two rows
-    agree and by max(|p|, |q|) where they do not. The off-support parts E
-    add at most |M_a E_b| + |E_a u_b| + |phi E_c| <= (2 D s + 1) off to any
-    entry of u_a u_b - phi_ab u_(a+b), where s bounds every entry, and the
-    residual includes that bound: it bounds the dense residual from above,
-    exactly in real arithmetic and up to the rounding of one complex
-    product in floating point, and equals it when ``off`` is 0.
-    """
-    count, dim = stack.shape[:2]
-    npar = digits.shape[1] // 2
+def _column_form(stack: np.ndarray) -> tuple:
+    """The column form of a (count, D, D) stack: ``rows[k, j]``, the row of
+    the largest entry of column j of u_k, ``vals[k, j]``, that entry, and
+    two moduli: ``scale``, the largest of any entry, and ``off``, the
+    largest off that support (exactly 0 for a Weyl family, whose unitaries
+    are monomial matrices)."""
     moduli = np.abs(stack)
     rows = np.argmax(moduli, axis=1)
     vals = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0, :]
     scale = float(np.max(moduli))
     np.put_along_axis(moduli, rows[:, None, :], 0.0, axis=1)
     off = float(np.max(moduli))
-    del moduli
+    return rows, vals, scale, off
 
+
+def _product_residual(rows: np.ndarray, vals: np.ndarray, scale: float,
+                      off: float, digits: np.ndarray, d: int) -> float:
+    """Residual of u_a u_b = lambda^(m_a.n_b) u_(a+b) over every pair (a, b),
+    checked on the column form (see :func:`_column_form`) in O(D^5) work
+    rather than the O(D^6) of dense products.
+
+    Column j of M_a M_b, for the monomial parts M, is p = vals[a, r]
+    vals[b, j] at row rows[a, r] with r = rows[b, j]; against the entry q of
+    phi_ab M_(a+b) it differs by |p - q| where the two rows agree and by
+    max(|p|, |q|) where they do not. The off-support parts E add at most
+    |M_a E_b| + |E_a u_b| + |phi E_c| <= (2 D scale + 1) off to any entry of
+    u_a u_b - phi_ab u_(a+b), and the residual includes that bound: it
+    bounds the dense residual from above, exactly in real arithmetic and up
+    to the rounding of one complex product in floating point, and equals it
+    when ``off`` is 0.
+    """
+    count, dim = vals.shape
+    npar = digits.shape[1] // 2
     # row k count + c of `phased` is lambda^k vals[c], and keys[a, b] picks
     # the row for phi_ab M_(a+b): k = m_a.n_b mod d, c the flat index of a + b
     lam = 2j * np.pi / d
@@ -265,10 +271,36 @@ def _product_residual(stack: np.ndarray, digits: np.ndarray, d: int) -> float:
     return residual + (2 * dim * scale + 1) * off
 
 
+def _orthogonality_residual(rows: np.ndarray, vals: np.ndarray, scale: float,
+                            off: float) -> float:
+    """Residual of tr(u_a^dag u_b) = D delta_ab over every pair (a, b),
+    on the column form (see :func:`_column_form`) in count^2 D work rather
+    than the O(D^6) Gram product of the dense columns.
+
+    For the monomial parts M, column j adds conj(vals[a, j]) vals[b, j] to
+    tr(M_a^dag M_b) where the rows of a and b agree, and nothing where they
+    do not. Per column, the off-support parts E add at most
+    |M_a^dag E_b| + |E_a^dag M_b| + |E_a^dag E_b| <= (2 scale + D off) off,
+    so the residual includes D (2 scale + D off) off: like the product
+    rule's, it bounds the dense residual from above in real arithmetic and
+    equals the monomial one when ``off`` is 0.
+    """
+    count, dim = vals.shape
+    conj = vals.conj()
+    residual = 0.0
+    for a in range(count):
+        # row differences, as in the product rule, not integer comparisons
+        traces = np.where((rows - rows[a]).astype(bool), 0.0, vals) @ conj[a]
+        traces[a] -= dim
+        residual = max(residual, float(np.max(np.abs(traces))))
+    return residual + dim * (2 * scale + dim * off) * off
+
+
 def relations_check(family: WeylFamily) -> WeylRelationsReport:
-    """Exhaustively verify the product rule (on the unitaries' column form,
-    see :func:`_product_residual`), the adjoint rule, and the
-    orthogonality relations over all index pairs."""
+    """Exhaustively verify the product rule and the orthogonality relations
+    (both on the unitaries' column form, see :func:`_product_residual` and
+    :func:`_orthogonality_residual`) and the adjoint rule over all index
+    pairs."""
     d, npar = family.d, family.nparties
     count = family.count
     stack = family._stack
@@ -278,18 +310,15 @@ def relations_check(family: WeylFamily) -> WeylRelationsReport:
     digits = np.indices((d,) * (2 * npar)).reshape(2 * npar, count).T
     place = d ** np.arange(2 * npar - 1, -1, -1)
     ms, ns = digits[:, :npar], digits[:, npar:]
-    product_residual = _product_residual(stack, digits, d)
+    columns = _column_form(stack)
+    product_residual = _product_residual(*columns, digits, d)
+    orthogonality_residual = _orthogonality_residual(*columns)
 
     lam = 2j * np.pi / d
     phases = np.exp(lam * (np.sum(ms * ns, axis=1) % d))
     targets = ((-digits) % d) @ place
     adjoint_residual = float(np.max(np.abs(
         stack.conj().swapaxes(1, 2) - phases[:, None, None] * stack[targets])))
-
-    cols = family.vec_columns()
-    gram = cols.conj().T @ cols
-    orthogonality_residual = float(np.max(np.abs(
-        gram - family.dim * np.eye(count))))
 
     return WeylRelationsReport(d, npar, product_residual, adjoint_residual,
                                orthogonality_residual)
@@ -398,6 +427,58 @@ class WeylSpectrum:
         matrix = (cols * self.eigenvalues.values) @ cols.conj().T / self.family.dim
         return SuperOperator(self.family.dim, matrix)
 
+    def channel_report(self, tol: float = DEFAULT_TOL) -> ChannelReport:
+        """The :func:`~comdyn.superop.validate_channel` report of
+        :meth:`assemble`, from the eigenvalues alone in O(D^2 log D).
+
+        The assembled map is sum p(m, n) u_{n,-m} x u_{n,-m}^dag with the
+        coefficient field p = idft(a~). Its Choi matrix c is normal, with
+        eigenvalues D p(m, n), and c - c^dag = 2i sum Im p(m, n)
+        |vec u_{n,-m}><vec u_{n,-m}|, whose entries for each shift m are
+        sums of Im p(m, n) lambda^(n.j) over n: the transform of Im p over
+        the field's n axes, the phase index of u_{n,-m}. The map sends the
+        identity to a~(0, 0) times the identity, and its dual sends it to
+        conj(a~(0, 0)) times the identity. Hence:
+
+        * choi_min_eigenvalue = D min Re p
+        * hermiticity_residual = 2 max |fftn(Im p, n axes)|
+        * tp_residual = unital_residual = |a~(0, 0) - 1|
+
+        and the flags follow with ``tol`` as in ``validate_channel``. The
+        figures equal the dense ones in exact arithmetic; in floating point
+        they agree within :meth:`rounding_bound`.
+        """
+        family = self.family
+        npar = family.nparties
+        field = classical.idft(self.eigenvalues)
+        skew = np.fft.fftn(field.grid.imag, axes=tuple(range(npar, 2 * npar)))
+        herm_residual = 2.0 * float(np.max(np.abs(skew)))
+        herm_ok = herm_residual <= tol
+        min_eig = family.dim * float(np.min(field.values.real))
+        residual = float(abs(self.eigenvalues.values[0] - 1.0))
+        return ChannelReport(
+            cp=herm_ok and min_eig >= -tol,
+            tp=residual <= tol,
+            unital=residual <= tol,
+            hermiticity_preserving=herm_ok,
+            choi_min_eigenvalue=min_eig,
+            tp_residual=residual,
+            unital_residual=residual,
+            hermiticity_residual=herm_residual,
+            tol=tol,
+        )
+
+    def rounding_bound(self) -> float:
+        """How far the figures of :meth:`channel_report` and of the dense
+        ``validate_channel`` on :meth:`assemble` may drift apart by
+        rounding: D^2 eps times D max(1, |a~|), a dense eigensolver's error
+        on the D^2 x D^2 Choi matrix, whose norm D max |p| is at most
+        D max |a~|; the other figures round far less."""
+        values = self.eigenvalues.values
+        dim = self.family.dim
+        eps = float(np.finfo(values.dtype).eps)
+        return dim ** 3 * eps * max(1.0, float(np.max(np.abs(values))))
+
 
 def spectrum_of_values(family: WeylFamily, values: LatticeField) -> WeylSpectrum:
     return WeylSpectrum(family, dft(values))
@@ -413,13 +494,20 @@ def map_spectrum(field: WeylCoefficientField, t: float = 0.0,
 
 
 def spectrum_convention_residual(d: int, nparties: int = 1,
-                                 values: Optional[np.ndarray] = None) -> float:
+                                 values: Optional[np.ndarray] = None,
+                                 family: Optional[WeylFamily] = None) -> float:
     """Exhaustive check that A u_{k,l} = a~(k, l) u_{k,l} for a generic field.
 
     Guards the phase-kernel convention a~(k,l) = sum a(m,n) lambda^(k.m+l.n)
-    against drift; returns the max residual over all (k, l).
+    against drift; returns the max residual over all (k, l). A ``family``
+    of the same (d, nparties) is used instead of a new one.
     """
-    family = WeylFamily(d, nparties)
+    if family is None:
+        family = WeylFamily(d, nparties)
+    elif (family.d, family.nparties) != (d, nparties):
+        raise DimensionMismatchError(
+            f"family on Z_{family.d}^{family.nparties}, check asks for "
+            f"Z_{d}^{nparties}")
     if values is None:
         idx = np.arange(family.count)
         values = 1.0 / (idx + 2.0) + 1j / (3.0 * idx + 7.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comdyn import cli, generators, oracle, qubit, weyl
+from comdyn import classical, cli, generators, oracle, qubit, superop, weyl
 from comdyn.cli import _fmt, main, write_channel
 
 
@@ -212,6 +212,66 @@ def test_weyl_run_writes_the_channel_of_its_window(tmp_path):
     assert channel.read_bytes() == channel_reference(expected)
 
 
+def _count_validate_channel(monkeypatch):
+    """Count calls of ``superop.validate_channel``, under its own name and
+    the one ``cli`` imported."""
+    calls = []
+    dense = superop.validate_channel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(superop, "validate_channel", counted)
+    monkeypatch.setattr(cli, "validate_channel", counted)
+    return calls
+
+
+def test_weyl_run_reports_its_channel_from_the_spectrum(tmp_path, monkeypatch):
+    # d = 2, N = 4: the final channel's report comes from the relaxation
+    # factors, and the 256 x 256 channel CSV is still the dense map's
+    calls = _count_validate_channel(monkeypatch)
+    rng = np.random.default_rng(3)
+    rates = list(rng.uniform(0.0, 0.05, 256))
+    rates[0] = -sum(rates[1:])
+    payload = dict(WEYL_CONFIG, dims={"d": 2, "N": 4}, rates=rates,
+                   time={"t0": 0.0, "t": 1.0, "samples": 2})
+    config = write_config(tmp_path, "weyl24.json", payload)
+    out = tmp_path / "weyl24.csv"
+    assert main(["run", config, "--out", str(out)]) == 0
+    assert calls == []
+    field = weyl.WeylCoefficientField.constant(2, 4, rates)
+    expected = weyl.evolve(field, 0.0, 1.0).matrix
+    channel = tmp_path / "weyl24.csv.channel.csv"
+    assert channel.read_bytes() == channel_reference(expected)
+    spectrum = weyl.WeylSpectrum(field.family(), classical.relaxation(
+        field.as_circulant(), 0.0, 1.0))
+    sidecar = json.loads((tmp_path / "weyl24.csv.meta.json").read_text())
+    final = sidecar["reports"]["final_channel"]
+    assert final == json.loads(json.dumps(spectrum.channel_report().as_dict()))
+    assert final["cp"] and final["tp"] and final["unital"]
+    dense = superop.validate_channel(superop.SuperOperator(16, expected))
+    assert superop.ChannelReport(**final).agrees_with(dense, spectrum.rounding_bound())
+
+
+def test_weyl_oracle_run_cross_checks_the_spectral_report(tmp_path, monkeypatch):
+    calls = _count_validate_channel(monkeypatch)
+    config = write_config(tmp_path, "weyl.json", WEYL_CONFIG)
+    out = tmp_path / "weyl.csv"
+    assert main(["run", config, "--out", str(out), "--oracle"]) == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "weyl.csv.meta.json").read_text())[
+        "reports"]["oracle"]["passed"]
+    # a disagreement between the two reports fails the oracle report
+    monkeypatch.setattr(superop.ChannelReport, "agrees_with",
+                        lambda self, other, atol: False)
+    assert main(["run", config, "--out", str(out), "--oracle"]) == 0
+    oracle_report = json.loads((tmp_path / "weyl.csv.meta.json").read_text())[
+        "reports"]["oracle"]
+    assert oracle_report["max_residual"] <= oracle_report["tol"]
+    assert not oracle_report["passed"]
+
+
 def test_mixture_run(tmp_path):
     config = write_config(tmp_path, "mixture.json", {
         "kind": "mixture",
@@ -360,6 +420,9 @@ def test_validate_weyl_config(tmp_path, capsys):
     names = [c["name"] for c in report["checks"]]
     assert "weyl_relations" in names
     assert "channel_cptp_unital" in names
+    agreement = report["checks"][names.index("channel_spectral_agrees")]
+    assert agreement["passed"] and agreement["cp"]
+    assert 0.0 < agreement["atol"] < 1e-12
 
 
 def test_validate_flags_sign_violation(tmp_path, capsys):
@@ -607,7 +670,8 @@ def test_validate_weyl_applies_its_tolerance_to_the_channel(tmp_path):
     out = tmp_path / "report.json"
     main(["validate", config, "--tol", "1e-8", "--out", str(out)])
     names = [c["name"] for c in json.loads(out.read_text())["checks"]]
-    assert names[-2:] == ["kolmogorov_markov", "channel_cptp_unital"]
+    assert names[-3:] == ["kolmogorov_markov", "channel_cptp_unital",
+                          "channel_spectral_agrees"]
 
 
 def test_validate_report_to_a_missing_directory_is_an_output_error(tmp_path, capsys):

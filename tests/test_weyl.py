@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from comdyn import oracle
-from comdyn.classical import (CirculantGenerator, LatticeField, convolve,
-                              propagate)
-from comdyn.errors import NormalizationError, PreconditionFailedError
+from comdyn.classical import (CirculantGenerator, LatticeField, convolve, dft,
+                              propagate, relaxation)
+from comdyn.errors import (DimensionMismatchError, NormalizationError,
+                           PreconditionFailedError)
 from comdyn.superop import compose, diagonalize, validate_channel
 from comdyn.timefn import Constant, DampedTrig
-from comdyn.weyl import (WeylCoefficientField, WeylFamily, diagonal_action,
-                         embed_stochastic_matrix, evolve,
+from comdyn.weyl import (WeylCoefficientField, WeylFamily, WeylSpectrum,
+                         diagonal_action, embed_stochastic_matrix, evolve,
                          lindblad_decomposition, map_from_coeffs,
                          map_from_values, map_spectrum, relations_check,
                          spectrum_convention_residual, weyl_unitary)
@@ -127,12 +128,22 @@ def _dense_relations_check(family):
     return (product_residual, adjoint_residual, orthogonality_residual)
 
 
+def _gram_rounding(family):
+    """How far the column-form traces and the dense Gram product may round
+    apart: each trace is a sum of D products of entries, which the two add
+    in different orders (BLAS with fused multiply-adds)."""
+    scale = float(np.max(np.abs(family._stack)))
+    return 2 * family.dim * np.finfo(float).eps * scale ** 2
+
+
 @pytest.mark.parametrize("d,nparties", [(2, 4), (4, 2)])
 def test_relations_check_matches_dense_products(d, nparties):
     family = WeylFamily(d, nparties)
     report = relations_check(family)
-    assert (report.product_residual, report.adjoint_residual,
-            report.orthogonality_residual) == _dense_relations_check(family)
+    product, adjoint, orthogonality = _dense_relations_check(family)
+    assert (report.product_residual, report.adjoint_residual) == (product, adjoint)
+    assert orthogonality < 1e-14
+    assert abs(report.orthogonality_residual - orthogonality) <= _gram_rounding(family)
 
 
 def _corruptible_family(d, nparties):
@@ -177,17 +188,26 @@ def test_relations_check_never_falls_below_the_dense_check_on_a_corrupt_stack(
     family = _corruptible_family(d, nparties)
     corrupt(family)
     report = relations_check(family)
-    product, _, _ = _dense_relations_check(family)
+    product, _, orthogonality = _dense_relations_check(family)
+    rounding = _gram_rounding(family)
     assert report.product_residual >= product
+    assert report.orthogonality_residual >= orthogonality - rounding
     if not off_support:
         # the column form holds every nonzero entry the dense products see
         assert report.product_residual == product
+        assert abs(report.orthogonality_residual - orthogonality) <= rounding
     if corrupt is _raise_an_exact_zero:
-        # the dense residual stays near 1e-13 and passes, while the bound
-        # adds (2 D s + 1) 1e-13 and fails
+        # the dense residuals stay near 1e-13 and pass, while the bounds
+        # add (2 D s + 1) 1e-13 and D (2 s + D 1e-13) 1e-13 and fail
         assert product < 1e-12 <= report.product_residual
+        assert orthogonality < 1e-12 <= report.orthogonality_residual
     else:
         assert not report.passed() and product >= 1e-12
+    if corrupt is _swap_unitaries:
+        # a permuted family is still orthogonal
+        assert report.orthogonality_residual < 1e-14
+    elif corrupt is not _raise_an_exact_zero:
+        assert orthogonality >= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,7 +225,9 @@ def test_relations_check_bounds_the_dense_check_under_sparse_perturbations(
         family._stack[k, i, j] += 10.0 ** exponent * np.exp(1j * angle)
         off_support |= bool(i != support[k, j])
     report = relations_check(family)
-    product, _, _ = _dense_relations_check(family)
+    product, _, orthogonality = _dense_relations_check(family)
+    rounding = _gram_rounding(family)
+    assert report.orthogonality_residual >= orthogonality - rounding
     if off_support:
         assert report.product_residual >= product
     else:
@@ -215,6 +237,7 @@ def test_relations_check_bounds_the_dense_check_under_sparse_perturbations(
         # product apart, in either direction
         scale = float(np.max(np.abs(family._stack))) ** 2
         assert abs(report.product_residual - product) <= 4 * np.finfo(float).eps * scale
+        assert abs(report.orthogonality_residual - orthogonality) <= rounding
 
 
 def test_relations_check_memory_peak_stays_below_the_dense_check():
@@ -232,6 +255,14 @@ def test_relations_check_memory_peak_stays_below_the_dense_check():
 @pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)])
 def test_spectrum_phase_kernel_convention(d, nparties):
     assert spectrum_convention_residual(d, nparties) < 1e-10
+
+
+def test_spectrum_convention_reuses_a_family_of_its_dimensions():
+    family = WeylFamily(3, 1)
+    assert (spectrum_convention_residual(3, 1, family=family)
+            == spectrum_convention_residual(3, 1))
+    with pytest.raises(DimensionMismatchError):
+        spectrum_convention_residual(2, 1, family=family)
 
 
 def test_family_index_roundtrip():
@@ -574,3 +605,95 @@ def test_conjugation_index_pairs_each_coefficient_with_u_n_minus_m():
         m, n = family.index_pair(flat)
         assert index[flat] == family.flat_index(n, tuple((-x) % 3 for x in m))
     assert family.conjugation_index() is index
+
+
+# ---------------------------------------------------------------------------
+# the channel report from the spectrum
+# ---------------------------------------------------------------------------
+
+REPORT_FLAGS = ("cp", "tp", "unital", "hermiticity_preserving")
+REPORT_FIGURES = ("choi_min_eigenvalue", "tp_residual", "unital_residual",
+                  "hermiticity_residual")
+
+
+def _coefficient_field(rng, kind, count):
+    """A coefficient field p whose channel the report classifies as ``kind``."""
+    if kind == "complex":          # neither CP, TP nor Hermiticity preserving
+        return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    if kind == "real-non-cp":      # TP and Hermiticity preserving, not CP
+        values = rng.uniform(-0.3, 1.0, count)
+        values[1] = -0.5
+        return values / values.sum()
+    probability = random_probability_values(rng, count)
+    if kind == "scaled":           # CP, not TP
+        return 0.5 * probability
+    return probability             # a unital channel
+
+
+@pytest.mark.parametrize("kind,expected", [
+    ("complex", (False, False, False, False)),
+    ("real-non-cp", (False, True, True, True)),
+    ("scaled", (True, False, False, True)),
+    ("physical", (True, True, True, True))])
+@pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1),
+                                        (2, 4), (2, 5)])
+def test_channel_report_agrees_with_the_dense_report(d, nparties, kind, expected):
+    rng = np.random.default_rng(1000 * d + 10 * nparties + len(kind))
+    family = WeylFamily(d, nparties)
+    values = _coefficient_field(rng, kind, family.count)
+    spectrum = WeylSpectrum(family, dft(LatticeField(d, 2 * nparties, values)))
+    report = spectrum.channel_report()
+    dense = validate_channel(spectrum.assemble())
+    assert tuple(getattr(report, f) for f in REPORT_FLAGS) == expected
+    assert tuple(getattr(dense, f) for f in REPORT_FLAGS) == expected
+    atol = spectrum.rounding_bound()
+    for name in REPORT_FIGURES:
+        assert abs(getattr(report, name) - getattr(dense, name)) <= atol, name
+    assert report.tol == dense.tol
+    assert report.agrees_with(dense, atol)
+
+
+@pytest.mark.parametrize("d,nparties,mode", [(2, 2, "markov"), (3, 1, "nonmarkov"),
+                                             (2, 4, "markov")])
+def test_channel_report_of_an_evolved_channel(d, nparties, mode):
+    rng = np.random.default_rng(7)
+    field = WeylCoefficientField.constant(d, nparties, generator_rates(rng, d, nparties))
+    relax = relaxation(field.as_circulant(), 0.5, 1.5, mode)
+    spectrum = WeylSpectrum(WeylFamily(d, nparties), relax)
+    report = spectrum.channel_report()
+    dense = validate_channel(spectrum.assemble())
+    assert report.cp and report.tp and report.unital and report.hermiticity_preserving
+    assert report.agrees_with(dense, spectrum.rounding_bound())
+    # the map is Hermiticity preserving in exact arithmetic; the dense report
+    # reads its rounding, the spectral one the transform of Im p
+    assert report.hermiticity_residual <= 1e-15
+
+
+def test_channel_report_applies_its_tolerance():
+    family = WeylFamily(2, 1)
+    values = np.array([1.0 + 2e-9, -1e-9, 0.0, 0.0])
+    spectrum = WeylSpectrum(family, dft(LatticeField(2, 2, values)))
+    loose, tight = spectrum.channel_report(1e-8), spectrum.channel_report(1e-10)
+    assert loose.cp and loose.tp and loose.unital
+    assert not (tight.cp or tight.tp or tight.unital)
+    assert (loose.tol, tight.tol) == (1e-8, 1e-10)
+    for tol in (1e-8, 1e-10):
+        dense = validate_channel(spectrum.assemble(), tol)
+        assert spectrum.channel_report(tol).agrees_with(dense, spectrum.rounding_bound())
+
+
+def test_agreement_needs_equal_flags_and_close_figures():
+    family = WeylFamily(2, 1)
+    spectrum = WeylSpectrum(family, dft(LatticeField(2, 2, [0.7, 0.1, 0.1, 0.1])))
+    report = spectrum.channel_report()
+    atol = spectrum.rounding_bound()
+    assert report.agrees_with(report, 0.0)
+    fields = report.as_dict()
+    for name in REPORT_FLAGS:
+        flipped = type(report)(**dict(fields, **{name: not fields[name]}))
+        assert not report.agrees_with(flipped, atol)
+    for name in REPORT_FIGURES:
+        moved = type(report)(**dict(fields, **{name: fields[name] + 2 * atol}))
+        assert not report.agrees_with(moved, atol)
+        assert report.agrees_with(moved, 2 * atol)
+    assert not report.agrees_with(type(report)(**dict(fields, tol=1e-8)), atol)
