@@ -210,39 +210,33 @@ class WeylRelationsReport:
         }
 
 
-def _column_form(stack: np.ndarray) -> tuple:
-    """The column form of a (count, D, D) stack: ``rows[k, j]``, the row of
-    the largest entry of column j of u_k, ``vals[k, j]``, that entry, and
-    two moduli: ``scale``, the largest of any entry, and ``off``, the
-    largest off that support (exactly 0 for a Weyl family, whose unitaries
-    are monomial matrices)."""
+def _product_residual(stack: np.ndarray, digits: np.ndarray, d: int) -> float:
+    """Residual of u_a u_b = lambda^(m_a.n_b) u_(a+b) over every pair (a, b),
+    checked on the column form of the stack in O(D^5) work rather than the
+    O(D^6) of dense products.
+
+    Column j of u_k holds vals[k, j] at row rows[k, j] (its largest entry),
+    plus entries off that support of modulus at most ``off`` (0 for a Weyl
+    family). Column j of M_a M_b, for the monomial parts M, is
+    p = vals[a, r] vals[b, j] at row rows[a, r] with r = rows[b, j]; against
+    the entry q of phi_ab M_(a+b) it differs by |p - q| where the two rows
+    agree and by max(|p|, |q|) where they do not. The off-support parts E
+    add at most |M_a E_b| + |E_a u_b| + |phi E_c| <= (2 D s + 1) off to any
+    entry of u_a u_b - phi_ab u_(a+b), where s bounds every entry, and the
+    residual includes that bound: it bounds the dense residual from above,
+    exactly in real arithmetic and up to the rounding of one complex
+    product in floating point, and equals it when ``off`` is 0.
+    """
+    count, dim = stack.shape[:2]
+    npar = digits.shape[1] // 2
     moduli = np.abs(stack)
     rows = np.argmax(moduli, axis=1)
     vals = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0, :]
     scale = float(np.max(moduli))
     np.put_along_axis(moduli, rows[:, None, :], 0.0, axis=1)
     off = float(np.max(moduli))
-    return rows, vals, scale, off
+    del moduli
 
-
-def _product_residual(rows: np.ndarray, vals: np.ndarray, scale: float,
-                      off: float, digits: np.ndarray, d: int) -> float:
-    """Residual of u_a u_b = lambda^(m_a.n_b) u_(a+b) over every pair (a, b),
-    checked on the column form (see :func:`_column_form`) in O(D^5) work
-    rather than the O(D^6) of dense products.
-
-    Column j of M_a M_b, for the monomial parts M, is p = vals[a, r]
-    vals[b, j] at row rows[a, r] with r = rows[b, j]; against the entry q of
-    phi_ab M_(a+b) it differs by |p - q| where the two rows agree and by
-    max(|p|, |q|) where they do not. The off-support parts E add at most
-    |M_a E_b| + |E_a u_b| + |phi E_c| <= (2 D scale + 1) off to any entry of
-    u_a u_b - phi_ab u_(a+b), and the residual includes that bound: it
-    bounds the dense residual from above, exactly in real arithmetic and up
-    to the rounding of one complex product in floating point, and equals it
-    when ``off`` is 0.
-    """
-    count, dim = vals.shape
-    npar = digits.shape[1] // 2
     # row k count + c of `phased` is lambda^k vals[c], and keys[a, b] picks
     # the row for phi_ab M_(a+b): k = m_a.n_b mod d, c the flat index of a + b
     lam = 2j * np.pi / d
@@ -271,36 +265,10 @@ def _product_residual(rows: np.ndarray, vals: np.ndarray, scale: float,
     return residual + (2 * dim * scale + 1) * off
 
 
-def _orthogonality_residual(rows: np.ndarray, vals: np.ndarray, scale: float,
-                            off: float) -> float:
-    """Residual of tr(u_a^dag u_b) = D delta_ab over every pair (a, b),
-    on the column form (see :func:`_column_form`) in count^2 D work rather
-    than the O(D^6) Gram product of the dense columns.
-
-    For the monomial parts M, column j adds conj(vals[a, j]) vals[b, j] to
-    tr(M_a^dag M_b) where the rows of a and b agree, and nothing where they
-    do not. Per column, the off-support parts E add at most
-    |M_a^dag E_b| + |E_a^dag M_b| + |E_a^dag E_b| <= (2 scale + D off) off,
-    so the residual includes D (2 scale + D off) off: like the product
-    rule's, it bounds the dense residual from above in real arithmetic and
-    equals the monomial one when ``off`` is 0.
-    """
-    count, dim = vals.shape
-    conj = vals.conj()
-    residual = 0.0
-    for a in range(count):
-        # row differences, as in the product rule, not integer comparisons
-        traces = np.where((rows - rows[a]).astype(bool), 0.0, vals) @ conj[a]
-        traces[a] -= dim
-        residual = max(residual, float(np.max(np.abs(traces))))
-    return residual + dim * (2 * scale + dim * off) * off
-
-
 def relations_check(family: WeylFamily) -> WeylRelationsReport:
-    """Exhaustively verify the product rule and the orthogonality relations
-    (both on the unitaries' column form, see :func:`_product_residual` and
-    :func:`_orthogonality_residual`) and the adjoint rule over all index
-    pairs."""
+    """Exhaustively verify the product rule (on the unitaries' column form,
+    see :func:`_product_residual`), the adjoint rule, and the
+    orthogonality relations over all index pairs."""
     d, npar = family.d, family.nparties
     count = family.count
     stack = family._stack
@@ -310,15 +278,18 @@ def relations_check(family: WeylFamily) -> WeylRelationsReport:
     digits = np.indices((d,) * (2 * npar)).reshape(2 * npar, count).T
     place = d ** np.arange(2 * npar - 1, -1, -1)
     ms, ns = digits[:, :npar], digits[:, npar:]
-    columns = _column_form(stack)
-    product_residual = _product_residual(*columns, digits, d)
-    orthogonality_residual = _orthogonality_residual(*columns)
+    product_residual = _product_residual(stack, digits, d)
 
     lam = 2j * np.pi / d
     phases = np.exp(lam * (np.sum(ms * ns, axis=1) % d))
     targets = ((-digits) % d) @ place
     adjoint_residual = float(np.max(np.abs(
         stack.conj().swapaxes(1, 2) - phases[:, None, None] * stack[targets])))
+
+    cols = family.vec_columns()
+    gram = cols.conj().T @ cols
+    orthogonality_residual = float(np.max(np.abs(
+        gram - family.dim * np.eye(count))))
 
     return WeylRelationsReport(d, npar, product_residual, adjoint_residual,
                                orthogonality_residual)
@@ -494,20 +465,13 @@ def map_spectrum(field: WeylCoefficientField, t: float = 0.0,
 
 
 def spectrum_convention_residual(d: int, nparties: int = 1,
-                                 values: Optional[np.ndarray] = None,
-                                 family: Optional[WeylFamily] = None) -> float:
+                                 values: Optional[np.ndarray] = None) -> float:
     """Exhaustive check that A u_{k,l} = a~(k, l) u_{k,l} for a generic field.
 
     Guards the phase-kernel convention a~(k,l) = sum a(m,n) lambda^(k.m+l.n)
-    against drift; returns the max residual over all (k, l). A ``family``
-    of the same (d, nparties) is used instead of a new one.
+    against drift; returns the max residual over all (k, l).
     """
-    if family is None:
-        family = WeylFamily(d, nparties)
-    elif (family.d, family.nparties) != (d, nparties):
-        raise DimensionMismatchError(
-            f"family on Z_{family.d}^{family.nparties}, check asks for "
-            f"Z_{d}^{nparties}")
+    family = WeylFamily(d, nparties)
     if values is None:
         idx = np.arange(family.count)
         values = 1.0 / (idx + 2.0) + 1j / (3.0 * idx + 7.0)

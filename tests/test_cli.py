@@ -260,15 +260,18 @@ def test_weyl_oracle_run_cross_checks_the_spectral_report(tmp_path, monkeypatch)
     out = tmp_path / "weyl.csv"
     assert main(["run", config, "--out", str(out), "--oracle"]) == 0
     assert len(calls) == 1
-    assert json.loads((tmp_path / "weyl.csv.meta.json").read_text())[
-        "reports"]["oracle"]["passed"]
+    oracle_report = json.loads((tmp_path / "weyl.csv.meta.json").read_text())[
+        "reports"]["oracle"]
+    assert oracle_report["final_channel_agrees"] and oracle_report["passed"]
     # a disagreement between the two reports fails the oracle report
     monkeypatch.setattr(superop.ChannelReport, "agrees_with",
                         lambda self, other, atol: False)
     assert main(["run", config, "--out", str(out), "--oracle"]) == 0
     oracle_report = json.loads((tmp_path / "weyl.csv.meta.json").read_text())[
         "reports"]["oracle"]
+    # ... and the report says which check failed
     assert oracle_report["max_residual"] <= oracle_report["tol"]
+    assert not oracle_report["final_channel_agrees"]
     assert not oracle_report["passed"]
 
 
