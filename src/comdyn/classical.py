@@ -84,24 +84,6 @@ class LatticeField:
         """View of the values shaped (d,) * naxes."""
         return self.values.reshape((self.d,) * self.naxes)
 
-    def real_values(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        imag_max = float(np.max(np.abs(self.values.imag)))
-        if imag_max > tol:
-            raise ValueError(f"field is not real (max imaginary part {imag_max:.3e})")
-        return self.values.real.copy()
-
-    def as_probability(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Validate and return the values as a probability vector."""
-        values = self.real_values(tol)
-        if np.min(values) < -tol:
-            raise NonProbabilisticResultError(
-                f"negative entry {np.min(values):.3e} at index "
-                f"{int(np.argmin(values))}")
-        total = float(np.sum(values))
-        if abs(total - 1.0) > max(tol, 1e-12 * values.size):
-            raise NonProbabilisticResultError(f"total mass {total} != 1")
-        return values
-
     def _require_same_lattice(self, other: "LatticeField"):
         if (self.d, self.naxes) != (other.d, other.naxes):
             raise DimensionMismatchError(

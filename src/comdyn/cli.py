@@ -31,8 +31,8 @@ import numpy as np
 import scipy
 
 from . import __version__, classical, generators, kernel, oracle, qubit, timefn, weyl
-from .errors import ComdynError, InvalidWeightsError
-from .superop import validate_channel
+from .errors import ComdynError, InvalidWeightsError, PreconditionFailedError
+from .superop import DEFAULT_TOL, validate_channel
 
 # ---------------------------------------------------------------------------
 # config schema
@@ -428,23 +428,45 @@ def _kernel_table(config) -> tuple:
     return table, worst
 
 
-def _mixture_generators(config) -> list:
+def _mixture_fields(config, tol) -> list:
+    """Each generator field of the config with its Kolmogorov report. A
+    mixture assembles its generators once, at t = 0, so a field must be
+    constant, and then the report at t = 0 holds at every time."""
     d, n = config["dims"]["d"], config["dims"]["N"]
-    return [weyl.map_from_coeffs(
-        weyl.WeylCoefficientField(d, n, tuple(_timefn(r) for r in rates)))
-        for rates in config["generators"]]
+    fields = []
+    for k, rates in enumerate(config["generators"]):
+        field = weyl.WeylCoefficientField(d, n, tuple(_timefn(r) for r in rates))
+        if not field.is_constant:
+            raise ConfigError(f"config invalid at generators.{k}: a mixture "
+                              "generator must be constant in time")
+        fields.append((field, classical.kolmogorov_check_markov(
+            field.as_circulant(), [0.0], tol)))
+    return fields
+
+
+def _mixture_generators(config) -> list:
+    """The config's generators as maps; each must be a Markov generator."""
+    maps = []
+    for k, (field, report) in enumerate(_mixture_fields(config, DEFAULT_TOL)):
+        if not report.passed:
+            v = report.first_violation
+            raise PreconditionFailedError(
+                f"generators.{k} is not a Markov generator: {v.condition} "
+                f"(index {v.index}, value {v.value:.6e})", witness=report)
+        maps.append(weyl.map_from_coeffs(field))
+    return maps
 
 
 def _mixture_spec(config, cset) -> generators.MixtureSpec:
     return generators.MixtureSpec(tuple(_timefn(w) for w in config["weights"]), cset)
 
 
-def _resolvent_channels(config) -> tuple:
-    """The base generator, and (s, k, channel report) for every resolvent
-    channel of the config, s slowest."""
+def _resolvent_channels(config, tol) -> tuple:
+    """The base generator, and (s, k, channel report at ``tol``) for every
+    resolvent channel of the config, s slowest."""
     gen = weyl.map_from_coeffs(_weyl_field(config))
     return gen, [(s, k, validate_channel(
-        generators.resolvent_channel(gen, float(s), int(k))))
+        generators.resolvent_channel(gen, float(s), int(k)), tol))
         for s in config["s_values"] for k in config["k_values"]]
 
 
@@ -645,7 +667,7 @@ def _run_mixture(config, args):
 
 
 def _run_resolvent(config, args):
-    gen, channels = _resolvent_channels(config)
+    gen, channels = _resolvent_channels(config, DEFAULT_TOL)
     header = ["s", "k", "cp", "tp", "unital", "choi_min_eigenvalue",
               "tp_residual", "unital_residual"]
     rows = [[float(s), float(k), float(rep.cp), float(rep.tp), float(rep.unital),
@@ -786,12 +808,16 @@ def _validate_qubit(config, tol):
 
 
 def _validate_mixture(config, tol):
-    gens = _mixture_generators(config)
+    fields = _mixture_fields(config, tol)
+    checks = [{"name": f"generator_{k}_markov", **report.as_dict()}
+              for k, (_, report) in enumerate(fields)]
     try:
-        cset = generators.CommutingGeneratorSet.from_generators(gens)
+        cset = generators.CommutingGeneratorSet.from_generators(
+            [weyl.map_from_coeffs(field) for field, _ in fields])
     except ValueError as exc:
-        return [{"name": "commuting_set", "passed": False, "detail": str(exc)}]
-    checks = [{"name": "commuting_set", "passed": True}]
+        return checks + [{"name": "commuting_set", "passed": False,
+                          "detail": str(exc)}]
+    checks.append({"name": "commuting_set", "passed": True})
     spec = _mixture_spec(config, cset)
     window = config["time"]
     try:
@@ -804,7 +830,7 @@ def _validate_mixture(config, tol):
 
 
 def _validate_resolvent(config, tol):
-    _, channels = _resolvent_channels(config)
+    _, channels = _resolvent_channels(config, tol)
     return [{"name": f"resolvent_s{s}_k{k}",
              "passed": rep.cp and rep.tp and rep.unital, **rep.as_dict()}
             for s, k, rep in channels]

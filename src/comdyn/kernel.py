@@ -35,6 +35,9 @@ TAIL_TARGET = 1e-14
 #: Safety margin required between s and the mode's growth-rate estimate.
 GROWTH_MARGIN = 1e-6
 
+#: Horizon over which a time-dependent rate is probed for its growth bound.
+PROBE_HORIZON = 20.0
+
 
 # ---------------------------------------------------------------------------
 # eigenmode signals
@@ -62,9 +65,8 @@ class EigenmodeSignal:
 class RateModeSignal(EigenmodeSignal):
     """Mode driven by a scalar rate: c(t) = exp(int_0^t rate), f = rate * c."""
 
-    def __init__(self, rate: TimeFunction, probe_horizon: float = 20.0):
+    def __init__(self, rate: TimeFunction):
         self.rate = as_time_function(rate)
-        self.probe_horizon = probe_horizon
 
     def c(self, t):
         return np.exp(self.rate.integrate(0.0, t))
@@ -75,7 +77,7 @@ class RateModeSignal(EigenmodeSignal):
     def growth_bound(self):
         if self.rate.is_constant:
             return float(np.real(self.rate(0.0)))
-        probes = np.linspace(0.0, self.probe_horizon, 513)
+        probes = np.linspace(0.0, PROBE_HORIZON, 513)
         return float(max(np.real(self.rate(t)) for t in probes))
 
     def f_hat_analytic(self, s):

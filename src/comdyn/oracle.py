@@ -13,7 +13,6 @@ useful negative control.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -84,30 +83,6 @@ def ordered_exp(lfun: MatrixFunction, t0: float, t: float, steps: int) -> np.nda
         for factor in factors:
             total = factor @ total
     return total
-
-
-@dataclass(frozen=True)
-class SteppedPropagation:
-    """Ordered-product propagator with a Richardson error estimate.
-
-    ``error_estimate`` is the norm difference between the ``steps`` and
-    ``2 * steps`` runs; for the second-order midpoint scheme the finer run's
-    true error is about a third of it.
-    """
-
-    steps: int
-    step_size: float
-    propagator: np.ndarray
-    error_estimate: float
-
-
-def ordered_exp_with_error(lfun: MatrixFunction, t0: float, t: float,
-                           steps: int) -> SteppedPropagation:
-    coarse = ordered_exp(lfun, t0, t, steps)
-    fine = ordered_exp(lfun, t0, t, 2 * steps)
-    estimate = float(np.linalg.norm(fine - coarse))
-    return SteppedPropagation(steps=2 * steps, step_size=(t - t0) / (2 * steps),
-                              propagator=fine, error_estimate=estimate)
 
 
 def evolve_state(lfun: Callable[[float], SuperOperator], rho0: np.ndarray,

@@ -131,16 +131,6 @@ class SuperOperator:
         return cls(a.shape[0], np.kron(b.T, a))
 
     @classmethod
-    def left_multiplier(cls, a: np.ndarray) -> "SuperOperator":
-        a = check_finite_matrix(a)
-        return cls(a.shape[0], np.kron(np.eye(a.shape[0]), a))
-
-    @classmethod
-    def right_multiplier(cls, a: np.ndarray) -> "SuperOperator":
-        a = check_finite_matrix(a)
-        return cls(a.shape[0], np.kron(a.T, np.eye(a.shape[0])))
-
-    @classmethod
     def from_conjugation(cls, u: np.ndarray) -> "SuperOperator":
         """The map x -> u x u^dag."""
         u = check_finite_matrix(u)
@@ -196,12 +186,6 @@ class SuperOperator:
     def norm(self) -> float:
         """Spectral (operator-2) norm of the representing matrix."""
         return float(np.linalg.norm(self.matrix, 2))
-
-    def is_normal(self, tol: float = DEFAULT_TOL) -> bool:
-        m = self.matrix
-        comm = m @ m.conj().T - m.conj().T @ m
-        scale = max(1.0, float(np.linalg.norm(m)) ** 2)
-        return bool(np.linalg.norm(comm) <= tol * scale)
 
 
 def dual(a: SuperOperator) -> SuperOperator:
@@ -441,8 +425,7 @@ def _cluster_orthonormalize(vals: np.ndarray, vecs: np.ndarray,
     return out
 
 
-def diagonalize(a: SuperOperator, tol: float = DEFAULT_TOL,
-                cond_cap: float = DEFAULT_COND_CAP) -> SpectralDecomposition:
+def diagonalize(a: SuperOperator) -> SpectralDecomposition:
     """Diagonalize a (generally non-normal) map into a bi-orthogonal basis.
 
     Eigenpairs are sorted by (real, imaginary) part; each g_a has unit
@@ -450,7 +433,7 @@ def diagonalize(a: SuperOperator, tol: float = DEFAULT_TOL,
     the left family is fixed by tr(g_a^dag h_b) = delta_ab.
 
     Raises :class:`DefectiveMapError` when the eigenvector matrix condition
-    number exceeds ``cond_cap`` (Jordan blocks of size > 1).
+    number exceeds :data:`DEFAULT_COND_CAP` (Jordan blocks of size > 1).
     """
     vals, vecs = scipy.linalg.eig(a.matrix)
     order = np.lexsort((vals.imag, vals.real))
@@ -468,10 +451,10 @@ def diagonalize(a: SuperOperator, tol: float = DEFAULT_TOL,
             vecs[:, col] *= abs(pivot) / pivot
 
     cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
         raise DefectiveMapError(
             f"eigenvector matrix condition number {cond:.3e} exceeds cap "
-            f"{cond_cap:.1e}; the map appears defective (Jordan blocks > 1)")
+            f"{DEFAULT_COND_CAP:.1e}; the map appears defective (Jordan blocks > 1)")
 
     left = np.linalg.inv(vecs).conj().T   # columns vec(h_a), h^dag g = I
 

@@ -37,10 +37,6 @@ from .timefn import Constant, as_time_function
 
 Index = Union[int, Sequence[int]]
 
-#: Hilbert-space dimension d^N up to which a family precomputes all
-#: d^(2N) unitaries at construction.
-CACHE_DIM_CAP = 32
-
 
 def _as_index_tuple(value: Index, nparties: int, d: int) -> tuple:
     if isinstance(value, (int, np.integer)):
@@ -78,7 +74,7 @@ def weyl_unitary(d: int, m: Index, n: Index) -> np.ndarray:
 
 
 class WeylFamily:
-    """All Weyl unitaries of Z_d^N, cached when the Hilbert dimension allows."""
+    """All d^(2N) Weyl unitaries of Z_d^N, built once as one stack."""
 
     def __init__(self, d: int, nparties: int = 1):
         if d < 2:
@@ -89,11 +85,9 @@ class WeylFamily:
         self.nparties = nparties
         self.dim = d ** nparties          # Hilbert space dimension
         self.count = self.dim ** 2        # number of (m, n) pairs, d^(2N)
-        self._stack: Optional[np.ndarray] = None
+        self._stack = self._build_stack()
         self._vec_columns: Optional[np.ndarray] = None
         self._conjugation: Optional[np.ndarray] = None
-        if self.dim <= CACHE_DIM_CAP:
-            self._stack = self._build_stack()
 
     # -- index bookkeeping ---------------------------------------------------
 
@@ -143,17 +137,10 @@ class WeylFamily:
         return stack
 
     def unitary(self, m: Index, n: Index) -> np.ndarray:
-        if self._stack is not None:
-            return self._stack[self.flat_index(m, n)].copy()
-        m = _as_index_tuple(m, self.nparties, self.d)
-        n = _as_index_tuple(n, self.nparties, self.d)
-        return weyl_unitary(self.d, m, n)
+        return self._stack[self.flat_index(m, n)].copy()
 
     def unitary_flat(self, flat: int) -> np.ndarray:
-        if self._stack is not None:
-            return self._stack[flat].copy()
-        m, n = self.index_pair(flat)
-        return weyl_unitary(self.d, m, n)
+        return self._stack[flat].copy()
 
     def conjugation_index(self) -> np.ndarray:
         """Flat index of u_{n,-m}, the unitary that the coefficient a(m, n)
@@ -169,13 +156,9 @@ class WeylFamily:
         """(dim^2, count) array whose columns are vec(u_{m,n}) in flat order."""
         if self._vec_columns is None:
             cols = np.empty((self.dim * self.dim, self.count), dtype=complex)
-            if self._stack is not None:
-                # vec stacks columns: cols[j dim + i, k] = u_k[i, j]
-                cols.reshape(self.dim, self.dim, self.count)[...] = \
-                    self._stack.transpose(2, 1, 0)
-            else:
-                for flat in range(self.count):
-                    cols[:, flat] = self.unitary_flat(flat).reshape(-1, order="F")
+            # vec stacks columns: cols[j dim + i, k] = u_k[i, j]
+            cols.reshape(self.dim, self.dim, self.count)[...] = \
+                self._stack.transpose(2, 1, 0)
             self._vec_columns = cols
         return self._vec_columns
 
@@ -272,8 +255,6 @@ def relations_check(family: WeylFamily) -> WeylRelationsReport:
     d, npar = family.d, family.nparties
     count = family.count
     stack = family._stack
-    if stack is None:
-        stack = np.stack([family.unitary_flat(k) for k in range(count)])
     # row k: the digits (m_1..m_N, n_1..n_N) of flat index k, first slowest
     digits = np.indices((d,) * (2 * npar)).reshape(2 * npar, count).T
     place = d ** np.arange(2 * npar - 1, -1, -1)
@@ -357,12 +338,8 @@ def map_from_values(family: WeylFamily, values: LatticeField) -> SuperOperator:
         raise DimensionMismatchError(
             f"coefficient field lives on Z_{values.d}^{values.naxes}, family "
             f"needs Z_{family.d}^{2 * family.nparties}")
-    dim, order = family.dim, family.conjugation_index()
-    if family._stack is not None:
-        stack = family._stack[order]
-    else:
-        stack = np.stack([family.unitary_flat(k) for k in order])
-    stack = stack.reshape(family.count, dim * dim)
+    dim = family.dim
+    stack = family._stack[family.conjugation_index()].reshape(family.count, dim * dim)
     products = (values.values[:, None] * stack.conj()).T @ stack
     matrix = products.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
     return SuperOperator(dim, matrix)
@@ -455,27 +432,21 @@ def spectrum_of_values(family: WeylFamily, values: LatticeField) -> WeylSpectrum
     return WeylSpectrum(family, dft(values))
 
 
-def map_spectrum(field: WeylCoefficientField, t: float = 0.0,
-                 family: Optional[WeylFamily] = None) -> WeylSpectrum:
+def map_spectrum(field: WeylCoefficientField, t: float = 0.0) -> WeylSpectrum:
     """Spectral data of map_from_coeffs(field, t): the eigenvalue on u_{k,l}
     is the doubled-lattice Fourier transform a~(k, l)."""
-    if family is None:
-        family = field.family()
-    return spectrum_of_values(family, field.as_circulant().rates(t))
+    return spectrum_of_values(field.family(), field.as_circulant().rates(t))
 
 
-def spectrum_convention_residual(d: int, nparties: int = 1,
-                                 values: Optional[np.ndarray] = None) -> float:
+def spectrum_convention_residual(d: int, nparties: int = 1) -> float:
     """Exhaustive check that A u_{k,l} = a~(k, l) u_{k,l} for a generic field.
 
     Guards the phase-kernel convention a~(k,l) = sum a(m,n) lambda^(k.m+l.n)
     against drift; returns the max residual over all (k, l).
     """
     family = WeylFamily(d, nparties)
-    if values is None:
-        idx = np.arange(family.count)
-        values = 1.0 / (idx + 2.0) + 1j / (3.0 * idx + 7.0)
-    field = LatticeField(d, 2 * nparties, values)
+    idx = np.arange(family.count)
+    field = LatticeField(d, 2 * nparties, 1.0 / (idx + 2.0) + 1j / (3.0 * idx + 7.0))
     # one (D^2, D^2) temporary at a time beside the family's own arrays
     image = map_from_values(family, field).matrix @ family.vec_columns()
     image -= family.vec_columns() * spectrum_of_values(family, field).eigenvalues.values
@@ -520,10 +491,8 @@ class LindbladDecomposition:
 
 
 def lindblad_decomposition(field: WeylCoefficientField, t: float = 0.0,
-                           tol: float = DEFAULT_TOL,
-                           family: Optional[WeylFamily] = None) -> LindbladDecomposition:
-    if family is None:
-        family = field.family()
+                           tol: float = DEFAULT_TOL) -> LindbladDecomposition:
+    family = field.family()
     values = field.as_circulant().rates(t).values
     total = complex(np.sum(values))
     if abs(total) > tol:
@@ -539,17 +508,14 @@ def lindblad_decomposition(field: WeylCoefficientField, t: float = 0.0,
 # ---------------------------------------------------------------------------
 
 def evolve(field: WeylCoefficientField, t0: float, t: float,
-           mode: PropagationMode = "markov", tol: float = DEFAULT_TOL,
-           family: Optional[WeylFamily] = None) -> SuperOperator:
+           mode: PropagationMode = "markov", tol: float = DEFAULT_TOL) -> SuperOperator:
     """Closed-form dynamical map A_{t,t0} = sum exp(I~(m,n)) P_{m,n}.
 
     The relaxation factors exp(I~) come from :func:`classical.relaxation`
     of the field viewed as a classical generator on the doubled lattice, so
     the field must pass the matching Kolmogorov check.
     """
-    if family is None:
-        family = field.family()
-    return WeylSpectrum(family, classical.relaxation(
+    return WeylSpectrum(field.family(), classical.relaxation(
         field.as_circulant(), t0, t, mode, tol)).assemble()
 
 

@@ -288,7 +288,6 @@ def test_propagate_is_stochastic(rng):
     out = propagate(gen, 0.0, 2.5)
     assert abs(out.values.sum() - 1.0) < 1e-12
     assert out.values.min() > -1e-10
-    out.as_probability()
 
 
 def test_propagate_rejects_invalid_rates():

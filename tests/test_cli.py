@@ -561,6 +561,19 @@ RESOLVENT_CONFIG = {
 
 BACKWARDS = {"time": {"t0": 2.0, "t": 1.0, "samples": 3}}
 
+# a mixture assembles each generator once, so one that changes in time is
+# refused, here with rates that equal a Markov generator at t = 0
+DRIFTING_GENERATORS = {"generators": [
+    [-1, 0.5, 0.25, 0.25],
+    [{"kind": "polynomial", "coeffs": [-0.3, -3.0]}]
+    + [{"kind": "polynomial", "coeffs": [0.1, 1.0]}] * 3]}
+
+# the mode factor 0.5 e^(-0.8 t) + 0.5 e^(0.4 t) of these generators
+# exceeds 1 by t = 2, so their mixture is not a channel
+NON_MARKOV_GENERATORS = {"generators": [[-0.6, 0.2, 0.2, 0.2],
+                                        [0.3, -0.1, -0.1, -0.1]],
+                         "weights": [0.5, 0.5]}
+
 FAILURE_PATHS = {
     # name: (command, config, extra argv, exit code, stderr prefix)
     "weyl-kolmogorov": (
@@ -599,6 +612,18 @@ FAILURE_PATHS = {
             {"kind": "polynomial", "coeffs": [0.7, 0.0, -1.2]},
             {"kind": "polynomial", "coeffs": [0.3, 0.0, 1.2]}]), [], 2,
         "precondition failed: negative weight -2.270e-03 at tau=0.765"),
+    "mixture-drifting-generator-run": (
+        "run", dict(MIXTURE_CONFIG, **DRIFTING_GENERATORS), [], 1,
+        "error: config invalid at generators.1: a mixture generator must be "
+        "constant in time"),
+    "mixture-drifting-generator-validate": (
+        "validate", dict(MIXTURE_CONFIG, **DRIFTING_GENERATORS), [], 1,
+        "error: config invalid at generators.1: a mixture generator must be "
+        "constant in time"),
+    "mixture-non-markov-generator": (
+        "run", dict(MIXTURE_CONFIG, **NON_MARKOV_GENERATORS), [], 2,
+        "precondition failed: generators.1 is not a Markov generator: pointwise "
+        "nonnegativity off the origin (index 1, value -1.000000e-01)"),
     "mixture-weights-oracle": (
         "run", dict(MIXTURE_CONFIG, weights=[0.7, 0.7]), ["--oracle"], 2,
         "precondition failed: weights sum to 1.4 at tau=0.0"),
@@ -675,6 +700,33 @@ def test_validate_weyl_applies_its_tolerance_to_the_channel(tmp_path):
     names = [c["name"] for c in json.loads(out.read_text())["checks"]]
     assert names[-3:] == ["kolmogorov_markov", "channel_cptp_unital",
                           "channel_spectral_agrees"]
+
+
+def test_validate_mixture_reports_a_generator_that_is_not_markov(tmp_path):
+    config = write_config(tmp_path, "mixture.json",
+                          dict(MIXTURE_CONFIG, **NON_MARKOV_GENERATORS))
+    out = tmp_path / "report.json"
+    assert main(["validate", config, "--out", str(out)]) == 2
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["generator_0_markov"]["passed"]
+    assert checks["generator_1_markov"]["first_violation"] == {
+        "time": 0.0, "index": 1, "value": -0.1,
+        "condition": "pointwise nonnegativity off the origin"}
+    assert not checks["generator_1_markov"]["passed"]
+
+
+def test_validate_resolvent_applies_its_tolerance_to_the_channels(tmp_path):
+    # at s = 1 this channel's Choi matrix dips to -3.4e-6: refused at the
+    # default 1e-10, accepted at 1e-3
+    payload = dict(RESOLVENT_CONFIG, rates=[-0.183331, 0.1, 0.1, -0.016669],
+                   s_values=[1.0])
+    config = write_config(tmp_path, "resolvent.json", payload)
+    out = tmp_path / "report.json"
+    assert main(["validate", config, "--out", str(out)]) == 2
+    assert main(["validate", config, "--tol", "1e-3", "--out", str(out)]) == 0
+    [check] = json.loads(out.read_text())["checks"]
+    assert check["tol"] == 1e-3
+    assert -1e-5 < check["choi_min_eigenvalue"] < 0
 
 
 def test_validate_report_to_a_missing_directory_is_an_output_error(tmp_path, capsys):

@@ -101,13 +101,6 @@ def test_richardson_order_two():
     assert 3.0 < err_n / err_2n < 5.5
 
 
-def test_stepped_propagation_error_estimate():
-    stepped = oracle.ordered_exp_with_error(noncommuting_rotation, 0.0, 1.0, 128)
-    finer = oracle.ordered_exp(noncommuting_rotation, 0.0, 1.0, 2 * stepped.steps)
-    change = np.linalg.norm(finer - stepped.propagator)
-    assert change < 4.0 * stepped.error_estimate
-
-
 def test_ordered_exp_of_a_real_generator_is_real():
     a = np.array([[-1.0, 0.5, 0.2], [0.7, -0.9, 0.1], [0.3, 0.4, -0.3]])
     b = np.array([[0.2, -0.1, 0.0], [0.0, 0.3, -0.4], [0.1, 0.0, 0.2]])

@@ -63,8 +63,6 @@ def test_left_right_multiplication(rng):
     a, b, x = (random_matrix(rng, 3) for _ in range(3))
     op = SuperOperator.from_left_right(a, b)
     assert np.max(np.abs(op.apply(x) - a @ x @ b)) < 1e-12
-    assert np.max(np.abs(SuperOperator.left_multiplier(a).apply(x) - a @ x)) < 1e-12
-    assert np.max(np.abs(SuperOperator.right_multiplier(b).apply(x) - x @ b)) < 1e-12
 
 
 def test_sandwich_and_rank_one_bases_are_orthonormal():
@@ -291,7 +289,6 @@ def test_diagonalize_biorthogonality_and_completeness(rng):
 def test_diagonalize_normal_map_self_dual_basis(rng):
     u = random_unitary(rng, 2)
     conj = SuperOperator.from_conjugation(u)
-    assert conj.is_normal()
     dec = diagonalize(conj)
     assert np.max(np.abs(dec.right_vectors - dec.left_vectors)) < 1e-9
 
