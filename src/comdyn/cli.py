@@ -497,23 +497,22 @@ def write_channel(path: str, matrix: np.ndarray):
     17-digit format of :func:`_fmt`; written a row at a time, so no text
     for the whole matrix is held in memory.
 
-    A Weyl channel has few distinct values per row, so each row formats
-    only its distinct values, keyed by their bit patterns (which keeps
-    ``-0.0`` apart from ``0.0`` and one NaN sign from the other), and fills
-    a line template built once per matrix."""
+    A Weyl channel has D^3 nonzero entries out of D^4, so each row starts
+    from the lines of +0.0 entries, ``col,0,0``, built once per matrix, and
+    formats only the entries whose bits are not all zero (``-0.0`` and NaN
+    are formatted like any other value)."""
     matrix = np.ascontiguousarray(matrix, dtype=complex)
-    lines = [f"{j},%s,%s\n" for j in range(matrix.shape[1])]
+    zeros = [f"{j},0,0\n" for j in range(matrix.shape[1])]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("row,col,re,im\n")
         for i, row in enumerate(matrix):
-            # the row's re, im, re, im, ... parts as 64-bit patterns
-            keys = row.view(np.int64).tolist()
-            text = dict(zip(keys, row.view(np.float64).tolist()))
-            for key, value in text.items():
-                text[key] = _fmt(value)
+            lines = zeros.copy()
+            # an entry is +0.0 exactly when its 128 bits are all zero
+            nonzero = np.flatnonzero(row.view(np.int64).reshape(-1, 2).any(axis=1))
+            for j, value in zip(nonzero.tolist(), row[nonzero].tolist()):
+                lines[j] = f"{j},{_fmt(value.real)},{_fmt(value.imag)}\n"
             prefix = f"{i},"
-            handle.write((prefix + prefix.join(lines))
-                         % tuple(map(text.__getitem__, keys)))
+            handle.write(prefix + prefix.join(lines))
 
 
 def write_sidecar(path: str, config: dict, reports: dict, elapsed: float):
@@ -589,13 +588,13 @@ def _run_classical(config, args):
     return header, rows, {"mode": mode, **oracle_report}, None
 
 
-def _weyl_final_channel(family, relax) -> tuple:
+def _weyl_final_channel(relax, tol: float = DEFAULT_TOL) -> tuple:
     """The assembled channel of the relaxation factors ``relax``, its
     report from the spectrum, and how far a dense report of the same map
-    may round apart from it. The spectrum is dropped on return, so a dense
-    check that follows holds only the map."""
-    spectrum = weyl.WeylSpectrum(family, relax)
-    return spectrum.assemble(), spectrum.channel_report(), spectrum.rounding_bound()
+    may round apart from it."""
+    spectrum = weyl.WeylSpectrum(relax)
+    return (spectrum.assemble(), spectrum.channel_report(tol),
+            spectrum.rounding_bound())
 
 
 def _run_weyl(config, args):
@@ -603,11 +602,10 @@ def _run_weyl(config, args):
     gen = field.as_circulant()
     mode = config.get("mode", "markov")
     t0 = config["time"]["t0"]
-    family = field.family()
+    npar = field.nparties
     labels = []
-    for flat in range(family.count):
-        m, n = family.index_pair(flat)
-        tag = "".join(str(v) for v in m) + "_" + "".join(str(v) for v in n)
+    for digits in np.ndindex((field.d,) * (2 * npar)):
+        tag = "".join(map(str, digits[:npar])) + "_" + "".join(map(str, digits[npar:]))
         labels.extend([f"re_relax_{tag}", f"im_relax_{tag}"])
 
     def row(t):
@@ -617,8 +615,12 @@ def _run_weyl(config, args):
             values.extend([float(value.real), float(value.imag)])
         return values, relax
 
+    # the oracle time-orders the dense generator, assembled on the family's
+    # unitaries and not on the support the closed form is scattered onto
+    family = field.family() if args.oracle else None
+
     def residual(t, relax, steps):
-        channel = weyl.WeylSpectrum(family, relax).assemble()
+        channel = weyl.WeylSpectrum(relax).assemble()
         prop = _ordered_propagator(
             lambda u: weyl.map_from_coeffs(field, u, family).matrix,
             t0, t, mode, steps, family.dim ** 2)
@@ -626,7 +628,7 @@ def _run_weyl(config, args):
 
     header, rows, relax, oracle_report = _tabulate(
         config, args, ["t"] + labels, row, residual)
-    final_map, final, atol = _weyl_final_channel(family, relax)
+    final_map, final, atol = _weyl_final_channel(relax)
     if args.oracle:
         # the dense report of the written channel must say the same
         report = oracle_report["oracle"]
@@ -776,8 +778,8 @@ def _validate_weyl(config, tol):
     if report.passed:
         # the report above is the check relaxation would repeat
         relax = classical.relaxation(gen, t0, t, mode, tol, check=False)
-        amap, spectral, atol = _weyl_final_channel(field.family(), relax)
-        rep = validate_channel(amap)
+        amap, spectral, atol = _weyl_final_channel(relax, tol)
+        rep = validate_channel(amap, tol)
         checks.append({"name": "channel_cptp_unital",
                        "passed": rep.cp and rep.tp and rep.unital,
                        **rep.as_dict()})

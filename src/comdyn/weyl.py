@@ -352,28 +352,66 @@ def map_from_coeffs(field: WeylCoefficientField, t: float = 0.0,
     return map_from_values(family, field.as_circulant().rates(t))
 
 
+def _support(d: int, nparties: int) -> tuple:
+    """Where sum_{m,n} a~(m, n) P_{m,n} on Z_d^N, D = d^N, can be nonzero.
+
+    vec(u_{m,n}) holds lambda^(m.c) at position c D + (c + n) for each
+    column c, with addition per party mod d. Projectors with different
+    shifts n share no position, so the map is one D x D block per shift, on
+    rows and columns ``positions[n]``. Its entry (c, c') is
+    D^-1 sum_m a~(m, n) lambda^(m.(c - c')): the inverse transform of a~
+    over the m axes at ``differences[c, c']``, the flat index of c' - c."""
+    dim = d ** nparties
+    digits = np.indices((d,) * nparties).reshape(nparties, dim)
+    place = d ** np.arange(nparties - 1, -1, -1)
+    plus = np.tensordot(place, (digits[:, :, None] + digits[:, None, :]) % d, 1)
+    differences = np.tensordot(place, (digits[:, None, :] - digits[:, :, None]) % d, 1)
+    return plus + dim * np.arange(dim), differences
+
+
+def _scatter_support(blocks: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The D^2 x D^2 matrix with ``blocks[n]`` on the rows and columns
+    ``positions[n]``, and +0.0 everywhere else."""
+    size = positions.size
+    matrix = np.zeros((size, size), dtype=complex)
+    matrix[positions[:, :, None], positions[:, None, :]] = blocks
+    return matrix
+
+
 @dataclass(frozen=True)
 class WeylSpectrum:
-    """Eigenvalue field a~(k, l) over the fixed Weyl projector family."""
+    """Eigenvalue field a~(k, l) on Z_d^N x Z_d^N over the fixed Weyl
+    projector family of C_d^(x N); it builds no :class:`WeylFamily`."""
 
-    family: WeylFamily
     eigenvalues: LatticeField
 
-    def eigenvalue(self, k: Index, l: Index) -> complex:
-        return complex(self.eigenvalues.values[self.family.flat_index(k, l)])
+    @property
+    def d(self) -> int:
+        return self.eigenvalues.d
+
+    @property
+    def nparties(self) -> int:
+        return self.eigenvalues.naxes // 2
+
+    @property
+    def dim(self) -> int:
+        return self.d ** self.nparties
 
     def projector(self, m: Index, n: Index) -> SuperOperator:
         """P_{m,n} x = u_{m,n} tr(u_{m,n}^dag x) / d^N."""
-        u = self.family.unitary(m, n)
-        col = u.reshape(-1, order="F")
-        return SuperOperator(self.family.dim,
-                             np.outer(col, col.conj()) / self.family.dim)
+        col = weyl_unitary(self.d, m, n).reshape(-1, order="F")
+        return SuperOperator(self.dim, np.outer(col, col.conj()) / self.dim)
 
     def assemble(self) -> SuperOperator:
-        """sum_{m,n} a~(m, n) P_{m,n} over the stored eigenvalues."""
-        cols = self.family.vec_columns()
-        matrix = (cols * self.eigenvalues.values) @ cols.conj().T / self.family.dim
-        return SuperOperator(self.family.dim, matrix)
+        """sum_{m,n} a~(m, n) P_{m,n} over the stored eigenvalues, built
+        block by block on its D^3 support (see :func:`_support`) in
+        O(D^3) work."""
+        npar, dim = self.nparties, self.dim
+        positions, differences = _support(self.d, npar)
+        # q[k, n] = D^-1 sum_m lambda^(-m.k) a~(m, n)
+        q = np.fft.fftn(self.eigenvalues.grid, axes=tuple(range(npar)),
+                        norm="forward").reshape(dim, dim)
+        return SuperOperator(dim, _scatter_support(q.T[:, differences], positions))
 
     def channel_report(self, tol: float = DEFAULT_TOL) -> ChannelReport:
         """The :func:`~comdyn.superop.validate_channel` report of
@@ -396,13 +434,12 @@ class WeylSpectrum:
         figures equal the dense ones in exact arithmetic; in floating point
         they agree within :meth:`rounding_bound`.
         """
-        family = self.family
-        npar = family.nparties
+        npar = self.nparties
         field = classical.idft(self.eigenvalues)
         skew = np.fft.fftn(field.grid.imag, axes=tuple(range(npar, 2 * npar)))
         herm_residual = 2.0 * float(np.max(np.abs(skew)))
         herm_ok = herm_residual <= tol
-        min_eig = family.dim * float(np.min(field.values.real))
+        min_eig = self.dim * float(np.min(field.values.real))
         residual = float(abs(self.eigenvalues.values[0] - 1.0))
         return ChannelReport(
             cp=herm_ok and min_eig >= -tol,
@@ -423,19 +460,15 @@ class WeylSpectrum:
         on the D^2 x D^2 Choi matrix, whose norm D max |p| is at most
         D max |a~|; the other figures round far less."""
         values = self.eigenvalues.values
-        dim = self.family.dim
+        dim = self.dim
         eps = float(np.finfo(values.dtype).eps)
         return dim ** 3 * eps * max(1.0, float(np.max(np.abs(values))))
-
-
-def spectrum_of_values(family: WeylFamily, values: LatticeField) -> WeylSpectrum:
-    return WeylSpectrum(family, dft(values))
 
 
 def map_spectrum(field: WeylCoefficientField, t: float = 0.0) -> WeylSpectrum:
     """Spectral data of map_from_coeffs(field, t): the eigenvalue on u_{k,l}
     is the doubled-lattice Fourier transform a~(k, l)."""
-    return spectrum_of_values(field.family(), field.as_circulant().rates(t))
+    return WeylSpectrum(dft(field.as_circulant().rates(t)))
 
 
 def spectrum_convention_residual(d: int, nparties: int = 1) -> float:
@@ -449,7 +482,7 @@ def spectrum_convention_residual(d: int, nparties: int = 1) -> float:
     field = LatticeField(d, 2 * nparties, 1.0 / (idx + 2.0) + 1j / (3.0 * idx + 7.0))
     # one (D^2, D^2) temporary at a time beside the family's own arrays
     image = map_from_values(family, field).matrix @ family.vec_columns()
-    image -= family.vec_columns() * spectrum_of_values(family, field).eigenvalues.values
+    image -= family.vec_columns() * dft(field).values
     return float(np.max(np.abs(image)))
 
 
@@ -515,7 +548,7 @@ def evolve(field: WeylCoefficientField, t0: float, t: float,
     of the field viewed as a classical generator on the doubled lattice, so
     the field must pass the matching Kolmogorov check.
     """
-    return WeylSpectrum(field.family(), classical.relaxation(
+    return WeylSpectrum(classical.relaxation(
         field.as_circulant(), t0, t, mode, tol)).assemble()
 
 

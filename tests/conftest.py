@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 
 from comdyn.superop import SuperOperator
+from comdyn.weyl import WeylFamily
 
 
 @pytest.fixture
@@ -59,3 +60,12 @@ def multiset_residual(a, b):
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+def assemble_reference(spectrum):
+    """sum a~(m, n) P_{m,n} as the dense GEMM (cols a~) cols^dag / D over
+    the vec(u_{m,n}) columns of the family's stack, independent of the
+    support that :meth:`WeylSpectrum.assemble` scatters onto."""
+    family = WeylFamily(spectrum.d, spectrum.nparties)
+    cols = family.vec_columns()
+    return (cols * spectrum.eigenvalues.values) @ cols.conj().T / family.dim

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from comdyn import classical, cli, generators, oracle, qubit, superop, weyl
 from comdyn.cli import _fmt, main, write_channel
 
+from conftest import assemble_reference
+
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -171,13 +173,39 @@ def _dense_matrix():
     return rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
 
 
+# the values a mostly +0.0 matrix must still format one by one
+SPARSE_SPECIAL = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                  complex(NAN, 0.0), complex(0.0, -NAN), complex(5e-324, 0.0),
+                  complex(0.0, 5e-324), complex(-5e-324, NAN)]
+
+
+def _sparse_matrix(matrix, seed):
+    """``matrix`` with each of SPARSE_SPECIAL put at three random spots."""
+    matrix = np.array(matrix, dtype=complex)
+    rng = np.random.default_rng(seed)
+    flat = matrix.reshape(-1)
+    spots = rng.choice(flat.size, 3 * len(SPARSE_SPECIAL), replace=False)
+    flat[spots] = np.resize(SPARSE_SPECIAL, spots.size)
+    return matrix
+
+
+def _weyl_shaped_matrix():
+    # the D^3 support of a d = 3 Weyl channel, 27 of 81 entries nonzero
+    field = weyl.WeylCoefficientField.constant(3, 1, [-0.8] + [0.1] * 8)
+    return _sparse_matrix(weyl.evolve(field, 0.0, 1.0).matrix, 3)
+
+
 @pytest.mark.parametrize("make", [
     _special_matrix, _dense_matrix,
     lambda: np.array([[complex(-NAN, 1e16)]]),
     lambda: np.array([[complex(0.0, -0.0)]]),
     lambda: _special_matrix().T,
     lambda: _special_matrix().real,
-], ids=["special", "dense-64", "1x1-nan", "1x1-zeros", "transposed", "real"])
+    _weyl_shaped_matrix,
+    lambda: _sparse_matrix(np.zeros((16, 16)), 4),
+    lambda: _sparse_matrix(np.zeros((5, 7)), 5).real,
+], ids=["special", "dense-64", "1x1-nan", "1x1-zeros", "transposed", "real",
+        "weyl-shaped", "zeros-16", "zeros-real"])
 def test_channel_csv_bytes_on_special_values(tmp_path, make):
     matrix = make()
     path = tmp_path / "channel.csv"
@@ -195,6 +223,25 @@ def test_channel_csv_bytes_with_repeated_values(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("channel") / "channel.csv"
     write_channel(str(path), matrix)
     assert path.read_bytes() == channel_reference(matrix)
+    # and a mostly +0.0 matrix of the same shape, as a Weyl channel is
+    sparse = np.zeros(rows * cols, dtype=complex)
+    spots = data.draw(st.lists(st.integers(0, rows * cols - 1), unique=True,
+                               max_size=rows * cols // 3))
+    sparse[spots] = data.draw(st.lists(st.sampled_from(SPARSE_SPECIAL + [1.0, 0.1]),
+                                       min_size=len(spots), max_size=len(spots)))
+    sparse = sparse.reshape(rows, cols)
+    write_channel(str(path), sparse)
+    assert path.read_bytes() == channel_reference(sparse)
+
+
+def _evolved_channel(field, t0, t):
+    """``weyl.evolve``'s channel, checked against the dense GEMM reference
+    that shares no code with the support assembly behind it."""
+    spectrum = weyl.WeylSpectrum(classical.relaxation(field.as_circulant(), t0, t))
+    expected = weyl.evolve(field, t0, t).matrix
+    assert np.max(np.abs(expected - assemble_reference(spectrum))) \
+        <= spectrum.rounding_bound()
+    return expected
 
 
 def test_weyl_run_writes_the_channel_of_its_window(tmp_path):
@@ -206,7 +253,7 @@ def test_weyl_run_writes_the_channel_of_its_window(tmp_path):
     out = tmp_path / "weyl22.csv"
     assert main(["run", config, "--out", str(out)]) == 0
     field = weyl.WeylCoefficientField.constant(2, 2, rates)
-    expected = weyl.evolve(field, 0.25, 1.0).matrix
+    expected = _evolved_channel(field, 0.25, 1.0)
     assert expected.shape == (16, 16)
     channel = tmp_path / "weyl22.csv.channel.csv"
     assert channel.read_bytes() == channel_reference(expected)
@@ -241,10 +288,10 @@ def test_weyl_run_reports_its_channel_from_the_spectrum(tmp_path, monkeypatch):
     assert main(["run", config, "--out", str(out)]) == 0
     assert calls == []
     field = weyl.WeylCoefficientField.constant(2, 4, rates)
-    expected = weyl.evolve(field, 0.0, 1.0).matrix
+    expected = _evolved_channel(field, 0.0, 1.0)
     channel = tmp_path / "weyl24.csv.channel.csv"
     assert channel.read_bytes() == channel_reference(expected)
-    spectrum = weyl.WeylSpectrum(field.family(), classical.relaxation(
+    spectrum = weyl.WeylSpectrum(classical.relaxation(
         field.as_circulant(), 0.0, 1.0))
     sidecar = json.loads((tmp_path / "weyl24.csv.meta.json").read_text())
     final = sidecar["reports"]["final_channel"]
@@ -273,6 +320,61 @@ def test_weyl_oracle_run_cross_checks_the_spectral_report(tmp_path, monkeypatch)
     assert oracle_report["max_residual"] <= oracle_report["tol"]
     assert not oracle_report["final_channel_agrees"]
     assert not oracle_report["passed"]
+
+
+def _count_dense_weyl(monkeypatch):
+    """Count calls of the dense Weyl paths: the family's stack, its vec
+    columns and the dense map of a coefficient field."""
+    calls = {"_build_stack": 0, "vec_columns": 0, "map_from_values": 0}
+
+    def counted(owner, name):
+        dense = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return dense(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(weyl.WeylFamily, "_build_stack")
+    counted(weyl.WeylFamily, "vec_columns")
+    counted(weyl, "map_from_values")
+    return calls
+
+
+# d = 3: a block of the channel and its transpose differ (at d = 2 every
+# block is symmetric), and the rates are not symmetric under m -> -m
+WEYL_D3_CONFIG = dict(WEYL_CONFIG, dims={"d": 3, "N": 1},
+                      rates=[-1.2, 0.3, 0.05, 0.2, 0.1, 0.15, 0.1, 0.2, 0.1])
+
+
+def test_weyl_run_builds_no_dense_family(tmp_path, monkeypatch):
+    calls = _count_dense_weyl(monkeypatch)
+    config = write_config(tmp_path, "weyl.json", WEYL_D3_CONFIG)
+    out = tmp_path / "weyl.csv"
+    assert main(["run", config, "--out", str(out)]) == 0
+    assert calls == {"_build_stack": 0, "vec_columns": 0, "map_from_values": 0}
+    field = weyl.WeylCoefficientField.constant(3, 1, WEYL_D3_CONFIG["rates"])
+    channel = (tmp_path / "weyl.csv.channel.csv").read_bytes()
+    assert channel == channel_reference(_evolved_channel(field, 0.0, 1.0))
+    # the oracle's dense generator path does build the family
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["run", config, "--out", str(out), "--oracle"]) == 0
+    assert calls["_build_stack"] == 1 and calls["map_from_values"] > 0
+
+
+def test_weyl_oracle_catches_a_transposed_support_block(tmp_path, monkeypatch):
+    config = write_config(tmp_path, "weyl.json", WEYL_D3_CONFIG)
+    out = tmp_path / "weyl.csv"
+    assert main(["run", config, "--out", str(out), "--oracle"]) == 0
+    sidecar = tmp_path / "weyl.csv.meta.json"
+    assert json.loads(sidecar.read_text())["reports"]["oracle"]["passed"]
+    scatter = weyl._scatter_support
+    monkeypatch.setattr(weyl, "_scatter_support", lambda blocks, positions:
+                        scatter(blocks.transpose(0, 2, 1), positions))
+    assert main(["run", config, "--out", str(out), "--oracle"]) == 0
+    report = json.loads(sidecar.read_text())["reports"]["oracle"]
+    assert report["max_residual"] > 1e3 * report["tol"]
+    assert not report["passed"]
 
 
 def test_mixture_run(tmp_path):
@@ -696,10 +798,15 @@ def test_validate_weyl_applies_its_tolerance_to_the_channel(tmp_path):
     payload = dict(WEYL_CONFIG, rates=[-0.6, -1e-9, 0.3, 0.3])
     config = write_config(tmp_path, "weyl.json", payload)
     out = tmp_path / "report.json"
-    main(["validate", config, "--tol", "1e-8", "--out", str(out)])
-    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    assert main(["validate", config, "--tol", "1e-8", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    names = [c["name"] for c in checks]
     assert names[-3:] == ["kolmogorov_markov", "channel_cptp_unital",
                           "channel_spectral_agrees"]
+    for check in checks[-2:]:
+        assert check["tol"] == 1e-8 and check["passed"], check["name"]
+    # the channel is TP only to about 1e-9
+    assert 1e-10 < checks[-2]["tp_residual"] < 1e-8
 
 
 def test_validate_mixture_reports_a_generator_that_is_not_markov(tmp_path):

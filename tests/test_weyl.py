@@ -16,7 +16,7 @@ from comdyn.weyl import (WeylCoefficientField, WeylFamily, WeylSpectrum,
                          map_from_values, map_spectrum, relations_check,
                          spectrum_convention_residual, weyl_unitary)
 
-from conftest import (multiset_residual, random_matrix,
+from conftest import (assemble_reference, multiset_residual, random_matrix,
                       random_probability_values)
 
 
@@ -310,7 +310,7 @@ def test_weyl_matrices_are_eigenvectors(rng):
     field = WeylCoefficientField.constant(2, 1, rng.normal(size=4))
     op = map_from_coeffs(field)
     spectrum = map_spectrum(field)
-    family = spectrum.family
+    family = WeylFamily(2, 1)
     for flat in range(family.count):
         u = family.unitary_flat(flat)
         value = spectrum.eigenvalues.values[flat]
@@ -320,7 +320,7 @@ def test_weyl_matrices_are_eigenvectors(rng):
 def test_projector_algebra(rng):
     field = WeylCoefficientField.constant(2, 1, rng.normal(size=4))
     spectrum = map_spectrum(field)
-    family = spectrum.family
+    family = WeylFamily(2, 1)
     projectors = [spectrum.projector(*family.index_pair(k))
                   for k in range(family.count)]
     total = sum(p.matrix for p in projectors)
@@ -554,6 +554,28 @@ def map_from_values_reference(family, values):
     return matrix
 
 
+@pytest.mark.parametrize("kind", ["complex", "physical"])
+@pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2),
+                                        (4, 2), (2, 4), (2, 5)])
+def test_assemble_matches_the_dense_reference_on_its_support(d, nparties, kind):
+    # complex coefficients give a non-Hermitian eigenvalue field with no
+    # symmetry under (m, n) -> (-m, -n); a probability field gives a channel
+    rng = np.random.default_rng(100 * d + nparties)
+    count = d ** (2 * nparties)
+    values = (rng.standard_normal(count) + 1j * rng.standard_normal(count)
+              if kind == "complex" else random_probability_values(rng, count))
+    spectrum = WeylSpectrum(dft(LatticeField(d, 2 * nparties, values)))
+    got = spectrum.assemble().matrix
+    reference = assemble_reference(spectrum)
+    assert np.max(np.abs(got - reference)) <= spectrum.rounding_bound()
+    # D^3 nonzero entries, D per row, where the reference has them; every
+    # other entry is +0.0
+    dim = spectrum.dim
+    assert np.count_nonzero(got) == dim ** 3
+    assert np.array_equal(got != 0, reference != 0)
+    assert not np.signbit(got.view(float)[(got == 0).repeat(2, axis=1)]).any()
+
+
 @pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_map_from_values_matches_kronecker_sum(rng, d, nparties):
     family = WeylFamily(d, nparties)
@@ -610,7 +632,7 @@ def test_channel_report_agrees_with_the_dense_report(d, nparties, kind, expected
     rng = np.random.default_rng(1000 * d + 10 * nparties + len(kind))
     family = WeylFamily(d, nparties)
     values = _coefficient_field(rng, kind, family.count)
-    spectrum = WeylSpectrum(family, dft(LatticeField(d, 2 * nparties, values)))
+    spectrum = WeylSpectrum(dft(LatticeField(d, 2 * nparties, values)))
     report = spectrum.channel_report()
     dense = validate_channel(spectrum.assemble())
     assert tuple(getattr(report, f) for f in REPORT_FLAGS) == expected
@@ -628,7 +650,7 @@ def test_channel_report_of_an_evolved_channel(d, nparties, mode):
     rng = np.random.default_rng(7)
     field = WeylCoefficientField.constant(d, nparties, generator_rates(rng, d, nparties))
     relax = relaxation(field.as_circulant(), 0.5, 1.5, mode)
-    spectrum = WeylSpectrum(WeylFamily(d, nparties), relax)
+    spectrum = WeylSpectrum(relax)
     report = spectrum.channel_report()
     dense = validate_channel(spectrum.assemble())
     assert report.cp and report.tp and report.unital and report.hermiticity_preserving
@@ -639,9 +661,8 @@ def test_channel_report_of_an_evolved_channel(d, nparties, mode):
 
 
 def test_channel_report_applies_its_tolerance():
-    family = WeylFamily(2, 1)
     values = np.array([1.0 + 2e-9, -1e-9, 0.0, 0.0])
-    spectrum = WeylSpectrum(family, dft(LatticeField(2, 2, values)))
+    spectrum = WeylSpectrum(dft(LatticeField(2, 2, values)))
     loose, tight = spectrum.channel_report(1e-8), spectrum.channel_report(1e-10)
     assert loose.cp and loose.tp and loose.unital
     assert not (tight.cp or tight.tp or tight.unital)
@@ -652,8 +673,7 @@ def test_channel_report_applies_its_tolerance():
 
 
 def test_agreement_needs_equal_flags_and_close_figures():
-    family = WeylFamily(2, 1)
-    spectrum = WeylSpectrum(family, dft(LatticeField(2, 2, [0.7, 0.1, 0.1, 0.1])))
+    spectrum = WeylSpectrum(dft(LatticeField(2, 2, [0.7, 0.1, 0.1, 0.1])))
     report = spectrum.channel_report()
     atol = spectrum.rounding_bound()
     assert report.agrees_with(report, 0.0)
