@@ -231,57 +231,43 @@ class KolmogorovReport:
         return out
 
 
-def _check_rate_field(values: np.ndarray, t: float, tol: float,
-                      condition_prefix: str) -> Optional[KolmogorovViolation]:
-    """The first failed condition of one rate field, in priority order:
-    imaginary part, nonnegativity off the origin, zero sum, origin sign."""
-    imag_max = float(np.max(np.abs(values.imag)))
-    if imag_max > tol:
-        return KolmogorovViolation(t, int(np.argmax(np.abs(values.imag))),
-                                   imag_max, f"{condition_prefix} rates must be real")
-    real = values.real
-    off = real[1:]
-    if off.size and float(np.min(off)) < -tol:
-        idx = int(np.argmin(off)) + 1
-        return KolmogorovViolation(t, idx, float(real[idx]),
-                                   f"{condition_prefix} nonnegativity off the origin")
-    total = float(np.sum(real))
-    if abs(total) > tol * max(1.0, float(np.max(np.abs(real)))):
-        return KolmogorovViolation(t, 0, total, f"{condition_prefix} zero-sum conservation")
-    if real[0] > tol:
-        return KolmogorovViolation(t, 0, float(real[0]),
-                                   f"{condition_prefix} origin rate must be <= 0")
-    return None
+_CONDITIONS = ("rates must be real", "nonnegativity off the origin",
+               "zero-sum conservation", "origin rate must be <= 0")
 
 
-def _first_violation(gen: CirculantGenerator, block: np.ndarray, times: np.ndarray,
-                     tol: float, condition_prefix: str) -> Optional[KolmogorovViolation]:
-    """The earliest row of a (times, sites) rate block that fails a condition.
-
-    The conditions of :func:`_check_rate_field` are screened for all rows at
-    once; the witness is then built from the first flagged row alone. A
-    non-finite row raises like the LatticeField it would have made.
-    """
-    real = block.real
-    scale = np.maximum(1.0, np.max(np.abs(real), axis=1))
-    flagged = (~np.all(np.isfinite(block), axis=1)
-               | (np.max(np.abs(block.imag), axis=1) > tol)
-               | (np.min(real[:, 1:], axis=1) < -tol)
-               | (np.abs(np.sum(real, axis=1)) > tol * scale)
-               | (real[:, 0] > tol))
-    for row in np.flatnonzero(flagged):
-        values = LatticeField(gen.d, gen.naxes, block[row]).values
-        violation = _check_rate_field(values, float(times[row]), tol, condition_prefix)
-        if violation is not None:
-            return violation
-    return None
+def _first_violation(block: np.ndarray, times: np.ndarray, tol: float,
+                     condition_prefix: str) -> Optional[KolmogorovViolation]:
+    """The earliest row of a (times, sites) rate block that fails a
+    condition, with the first condition it fails in :data:`_CONDITIONS`
+    order, read off the masks that screen the rows. A non-finite row raises
+    like the LatticeField it would have made."""
+    real, imag = block.real, np.abs(block.imag)
+    imag_max = np.max(imag, axis=1)
+    totals = np.sum(real, axis=1)
+    failed = np.stack([
+        imag_max > tol,
+        np.min(real[:, 1:], axis=1) < -tol,
+        np.abs(totals) > tol * np.maximum(1.0, np.max(np.abs(real), axis=1)),
+        real[:, 0] > tol])
+    finite = np.all(np.isfinite(block), axis=1)
+    flagged = ~finite | np.any(failed, axis=0)
+    if not np.any(flagged):
+        return None
+    row = int(np.argmax(flagged))
+    if not finite[row]:
+        raise ValueError("field has non-finite values")
+    which = int(np.argmax(failed[:, row]))
+    index = (int(np.argmax(imag[row])), int(np.argmin(real[row, 1:])) + 1, 0, 0)[which]
+    value = (imag_max[row], real[row, index], totals[row], real[row, 0])[which]
+    return KolmogorovViolation(float(times[row]), index, float(value),
+                               f"{condition_prefix} {_CONDITIONS[which]}")
 
 
 def kolmogorov_check_markov(gen: CirculantGenerator, grid: Sequence[float],
                             tol: float = DEFAULT_TOL) -> KolmogorovReport:
     """Pointwise conditions: a_t(m) >= 0 for m != 0, sum_m a_t(m) = 0."""
     grid = np.asarray(grid, dtype=float)
-    violation = _first_violation(gen, gen.bank.values(grid), grid, tol, "pointwise")
+    violation = _first_violation(gen.bank.values(grid), grid, tol, "pointwise")
     return KolmogorovReport("markov", violation is None, violation, grid, tol)
 
 
@@ -296,8 +282,8 @@ def kolmogorov_check_nonmarkov(gen: CirculantGenerator, taus: Sequence[float],
     negative = np.flatnonzero(taus < 0)
     checked = taus[:negative[0]] if negative.size else taus
     checked = checked[checked != 0.0]
-    violation = _first_violation(gen, gen.bank.integrals(0.0, checked), checked,
-                                 tol, "integrated")
+    violation = _first_violation(gen.bank.integrals(0.0, checked), checked, tol,
+                                 "integrated")
     if violation is None and negative.size:
         raise ValueError("tau grid must be nonnegative")
     return KolmogorovReport("nonmarkov", violation is None, violation, taus, tol)
@@ -311,11 +297,13 @@ def condition_grid(a: float, b: float) -> np.ndarray:
 # closed-form propagation
 # ---------------------------------------------------------------------------
 
-def integration_window(t0: float, t: float, mode: PropagationMode) -> tuple:
+def integration_window(t0: float, t, mode: PropagationMode) -> tuple:
     """Integration interval for the rate integrals: [t0, t] for the Markovian
-    mode, [0, t - t0] for the homogeneous (non-Markovian) mode."""
-    if t < t0:
-        raise ValueError(f"need t >= t0, got t0={t0}, t={t}")
+    mode, [0, t - t0] for the homogeneous (non-Markovian) mode. An array of
+    end times ``t`` gives an array of upper ends, one per row."""
+    early = np.extract(np.less(t, t0), t)
+    if early.size:
+        raise ValueError(f"need t >= t0, got t0={t0}, t={early[0]}")
     if mode == "markov":
         return t0, t
     if mode == "nonmarkov":
@@ -323,28 +311,41 @@ def integration_window(t0: float, t: float, mode: PropagationMode) -> tuple:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def kolmogorov_check(gen: CirculantGenerator, t0: float, t: float,
+def window_grid(t0: float, times, mode: PropagationMode) -> np.ndarray:
+    """The condition grids of the windows ending at ``times`` (one end time
+    or an array), in row order, each point kept where it first occurs. Its
+    first violation is the one the rows' own grids give in turn: the rows
+    before the first failing row pass at all of their points."""
+    lo, hi = integration_window(t0, np.atleast_1d(times), mode)
+    grid = np.concatenate([condition_grid(lo, end) for end in hi.tolist()])
+    _, first = np.unique(grid, return_index=True)
+    return grid[np.sort(first)]
+
+
+def kolmogorov_check(gen: CirculantGenerator, t0: float, t,
                      mode: PropagationMode = "markov",
                      tol: float = DEFAULT_TOL) -> KolmogorovReport:
-    """The Kolmogorov report for ``mode`` on its integration window: the
-    pointwise conditions over [t0, t] or the integrated ones over
-    [0, t - t0], sampled on :data:`DEFAULT_GRID_POINTS` points."""
-    grid = condition_grid(*integration_window(t0, t, mode))
+    """The Kolmogorov report for ``mode`` on the windows ending at ``t`` (one
+    end time or an array): the pointwise conditions over [t0, t] or the
+    integrated ones over [0, t - t0], screened once on :func:`window_grid`."""
+    grid = window_grid(t0, t, mode)
     if mode == "markov":
         return kolmogorov_check_markov(gen, grid, tol)
     return kolmogorov_check_nonmarkov(gen, grid, tol)
 
 
-def relaxation(gen: CirculantGenerator, t0: float, t: float,
+def relaxation(gen: CirculantGenerator, t0: float, t,
                mode: PropagationMode = "markov", tol: float = DEFAULT_TOL,
-               check: bool = True) -> LatticeField:
+               check: bool = True):
     """The spectral core shared by every closed form: exp(I~(k)), where I~
     is the transform of the rates integrated over the mode's window.
 
-    With ``check`` the matching Kolmogorov report must pass first; a
-    violation raises :class:`PreconditionFailedError` carrying the witness.
+    An array of end times ``t`` (a run's rows) gets one check and one bank
+    call for all windows, and a list of fields, one per row. With
+    ``check`` the matching Kolmogorov report must pass first; a violation
+    raises :class:`PreconditionFailedError` carrying the witness.
     """
-    lo, hi = integration_window(t0, t, mode)
+    lo, hi = integration_window(t0, np.atleast_1d(t), mode)
     if check:
         report = kolmogorov_check(gen, t0, t, mode, tol)
         if not report.passed:
@@ -353,26 +354,32 @@ def relaxation(gen: CirculantGenerator, t0: float, t: float,
                 f"Kolmogorov {report.mode} check failed at t={v.time}: "
                 f"{v.condition} (index {v.index}, value {v.value:.6e})",
                 witness=report)
-    return LatticeField(gen.d, gen.naxes,
-                        np.exp(dft(gen.integrated_rates(lo, hi)).values))
+    fields = [LatticeField(gen.d, gen.naxes,
+                           np.exp(dft(LatticeField(gen.d, gen.naxes, rates)).values))
+              for rates in gen.bank.integrals(lo, hi)]
+    return fields if np.ndim(t) else fields[0]
 
 
-def propagate(gen: CirculantGenerator, t0: float, t: float,
+def propagate(gen: CirculantGenerator, t0: float, t,
               mode: PropagationMode = "markov", tol: float = DEFAULT_TOL,
-              check: bool = True) -> LatticeField:
+              check: bool = True):
     """Closed-form stochastic vector P(m) = d^-naxes sum_k lambda^(-m.k) exp(I(k)).
 
     The inverse transform of :func:`relaxation`, which checks the window
-    unless ``check`` is false. A negative output beyond tolerance (possible
-    only for inconsistent inputs) raises :class:`NonProbabilisticResultError`.
+    unless ``check`` is false; an array of end times gives one per row. A
+    negative output beyond tolerance (possible only for inconsistent
+    inputs) raises :class:`NonProbabilisticResultError`.
     """
-    values = idft(relaxation(gen, t0, t, mode, tol, check)).values.real
-    worst = float(np.min(values))
-    if worst < -max(tol, 1e-12):
-        raise NonProbabilisticResultError(
-            f"propagated vector has negative entry {worst:.3e} at index "
-            f"{int(np.argmin(values))}")
-    return LatticeField(gen.d, gen.naxes, values)
+    fields = []
+    for relax in relaxation(gen, t0, np.atleast_1d(t), mode, tol, check):
+        values = idft(relax).values.real
+        worst = float(np.min(values))
+        if worst < -max(tol, 1e-12):
+            raise NonProbabilisticResultError(
+                f"propagated vector has negative entry {worst:.3e} at index "
+                f"{int(np.argmin(values))}")
+        fields.append(LatticeField(gen.d, gen.naxes, values))
+    return fields if np.ndim(t) else fields[0]
 
 
 @dataclass(frozen=True)

@@ -398,9 +398,9 @@ def _classical_generator(config) -> classical.CirculantGenerator:
     return classical.CirculantGenerator(d, n, tuple(_timefn(r) for r in config["rates"]))
 
 
-def _weyl_field(config) -> weyl.WeylCoefficientField:
+def _weyl_field(config, rates) -> weyl.WeylCoefficientField:
     d, n = config["dims"]["d"], config["dims"]["N"]
-    return weyl.WeylCoefficientField(d, n, tuple(_timefn(r) for r in config["rates"]))
+    return weyl.WeylCoefficientField(d, n, tuple(_timefn(r) for r in rates))
 
 
 def _qubit_spec(config) -> qubit.QubitGeneratorSpec:
@@ -428,17 +428,21 @@ def _kernel_table(config) -> tuple:
     return table, worst
 
 
+def _constant_field(config, rates, path: str, what: str) -> weyl.WeylCoefficientField:
+    """The field of ``rates``; a ``what`` is built at t = 0 only, so must be constant."""
+    field = _weyl_field(config, rates)
+    if not field.is_constant:
+        raise ConfigError(f"config invalid at {path}: a {what} must be constant in time")
+    return field
+
+
 def _mixture_fields(config, tol) -> list:
     """Each generator field of the config with its Kolmogorov report. A
     mixture assembles its generators once, at t = 0, so a field must be
     constant, and then the report at t = 0 holds at every time."""
-    d, n = config["dims"]["d"], config["dims"]["N"]
     fields = []
     for k, rates in enumerate(config["generators"]):
-        field = weyl.WeylCoefficientField(d, n, tuple(_timefn(r) for r in rates))
-        if not field.is_constant:
-            raise ConfigError(f"config invalid at generators.{k}: a mixture "
-                              "generator must be constant in time")
+        field = _constant_field(config, rates, f"generators.{k}", "mixture generator")
         fields.append((field, classical.kolmogorov_check_markov(
             field.as_circulant(), [0.0], tol)))
     return fields
@@ -464,7 +468,8 @@ def _mixture_spec(config, cset) -> generators.MixtureSpec:
 def _resolvent_channels(config, tol) -> tuple:
     """The base generator, and (s, k, channel report at ``tol``) for every
     resolvent channel of the config, s slowest."""
-    gen = weyl.map_from_coeffs(_weyl_field(config))
+    gen = weyl.map_from_coeffs(_constant_field(config, config["rates"], "rates",
+                                               "resolvent generator"))
     return gen, [(s, k, validate_channel(
         generators.resolvent_channel(gen, float(s), int(k)), tol))
         for s in config["s_values"] for k in config["k_values"]]
@@ -539,52 +544,50 @@ def _ordered_propagator(lfun, t0: float, t: float, mode: str, steps: int,
     return np.eye(size)
 
 
-def _tabulate(config, args, header: list, row, residual,
-              report_steps: bool = True) -> tuple:
-    """The table of ``row(t)`` over the config's time grid.
+def _times(config) -> list:
+    """The end times of the config's rows."""
+    window = config["time"]
+    return np.linspace(window["t0"], window["t"], window["samples"]).tolist()
 
-    ``row(t)`` returns the table row and the closed form behind it. With
-    ``--oracle`` each row gains the column ``residual(t, closed form,
-    steps)`` and the worst residual is reported. Returns the header, the
-    rows, the last closed form and ``{"oracle": report}``, which is empty
-    without ``--oracle``.
-    """
-    window, settings = config["time"], config.get("oracle", {})
+
+def _tabulate(config, args, header: list, rows: list, closed: list, residual,
+              report_steps: bool = True) -> tuple:
+    """The table of ``rows`` (time first), written from the closed forms at
+    the same positions of ``closed``. With ``--oracle`` each row gains the
+    column ``residual(t, closed form, steps)`` and the worst residual is
+    reported. Returns the header, the rows and ``{"oracle": report}``,
+    which is empty without ``--oracle``."""
+    if not args.oracle:
+        return header, rows, {}
+    settings = config.get("oracle", {})
     tol = args.tol if args.tol is not None else settings.get("tol", 1e-7)
     steps = args.steps if args.steps is not None else settings.get("steps", 2048)
-    rows, worst, closed = [], 0.0, None
-    for t in np.linspace(window["t0"], window["t"], window["samples"]).tolist():
-        values, closed = row(t)
-        if args.oracle:
-            values.append(residual(t, closed, steps))
-            worst = max(worst, values[-1])
-        rows.append(values)
-    if not args.oracle:
-        return header, rows, closed, {}
+    worst = 0.0
+    for values, form in zip(rows, closed):
+        values.append(residual(values[0], form, steps))
+        worst = max(worst, values[-1])
     report = {"max_residual": worst, "tol": tol, "passed": worst <= tol}
     if report_steps:
         report["steps"] = steps
-    return header + ["oracle_residual"], rows, closed, {"oracle": report}
+    return header + ["oracle_residual"], rows, {"oracle": report}
 
 
 def _run_classical(config, args):
     gen = _classical_generator(config)
     mode = config.get("mode", "markov")
-    t0 = config["time"]["t0"]
+    t0, times = config["time"]["t0"], _times(config)
     size = gen.d ** gen.naxes
     unit = classical.LatticeField.unit(gen.d, gen.naxes).values
-
-    def row(t):
-        field = classical.propagate(gen, t0, t, mode)
-        return [t] + [float(v) for v in field.values.real], field
+    fields = classical.propagate(gen, t0, times, mode)
+    rows = [[t] + field.values.real.tolist() for t, field in zip(times, fields)]
 
     def residual(t, field, steps):
         prop = _ordered_propagator(lambda u: classical.circulant_matrix(gen, u),
                                    t0, t, mode, steps, size)
         return float(np.max(np.abs(field.values - prop @ unit)))
 
-    header, rows, _, oracle_report = _tabulate(
-        config, args, ["t"] + [f"P{i}" for i in range(size)], row, residual)
+    header, rows, oracle_report = _tabulate(
+        config, args, ["t"] + [f"P{i}" for i in range(size)], rows, fields, residual)
     return header, rows, {"mode": mode, **oracle_report}, None
 
 
@@ -598,22 +601,17 @@ def _weyl_final_channel(relax, tol: float = DEFAULT_TOL) -> tuple:
 
 
 def _run_weyl(config, args):
-    field = _weyl_field(config)
-    gen = field.as_circulant()
+    field = _weyl_field(config, config["rates"])
     mode = config.get("mode", "markov")
-    t0 = config["time"]["t0"]
+    t0, times = config["time"]["t0"], _times(config)
     npar = field.nparties
     labels = []
     for digits in np.ndindex((field.d,) * (2 * npar)):
         tag = "".join(map(str, digits[:npar])) + "_" + "".join(map(str, digits[npar:]))
         labels.extend([f"re_relax_{tag}", f"im_relax_{tag}"])
-
-    def row(t):
-        relax = classical.relaxation(gen, t0, t, mode)
-        values = [t]
-        for value in relax.values:
-            values.extend([float(value.real), float(value.imag)])
-        return values, relax
+    relaxes = classical.relaxation(field.as_circulant(), t0, times, mode)
+    # a complex array viewed as floats is its (re, im) pairs
+    rows = [[t] + relax.values.view(float).tolist() for t, relax in zip(times, relaxes)]
 
     # the oracle time-orders the dense generator, assembled on the family's
     # unitaries and not on the support the closed form is scattered onto
@@ -626,9 +624,9 @@ def _run_weyl(config, args):
             t0, t, mode, steps, family.dim ** 2)
         return float(np.max(np.abs(channel.matrix - prop)))
 
-    header, rows, relax, oracle_report = _tabulate(
-        config, args, ["t"] + labels, row, residual)
-    final_map, final, atol = _weyl_final_channel(relax)
+    header, rows, oracle_report = _tabulate(config, args, ["t"] + labels, rows,
+                                            relaxes, residual)
+    final_map, final, atol = _weyl_final_channel(relaxes[-1])
     if args.oracle:
         # the dense report of the written channel must say the same
         report = oracle_report["oracle"]
@@ -643,28 +641,23 @@ def _run_mixture(config, args):
     cset = generators.CommutingGeneratorSet.from_generators(
         _mixture_generators(config))
     spec = _mixture_spec(config, cset)
-    t0 = config["time"]["t0"]
+    t0, times = config["time"]["t0"], _times(config)
     spec.validate_weights(t0, config["time"]["t"])
     n_modes = cset.basis.eigenvalues.size
+    mixtures = [spec.eigenvalue_mixture(t - t0) for t in times]
+    rows = [[t] + c.view(float).tolist() for t, c in zip(times, mixtures)]
 
-    def row(t):
-        values = [t]
-        for value in spec.eigenvalue_mixture(t - t0):
-            values.extend([float(value.real), float(value.imag)])
-        return values, None
-
-    def residual(t, _, steps):
+    def residual(t, c, steps):
         # the weights were checked above on [0, t - t0], which holds every
         # row's window, so the map is assembled without a second check
         tau = t - t0
-        amap = spec.generator_set.basis.assemble(spec.eigenvalue_mixture(tau))
         direct = sum(w * oracle.expm(tau * g.matrix)
                      for w, g in zip(spec.weight_values(tau), cset.generators))
-        return float(np.max(np.abs(amap.matrix - direct)))
+        return float(np.max(np.abs(cset.basis.assemble(c).matrix - direct)))
 
     header = ["t"] + [v for a in range(n_modes) for v in (f"re_c{a}", f"im_c{a}")]
-    header, rows, _, oracle_report = _tabulate(config, args, header, row, residual,
-                                               report_steps=False)
+    header, rows, oracle_report = _tabulate(config, args, header, rows, mixtures,
+                                            residual, report_steps=False)
     return header, rows, {"n_generators": len(cset), **oracle_report}, None
 
 
@@ -683,23 +676,23 @@ def _run_qubit(config, args):
     mode = config.get("mode", "markov")
     rho0 = np.array([[complex(*e) for e in row]
                      for row in config["initial_state"]])
-    t0 = config["time"]["t0"]
-
-    def row(t):
-        amap = qubit.propagate(spec, t0, t, mode)
+    t0, times = config["time"]["t0"], _times(config)
+    maps = qubit.propagate(spec, t0, times, mode)
+    rows = []
+    for t, amap in zip(times, maps):
         rho = amap.apply(rho0)
         purity = float(np.real(np.trace(rho @ rho)))
-        return [t, float(rho[0, 0].real), float(rho[1, 1].real),
-                float(rho[0, 1].real), float(rho[0, 1].imag), purity], amap
+        rows.append([t, float(rho[0, 0].real), float(rho[1, 1].real),
+                     float(rho[0, 1].real), float(rho[0, 1].imag), purity])
 
     def residual(t, amap, steps):
         prop = _ordered_propagator(lambda u: qubit.build_generator(spec, u).matrix,
                                    t0, t, mode, steps, 4)
         return float(np.max(np.abs(amap.matrix - prop)))
 
-    header, rows, _, oracle_report = _tabulate(
+    header, rows, oracle_report = _tabulate(
         config, args, ["t", "rho00", "rho11", "re_rho01", "im_rho01", "purity"],
-        row, residual)
+        rows, maps, residual)
     reports = {"mode": mode,
                "classification": qubit.classify(
                    spec, t0, config["time"]["t"]).as_dict(),
@@ -762,7 +755,7 @@ def _validate_classical(config, tol):
 
 
 def _validate_weyl(config, tol):
-    field = _weyl_field(config)
+    field = _weyl_field(config, config["rates"])
     gen = field.as_circulant()
     t0, t = config["time"]["t0"], config["time"]["t"]
     mode = config.get("mode", "markov")

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .classical import condition_grid, integration_window
+from .classical import window_grid
 from .errors import (DefectiveMapError, InvalidWeightsError,
                      QuadratureNotConvergedError, SingularEigenvalueError,
                      SingularResolventError)
@@ -157,22 +157,20 @@ class MixtureSpec:
         grid on the homogeneous window [0, t - t0], evaluated in one bank
         call; raises :class:`InvalidWeightsError` at the first tau that
         fails (complex, then negative, then not summing to 1)."""
-        taus = condition_grid(*integration_window(t0, t, "nonmarkov"))
+        taus = window_grid(t0, t, "nonmarkov")
         block = self.bank.values(taus)
-        flagged = ((np.max(np.abs(block.imag), axis=1) > tol)
-                   | (np.min(block.real, axis=1) < -tol)
-                   | (np.abs(np.sum(block.real, axis=1) - 1.0) > tol))
-        for row in np.flatnonzero(flagged):
+        lowest, totals = np.min(block.real, axis=1), np.sum(block.real, axis=1)
+        failed = np.stack([np.max(np.abs(block.imag), axis=1) > tol,
+                           lowest < -tol, np.abs(totals - 1.0) > tol])
+        flagged = np.any(failed, axis=0)
+        if np.any(flagged):
+            row = int(np.argmax(flagged))
             tau = taus[row]
-            if float(np.max(np.abs(block[row].imag))) > tol:
-                raise InvalidWeightsError(f"weights not real at tau={tau}")
-            real = block[row].real
-            if float(np.min(real)) < -tol:
-                raise InvalidWeightsError(
-                    f"negative weight {np.min(real):.3e} at tau={tau}")
-            if abs(float(np.sum(real)) - 1.0) > tol:
-                raise InvalidWeightsError(
-                    f"weights sum to {np.sum(real)} at tau={tau}")
+            raise InvalidWeightsError((
+                f"weights not real at tau={tau}",
+                f"negative weight {lowest[row]:.3e} at tau={tau}",
+                f"weights sum to {totals[row]} at tau={tau}",
+            )[int(np.argmax(failed[:, row]))])
 
     def eigenvalue_mixture(self, tau: float) -> np.ndarray:
         """c_a(tau) = sum_k p_k(tau) exp(lambda_a^k tau)."""

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classical import PropagationMode, condition_grid, integration_window
+from .classical import PropagationMode, integration_window, window_grid
 from .errors import PreconditionFailedError
 from .superop import DEFAULT_TOL, SuperOperator
 from .timefn import CoefficientBank, TimeFunction, as_time_function
@@ -197,20 +197,19 @@ def _rank_one_stack(lefts, rights) -> np.ndarray:
     return cols[:, :, None] * rows.conj()[:, None, :]
 
 
-def _sign_check(spec: QubitGeneratorSpec, t0: float, t: float,
-                mode: PropagationMode, tol: float) -> tuple:
-    """The mode's integration window, and the first sign violation on its
-    condition grid: (time, "gamma" or "c") at the first point where
-    gamma < -tol or c is not positive semidefinite, gamma first at equal
-    times; None if none.
+def _sign_check(spec: QubitGeneratorSpec, t0: float, t, mode: PropagationMode,
+                tol: float) -> Optional[tuple]:
+    """The first sign violation on the window grid of the rows ending at
+    ``t`` (:func:`~comdyn.classical.window_grid`): (time, "gamma" or "c")
+    at the first point where gamma < -tol or c is not positive
+    semidefinite, gamma first at equal times; None if none.
 
     Markovian mode checks the values pointwise on [t0, t]; the homogeneous
     mode checks int_0^tau over the nonzero taus of [0, t - t0]. In both, c
     (or its integral) must also be Hermitian, raising at the first point
     where it is not.
     """
-    lo, hi = integration_window(t0, t, mode)
-    grid = condition_grid(lo, hi)
+    grid = window_grid(t0, t, mode)
     pointwise = mode == "markov"
     if pointwise:
         block = spec.bank.values(grid)
@@ -224,24 +223,25 @@ def _sign_check(spec: QubitGeneratorSpec, t0: float, t: float,
     flagged = ((block[:, 1].real < -tol) | (min_eigs < -tol)
                | (np.max(np.abs(cmats - adjoints), axis=(1, 2)) > 1e-9 * scale))
     if not np.any(flagged):
-        return (lo, hi), None
+        return None
     row = int(np.argmax(flagged))
     u = float(grid[row])
     if block[row, 1].real < -tol:
-        return (lo, hi), (u, "gamma")
+        return u, "gamma"
     _require_hermitian(cmats[row], u, name="c(t)" if pointwise else "int_0^t c")
-    return (lo, hi), (u, "c")
+    return u, "c"
 
 
-def propagate(spec: QubitGeneratorSpec, t0: float, t: float,
-              mode: PropagationMode = "markov", tol: float = DEFAULT_TOL) -> SuperOperator:
+def propagate(spec: QubitGeneratorSpec, t0: float, t,
+              mode: PropagationMode = "markov", tol: float = DEFAULT_TOL):
     """Closed-form propagator sum_a exp(int lambda_a) g_a tr(h_a^dag .).
 
     Markovian mode requires gamma(u) > -tol and c(u) >= 0 pointwise on
     [t0, t]; the homogeneous mode requires the running integrals over
-    [0, tau] to satisfy the same signs for tau <= t - t0.
+    [0, tau] to satisfy the same signs for tau <= t - t0. An array of end
+    times ``t`` gets one check and one bank call, and a list of propagators.
     """
-    (lo, hi), violation = _sign_check(spec, t0, t, mode, tol)
+    violation = _sign_check(spec, t0, t, mode, tol)
     if violation is not None:
         u, which = violation
         if mode == "markov":
@@ -253,8 +253,10 @@ def propagate(spec: QubitGeneratorSpec, t0: float, t: float,
                    else f"int_0^{u} c not positive semidefinite")
         raise PreconditionFailedError(f"{message} (nonmarkov mode)",
                                       witness=(f"{which}-integral", u))
-    factors = np.exp(eigenvalue_integrals(spec, lo, hi))
-    return SuperOperator(2, np.einsum("a,aij->ij", factors, spec.projectors))
+    lo, hi = integration_window(t0, np.atleast_1d(t), mode)
+    maps = [SuperOperator(2, np.einsum("a,aij->ij", np.exp(_modes(row)), spec.projectors))
+            for row in spec.bank.integrals(lo, hi)]
+    return maps if np.ndim(t) else maps[0]
 
 
 @dataclass(frozen=True)
@@ -313,10 +315,10 @@ def classify(spec: QubitGeneratorSpec, t0: float, t: float,
     """Check the pointwise (Markovian) conditions on [t0, t] and the
     integrated (non-Markovian) ones on [0, t - t0]: the windows
     :func:`propagate` checks in each mode."""
-    _, markov_violation = _sign_check(spec, t0, t, "markov", tol)
+    markov_violation = _sign_check(spec, t0, t, "markov", tol)
     if markov_violation is not None:
         markov_violation = (markov_violation[0], f"{markov_violation[1]} pointwise")
-    _, nonmarkov_violation = _sign_check(spec, t0, t, "nonmarkov", tol)
+    nonmarkov_violation = _sign_check(spec, t0, t, "nonmarkov", tol)
     if nonmarkov_violation is not None:
         nonmarkov_violation = (nonmarkov_violation[0], f"{nonmarkov_violation[1]} integral")
     return ClassificationReport(

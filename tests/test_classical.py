@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from comdyn import oracle
-from comdyn.classical import (CirculantGenerator, LatticeField, _check_rate_field,
+from comdyn.classical import (CirculantGenerator, KolmogorovViolation, LatticeField,
                               _dft_kernel, circulant_matrix, circulant_spectrum,
                               composition_check, condition_grid, convolve,
                               dft, fourier_modes, idft,
@@ -198,6 +198,27 @@ def test_nonmarkov_fails_on_negative_constant():
     report = kolmogorov_check_nonmarkov(gen, condition_grid(0, 1))
     assert not report.passed
     assert report.first_violation.time <= 0.005 + 1e-12
+
+
+def _check_rate_field(values, t, tol, prefix):
+    """The first failed condition of one rate field, in priority order:
+    imaginary part, nonnegativity off the origin, zero sum, origin sign."""
+    imag_max = float(np.max(np.abs(values.imag)))
+    if imag_max > tol:
+        return KolmogorovViolation(t, int(np.argmax(np.abs(values.imag))),
+                                   imag_max, f"{prefix} rates must be real")
+    real = values.real
+    idx = int(np.argmin(real[1:])) + 1
+    if real[idx] < -tol:
+        return KolmogorovViolation(t, idx, float(real[idx]),
+                                   f"{prefix} nonnegativity off the origin")
+    total = float(np.sum(real))
+    if abs(total) > tol * max(1.0, float(np.max(np.abs(real)))):
+        return KolmogorovViolation(t, 0, total, f"{prefix} zero-sum conservation")
+    if real[0] > tol:
+        return KolmogorovViolation(t, 0, float(real[0]),
+                                   f"{prefix} origin rate must be <= 0")
+    return None
 
 
 def _scalar_first_violation(gen, times, integrated, tol=1e-10):

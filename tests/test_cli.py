@@ -670,6 +670,11 @@ DRIFTING_GENERATORS = {"generators": [
     [{"kind": "polynomial", "coeffs": [-0.3, -3.0]}]
     + [{"kind": "polynomial", "coeffs": [0.1, 1.0]}] * 3]}
 
+# a resolvent generator is assembled once, at t = 0, so rates that change
+# in time are refused, here rates that equal [-1, 0.5, 0.5, 0] at t = 0
+DRIFTING_RATES = {"rates": [{"kind": "polynomial", "coeffs": [-1.0, -5.0]},
+                            {"kind": "polynomial", "coeffs": [0.5, 5.0]}, 0.5, 0.0]}
+
 # the mode factor 0.5 e^(-0.8 t) + 0.5 e^(0.4 t) of these generators
 # exceeds 1 by t = 2, so their mixture is not a channel
 NON_MARKOV_GENERATORS = {"generators": [[-0.6, 0.2, 0.2, 0.2],
@@ -729,6 +734,14 @@ FAILURE_PATHS = {
     "mixture-weights-oracle": (
         "run", dict(MIXTURE_CONFIG, weights=[0.7, 0.7]), ["--oracle"], 2,
         "precondition failed: weights sum to 1.4 at tau=0.0"),
+    "resolvent-drifting-rates-run": (
+        "run", dict(RESOLVENT_CONFIG, **DRIFTING_RATES), [], 1,
+        "error: config invalid at rates: a resolvent generator must be constant "
+        "in time"),
+    "resolvent-drifting-rates-validate": (
+        "validate", dict(RESOLVENT_CONFIG, **DRIFTING_RATES), [], 1,
+        "error: config invalid at rates: a resolvent generator must be constant "
+        "in time"),
     "resolvent-singular-run": (
         "run", dict(RESOLVENT_CONFIG, rates=[1.0, -0.5, -0.25, -0.25],
                     s_values=[1.5]), [], 2,
