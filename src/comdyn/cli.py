@@ -287,7 +287,7 @@ def _claims(branch: dict):
     return lambda v: is_type(v) or name == "number" and isinstance(v, float)
 
 
-def _check_one_of(schema):
+def _check_one_of_general(schema):
     branches = [_compile(b) for b in schema["oneOf"]]
     # a value that belongs to one branch gets that branch's error instead
     # of the generic one
@@ -304,6 +304,46 @@ def _check_one_of(schema):
         if len(claimed) == 1:
             return claimed[0]
         return _Invalid("{!r} is not valid under any of the given schemas", v)
+    return check
+
+
+def _tag_table(schema):
+    """``(key, {tag: branch})`` when every branch of ``schema``'s oneOf is
+    either an object tagged by a distinct 'const' string on the same
+    required key and by nothing else, or a branch of a type other than
+    object; None otherwise. A dict that carries one of those tags then
+    fails every branch but its own, and only its own claims it."""
+    key, table = None, {}
+    for branch in schema["oneOf"]:
+        if "type" in branch and branch["type"] != "object":
+            continue
+        tag = {k: s["const"] for k, s in branch.get("properties", {}).items()
+               if "const" in s}
+        if branch.get("type") != "object" or len(tag) != 1:
+            return None
+        (k, const), = tag.items()
+        if (not isinstance(const, str) or const in table or key not in (None, k)
+                or k not in branch.get("required", ())):
+            return None
+        key, table[const] = k, _compile(branch)
+    return (key, table) if table else None
+
+
+def _check_one_of(schema):
+    general = _check_one_of_general(schema)
+    dispatch = _tag_table(schema)
+    if dispatch is None:
+        return general
+    key, table = dispatch
+
+    # a time function's kind picks its branch: the same result as the
+    # general path, without checking the value against every branch
+    def check(v):
+        if isinstance(v, dict):
+            tag = v.get(key)
+            if isinstance(tag, str) and tag in table:
+                return table[tag](v)
+        return general(v)
     return check
 
 
@@ -502,20 +542,28 @@ def write_channel(path: str, matrix: np.ndarray):
     17-digit format of :func:`_fmt`; written a row at a time, so no text
     for the whole matrix is held in memory.
 
-    A Weyl channel has D^3 nonzero entries out of D^4, so each row starts
-    from the lines of +0.0 entries, ``col,0,0``, built once per matrix, and
-    formats only the entries whose bits are not all zero (``-0.0`` and NaN
-    are formatted like any other value)."""
+    A Weyl channel has D^3 nonzero entries out of D^4 and only about D^2
+    distinct values. So one scan of the whole matrix finds the entries whose
+    128 bits are not all zero, :func:`_fmt` runs once per distinct bit
+    pattern of their real and imaginary parts (``-0.0``, ``+0.0`` and the
+    NaN signs stay apart), and each row starts from the lines of +0.0
+    entries, ``col,0,0``, built once per matrix."""
     matrix = np.ascontiguousarray(matrix, dtype=complex)
-    zeros = [f"{j},0,0\n" for j in range(matrix.shape[1])]
+    rows, cols = matrix.shape
+    parts = matrix.view(np.int64).reshape(-1, 2)
+    nonzero = np.flatnonzero(np.logical_or(parts[:, 0], parts[:, 1]))
+    patterns, which = np.unique(parts[nonzero], return_inverse=True)
+    texts = [_fmt(x) for x in patterns.view(np.float64).tolist()]
+    # per nonzero entry, row-major: its column and its parts' pattern numbers
+    entries = np.column_stack((nonzero % cols, which.reshape(-1, 2)))
+    bounds = np.searchsorted(nonzero, np.arange(rows + 1) * cols).tolist()
+    zeros = [f"{j},0,0\n" for j in range(cols)]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("row,col,re,im\n")
-        for i, row in enumerate(matrix):
+        for i in range(rows):
             lines = zeros.copy()
-            # an entry is +0.0 exactly when its 128 bits are all zero
-            nonzero = np.flatnonzero(row.view(np.int64).reshape(-1, 2).any(axis=1))
-            for j, value in zip(nonzero.tolist(), row[nonzero].tolist()):
-                lines[j] = f"{j},{_fmt(value.real)},{_fmt(value.imag)}\n"
+            for j, re, im in entries[bounds[i]:bounds[i + 1]].tolist():
+                lines[j] = f"{j},{texts[re]},{texts[im]}\n"
             prefix = f"{i},"
             handle.write(prefix + prefix.join(lines))
 

@@ -1,11 +1,12 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from comdyn import classical, cli, generators, oracle, qubit, superop, weyl
 from comdyn.cli import _fmt, main, write_channel
@@ -232,6 +233,29 @@ def test_channel_csv_bytes_with_repeated_values(tmp_path_factory, data):
     sparse = sparse.reshape(rows, cols)
     write_channel(str(path), sparse)
     assert path.read_bytes() == channel_reference(sparse)
+
+
+def test_channel_csv_formats_each_distinct_bit_pattern_once(tmp_path, monkeypatch):
+    # a d = 2, N = 4 (D = 16) Weyl channel: D^3 = 4,096 nonzero entries,
+    # about D^2 distinct values
+    rates = np.random.default_rng(4).uniform(0.001, 0.01, 256)
+    rates[0] = -rates[1:].sum()
+    field = weyl.WeylCoefficientField.constant(2, 4, list(rates))
+    matrix = weyl.evolve(field, 0.0, 1.0).matrix
+    patterns = {struct.pack("<d", part) for value in matrix.reshape(-1).tolist()
+                if struct.pack("<dd", value.real, value.imag) != bytes(16)
+                for part in (value.real, value.imag)}
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return _fmt(value)
+    monkeypatch.setattr(cli, "_fmt", counted)
+    path = tmp_path / "channel.csv"
+    write_channel(str(path), matrix)
+    monkeypatch.undo()
+    assert len(calls) == len(patterns) < 16 ** 3
+    assert path.read_bytes() == channel_reference(matrix)
 
 
 def _evolved_channel(field, t0, t):
@@ -803,6 +827,86 @@ def test_failure_paths_exit_with_their_code_and_write_nothing(tmp_path, capsys, 
     assert captured.err.count("\n") == 1
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+_NUMBERS = st.one_of(st.integers(-3, 3), st.floats(), st.booleans())
+_FIELD_VALUES = st.one_of(_NUMBERS, st.lists(_NUMBERS, max_size=3), st.none(),
+                          st.text(max_size=2), st.dictionaries(st.text(max_size=1),
+                                                               _NUMBERS, max_size=1))
+_VALID_SPECS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": st.floats(-2, 2)}),
+    st.fixed_dictionaries({"kind": st.just("polynomial"),
+                           "coeffs": st.lists(st.floats(-2, 2), min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"kind": st.just("damped-trig")}, optional={
+        name: st.floats(-2, 2)
+        for name in ("amplitude", "decay", "frequency", "phase", "offset")}),
+    st.fixed_dictionaries({"kind": st.just("tabulated"),
+                           "times": st.lists(st.floats(0, 1), min_size=1, max_size=3),
+                           "values": st.lists(st.floats(0, 1), min_size=1, max_size=3)}))
+# the four kinds, near misses of them, and values of other types
+_KINDS = st.one_of(st.sampled_from(["constant", "polynomial", "damped-trig", "tabulated"]),
+                   st.sampled_from(["Constant", "damped_trig", "exponential", ""]),
+                   _FIELD_VALUES)
+_FIELDS = st.sampled_from(["value", "coeffs", "amplitude", "decay", "frequency", "phase",
+                           "offset", "times", "values", "extra"])
+
+
+@st.composite
+def _timefn_specs(draw):
+    """Valid time-function specs, and the same with fields dropped, added or
+    replaced and the kind replaced, plus bare values."""
+    choice = draw(st.integers(0, 2))
+    if choice == 0:
+        return draw(st.one_of(_NUMBERS, st.just(float("nan")), st.just(True), _FIELD_VALUES))
+    spec = dict(draw(_VALID_SPECS)) if choice == 1 else {}
+    for key in draw(st.lists(st.sampled_from(sorted(spec) or ["kind"]), max_size=2)):
+        spec.pop(key, None)
+    spec.update(draw(st.dictionaries(_FIELDS, _FIELD_VALUES, max_size=2)))
+    if draw(st.booleans()):
+        spec["kind"] = draw(_KINDS)
+    return spec
+
+
+def test_timefn_checker_dispatches_on_the_kind():
+    key, table = cli._tag_table(cli.TIMEFN_SCHEMA)
+    assert key == "kind"
+    assert sorted(table) == ["constant", "damped-trig", "polynomial", "tabulated"]
+
+
+def _tagged(tag, key="kind", **extra):
+    return {"type": "object", "required": [key],
+            "properties": {key: {"const": tag}, **extra}}
+
+
+@pytest.mark.parametrize("branches", [
+    [_tagged("a"), _tagged("a")],                          # a tag used twice
+    [_tagged("a"), _tagged("b", key="type")],              # two tag keys
+    [_tagged("a"), _tagged(1)],                            # a tag that is no string
+    [_tagged("a"), _tagged("b", v={"const": "x"})],        # a second 'const'
+    [_tagged("a"), {"type": "object"}],                    # an untagged object
+    [_tagged("a"), {"enum": [{"kind": "a"}]}],             # a branch of no type
+    [_tagged("a"), dict(_tagged("b"), required=[])],       # a tag not required
+], ids=["repeated", "two-keys", "int-tag", "two-consts", "untagged", "no-type",
+        "not-required"])
+def test_one_of_keeps_the_general_path_when_a_tag_cannot_decide(branches):
+    assert cli._tag_table({"oneOf": branches}) is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=_timefn_specs())
+@example(spec={"kind": "Constant", "value": 1.0})
+@example(spec={"kind": ["constant"], "value": 1.0})
+@example(spec={"kind": "polynomial", "coeffs": []})
+@example(spec={"value": 1.0})
+@example(spec=float("nan"))
+@example(spec=True)
+@example(spec=0.5)
+def test_timefn_dispatch_agrees_with_the_general_checker(spec):
+    fast = cli._compile(cli.TIMEFN_SCHEMA)(spec)
+    general = cli._check_one_of_general(cli.TIMEFN_SCHEMA)(spec)
+    assert (fast is None) == (general is None)
+    if fast is not None:
+        assert (fast.message, fast.path) == (general.message, general.path)
 
 
 def test_validate_weyl_applies_its_tolerance_to_the_channel(tmp_path):

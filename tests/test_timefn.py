@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from comdyn import timefn
 from comdyn.timefn import (CoefficientBank, Constant, DampedTrig, Polynomial,
                            SumFunction, Tabulated, as_time_function, from_spec)
 
@@ -146,3 +147,27 @@ def test_bank_keeps_tabulated_domain_error():
         bank.values(np.linspace(0.0, 1.5, 4))
     with pytest.raises(ValueError, match="outside tabulated domain"):
         bank.integrals(0.0, [0.5, 2.0])
+
+
+def _bits(block):
+    return np.ascontiguousarray(block).view(np.int64)
+
+
+@pytest.mark.parametrize("height", [
+    lambda chunk: 1, lambda chunk: chunk - 1, lambda chunk: chunk,
+    lambda chunk: chunk + 1, lambda chunk: 3 * chunk + 5,
+], ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+5"])
+def test_bank_block_is_bit_identical_to_its_rows(height):
+    # every kind, with enough damped-trig functions that a chunk is a few
+    # hundred rows, so the heights below cross one or several boundaries
+    many = [DampedTrig(amplitude=0.1 * k, decay=-0.01 * k, frequency=0.3 * k,
+                       phase=0.2 * k, offset=0.05 * k) for k in range(1, 60)]
+    funcs = BANK_KINDS["mixed"] + many
+    bank = CoefficientBank(funcs)
+    chunk = timefn._BLOCK_ENTRIES // bank.size
+    height = height(chunk)
+    times = np.random.default_rng(height).uniform(-1.0, 3.0, height)
+    block = bank.values(times)
+    rows = np.concatenate([bank.values(times[i:i + 1]) for i in range(height)])
+    assert block.shape == (height, bank.size)
+    np.testing.assert_array_equal(_bits(block), _bits(rows))
