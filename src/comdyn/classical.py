@@ -91,25 +91,26 @@ class LatticeField:
                 f"Z_{other.d}^{other.naxes}")
 
 
+def lattice_digits(d: int, naxes: int) -> tuple:
+    """The digits of every flat index of Z_d^naxes, shape (naxes, d^naxes),
+    first axis slowest, and the place values d^(naxes-1), ..., d, 1: a
+    lattice point with digits x has flat index ``place @ x``."""
+    digits = np.indices((d,) * naxes).reshape(naxes, d ** naxes)
+    return digits, d ** np.arange(naxes - 1, -1, -1)
+
+
 @lru_cache(maxsize=None)
 def _difference_index_map(d: int, naxes: int) -> np.ndarray:
     """idx[m, n] = flat index of (m_vec - n_vec) mod d; the circulant pattern."""
-    size = d ** naxes
-    coords = np.indices((d,) * naxes).reshape(naxes, size)
-    diff = (coords[:, :, None] - coords[:, None, :]) % d
-    flat = np.zeros((size, size), dtype=np.intp)
-    for axis in range(naxes):
-        flat = flat * d + diff[axis]
-    return flat
+    digits, place = lattice_digits(d, naxes)
+    return sum(p * ((x[:, None] - x[None, :]) % d) for p, x in zip(place, digits))
 
 
 @lru_cache(maxsize=None)
 def _dft_kernel(d: int, naxes: int) -> np.ndarray:
     """W[m, k] = lambda^(m.k) with lambda = exp(2 pi i / d)."""
-    size = d ** naxes
-    coords = np.indices((d,) * naxes).reshape(naxes, size)
-    dots = np.einsum("am,ak->mk", coords, coords) % d
-    return np.exp((2j * np.pi / d) * dots)
+    digits, _ = lattice_digits(d, naxes)
+    return np.exp((2j * np.pi / d) * ((digits.T @ digits) % d))
 
 
 def dft(x: LatticeField) -> LatticeField:

@@ -155,7 +155,9 @@ KIND_SCHEMAS = {
 # ints, not integer-valued floats such as 3.0, which numpy refuses later;
 # and ``number`` refuses the non-finite floats NaN and +-Infinity, which
 # json.load accepts and which would otherwise fail later without a path.
-# Compiling refuses any other keyword, so a schema can never loosen silently.
+# Compiling refuses any other keyword, and a ``oneOf`` of any shape but the
+# tagged one of TIMEFN_SCHEMA (see _tag_table), so a schema can never
+# loosen silently.
 
 _TYPES = {
     "number": lambda v: (isinstance(v, int) and not isinstance(v, bool)
@@ -271,48 +273,23 @@ def _check_object(schema):
 
 
 def _claims(branch: dict):
-    """Whether a failing value still belongs to ``branch``: an object that
-    carries the branch's tag (its properties fixed by 'const', such as a
-    time function's kind), or, for an untagged branch, a value of the
-    branch's type apart from finiteness (so a NaN rate belongs to the
-    number branch)."""
-    tag = {k: s["const"] for k, s in branch.get("properties", {}).items() if "const" in s}
-    if tag:
-        return lambda v: (isinstance(v, dict)
-                          and all(k in v and _equal(v[k], c) for k, c in tag.items()))
-    name = branch.get("type")
-    if name is None:
-        return lambda v: False
+    """Whether a value that fails the untagged ``branch`` still belongs to
+    it: a value of the branch's type apart from finiteness (so a NaN rate
+    belongs to the number branch)."""
+    name = branch["type"]
     is_type = _TYPES[name]
     return lambda v: is_type(v) or name == "number" and isinstance(v, float)
 
 
-def _check_one_of_general(schema):
-    branches = [_compile(b) for b in schema["oneOf"]]
-    # a value that belongs to one branch gets that branch's error instead
-    # of the generic one
-    claims = [_claims(b) for b in schema["oneOf"]]
-
-    def check(v):
-        errors = [branch(v) for branch in branches]
-        matched = sum(error is None for error in errors)
-        if matched == 1:
-            return None
-        if matched > 1:
-            return _Invalid("{!r} is valid under more than one of the given schemas", v)
-        claimed = [error for error, claim in zip(errors, claims) if claim(v)]
-        if len(claimed) == 1:
-            return claimed[0]
-        return _Invalid("{!r} is not valid under any of the given schemas", v)
-    return check
-
-
 def _tag_table(schema):
-    """``(key, {tag: branch})`` when every branch of ``schema``'s oneOf is
-    either an object tagged by a distinct 'const' string on the same
-    required key and by nothing else, or a branch of a type other than
-    object; None otherwise. A dict that carries one of those tags then
-    fails every branch but its own, and only its own claims it."""
+    """``(key, {tag: branch})`` for ``schema``'s oneOf, whose branches must
+    be objects tagged by distinct 'const' strings on the same required key
+    and by nothing else, beside branches of other types (there may be no
+    object branch at all); any other oneOf is refused. A dict that carries
+    one of those tags then fails every branch but its own, and only its own
+    claims it."""
+    refused = ValueError("config schema 'oneOf' is implemented only for object "
+                         "branches tagged by distinct strings on one required key")
     key, table = None, {}
     for branch in schema["oneOf"]:
         if "type" in branch and branch["type"] != "object":
@@ -320,30 +297,38 @@ def _tag_table(schema):
         tag = {k: s["const"] for k, s in branch.get("properties", {}).items()
                if "const" in s}
         if branch.get("type") != "object" or len(tag) != 1:
-            return None
+            raise refused
         (k, const), = tag.items()
         if (not isinstance(const, str) or const in table or key not in (None, k)
                 or k not in branch.get("required", ())):
-            return None
+            raise refused
         key, table[const] = k, _compile(branch)
-    return (key, table) if table else None
+    return key, table
 
 
 def _check_one_of(schema):
-    general = _check_one_of_general(schema)
-    dispatch = _tag_table(schema)
-    if dispatch is None:
-        return general
-    key, table = dispatch
+    key, table = _tag_table(schema)
+    untagged = [(_compile(b), _claims(b)) for b in schema["oneOf"]
+                if b["type"] != "object"]
 
-    # a time function's kind picks its branch: the same result as the
-    # general path, without checking the value against every branch
+    # a time function's kind picks its branch; a dict without a known kind
+    # fails every branch, and any other value fails every tagged one
     def check(v):
         if isinstance(v, dict):
             tag = v.get(key)
             if isinstance(tag, str) and tag in table:
                 return table[tag](v)
-        return general(v)
+            return _Invalid("{!r} is not valid under any of the given schemas", v)
+        errors = [branch(v) for branch, _ in untagged]
+        matched = sum(error is None for error in errors)
+        if matched == 1:
+            return None
+        if matched > 1:
+            return _Invalid("{!r} is valid under more than one of the given schemas", v)
+        claimed = [error for error, (_, claim) in zip(errors, untagged) if claim(v)]
+        if len(claimed) == 1:
+            return claimed[0]
+        return _Invalid("{!r} is not valid under any of the given schemas", v)
     return check
 
 
@@ -654,7 +639,7 @@ def _run_weyl(config, args):
     t0, times = config["time"]["t0"], _times(config)
     npar = field.nparties
     labels = []
-    for digits in np.ndindex((field.d,) * (2 * npar)):
+    for digits in classical.lattice_digits(field.d, 2 * npar)[0].T.tolist():
         tag = "".join(map(str, digits[:npar])) + "_" + "".join(map(str, digits[npar:]))
         labels.extend([f"re_relax_{tag}", f"im_relax_{tag}"])
     relaxes = classical.relaxation(field.as_circulant(), t0, times, mode)

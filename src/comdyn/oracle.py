@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import OverflowInExponentialError
-from .superop import SuperOperator
+from .superop import SuperOperator, devec, vec
 
 #: Default number of product steps per unit time for state evolution.
 DEFAULT_STEPS_PER_UNIT = 4096
@@ -100,6 +100,6 @@ def evolve_state(lfun: Callable[[float], SuperOperator], rho0: np.ndarray,
         span = right - left
         steps = max(1, int(np.ceil(span * steps_per_unit)))
         segment = ordered_exp(lambda u: lfun(u).matrix, left, right, steps)
-        rho = (segment @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")
+        rho = devec(segment @ vec(rho), rho.shape[0])
         trajectory.append(rho.copy())
     return trajectory

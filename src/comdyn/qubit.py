@@ -31,7 +31,7 @@ import numpy as np
 
 from .classical import PropagationMode, integration_window, window_grid
 from .errors import PreconditionFailedError
-from .superop import DEFAULT_TOL, SuperOperator
+from .superop import DEFAULT_TOL, SuperOperator, _vec_stack
 from .timefn import CoefficientBank, TimeFunction, as_time_function
 
 E00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -192,8 +192,8 @@ def eigenvalue_integrals(spec: QubitGeneratorSpec, t0: float, t1: float) -> np.n
 def _rank_one_stack(lefts, rights) -> np.ndarray:
     """The stack vec(l_a) vec(r_a)^dag of superoperator matrices, with vec
     stacking columns; shape (len(lefts), 4, 4)."""
-    cols = np.stack([np.asarray(m, dtype=complex).reshape(-1, order="F") for m in lefts])
-    rows = np.stack([np.asarray(m, dtype=complex).reshape(-1, order="F") for m in rights])
+    cols = _vec_stack(np.asarray(lefts, dtype=complex))
+    rows = _vec_stack(np.asarray(rights, dtype=complex))
     return cols[:, :, None] * rows.conj()[:, None, :]
 
 

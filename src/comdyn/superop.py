@@ -8,7 +8,10 @@ D^2 x D^2 matrices acting on column-stacked vectorizations:
 
 The column-stacking convention is fixed here once; every other module goes
 through :func:`vec` / :func:`devec` and the :class:`SuperOperator`
-constructors, so no convention drift is possible.
+constructors, except three places that scatter Weyl unitaries straight
+into the order: ``weyl._support``, ``WeylFamily.vec_columns`` and
+``weyl.map_from_values``, which the Weyl tests check against :func:`vec`
+and :meth:`SuperOperator.from_conjugation`.
 
 Besides the representation itself this module provides the two natural
 orthonormal superoperator bases (sandwich maps f_a x f_b^dag and rank-one

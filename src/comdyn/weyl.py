@@ -32,7 +32,7 @@ import numpy as np
 from . import classical
 from .classical import CirculantGenerator, LatticeField, PropagationMode, dft
 from .errors import DimensionMismatchError, NormalizationError
-from .superop import DEFAULT_TOL, ChannelReport, SuperOperator
+from .superop import DEFAULT_TOL, ChannelReport, SuperOperator, vec
 from .timefn import Constant, as_time_function
 
 Index = Union[int, Sequence[int]]
@@ -53,10 +53,28 @@ def _as_index_tuple(value: Index, nparties: int, d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _tables(d: int, nparties: int) -> tuple:
+    """The clock and shift tables of the Weyl family of Z_d^N, D = d^N,
+    read-only: column c of u_{m,n} (m, n, c flat) holds
+    clocks[m, c] = lambda^(m.c) at row shifts[n, c], the flat index of
+    c + n. The clocks multiply the parties' phases from left to right, as
+    ``reduce(np.kron, ...)`` does, so they equal the nonzero entries of
+    :func:`weyl_unitary` to the bit."""
+    digits, place = classical.lattice_digits(d, nparties)
+    cols = np.arange(d)
+    single = np.exp((2j * np.pi / d) * (np.outer(cols, cols) % d))
+    clocks = reduce(np.kron, [single] * nparties)
+    shifts = np.tensordot(place, (digits[:, :, None] + digits[:, None, :]) % d, 1)
+    clocks.setflags(write=False)
+    shifts.setflags(write=False)
+    return clocks, shifts
+
+
+@lru_cache(maxsize=None)
 def _single_weyl(d: int, m: int, n: int) -> np.ndarray:
     cols = np.arange(d)
     u = np.zeros((d, d), dtype=complex)
-    u[(cols + n) % d, cols] = np.exp((2j * np.pi / d) * ((m * cols) % d))
+    u[(cols + n) % d, cols] = _tables(d, 1)[0][m]
     u.setflags(write=False)
     return u
 
@@ -74,7 +92,10 @@ def weyl_unitary(d: int, m: Index, n: Index) -> np.ndarray:
 
 
 class WeylFamily:
-    """All d^(2N) Weyl unitaries of Z_d^N, built once as one stack."""
+    """All d^(2N) Weyl unitaries of Z_d^N, held as their D x D clock and
+    shift tables (see :func:`_tables`): u_{m,n}, for flat m and n, has
+    flat index m D + n. Dense unitaries are scattered from the tables,
+    with +0.0 off their support, only where they are asked for."""
 
     def __init__(self, d: int, nparties: int = 1):
         if d < 2:
@@ -85,7 +106,8 @@ class WeylFamily:
         self.nparties = nparties
         self.dim = d ** nparties          # Hilbert space dimension
         self.count = self.dim ** 2        # number of (m, n) pairs, d^(2N)
-        self._stack = self._build_stack()
+        self.clocks, self.shifts = _tables(d, nparties)
+        self._digits, self._place = classical.lattice_digits(d, nparties)
         self._vec_columns: Optional[np.ndarray] = None
         self._conjugation: Optional[np.ndarray] = None
 
@@ -95,71 +117,44 @@ class WeylFamily:
         """Row-major flat index of (m_1..m_N, n_1..n_N)."""
         m = _as_index_tuple(m, self.nparties, self.d)
         n = _as_index_tuple(n, self.nparties, self.d)
-        flat = 0
-        for v in m + n:
-            flat = flat * self.d + v
-        return flat
+        return int(self._place @ m) * self.dim + int(self._place @ n)
 
     def index_pair(self, flat: int) -> tuple:
-        digits = []
-        for _ in range(2 * self.nparties):
-            digits.append(flat % self.d)
-            flat //= self.d
-        digits.reverse()
-        return tuple(digits[:self.nparties]), tuple(digits[self.nparties:])
+        m, n = divmod(int(flat), self.dim)
+        return tuple(self._digits[:, m].tolist()), tuple(self._digits[:, n].tolist())
 
     # -- unitaries -------------------------------------------------------------
 
-    def _build_stack(self) -> np.ndarray:
-        """Every u_{m,n} in flat order, as one batched Kronecker product.
-
-        Party k's factor of each unitary is the single-site u_{m_k,n_k}. The
-        stack, viewed with one row and one column axis per party, takes the
-        first party's factors and is multiplied in place by each next
-        party's, the left-to-right products ``reduce(np.kron, ...)`` forms;
-        so the stack is bit-identical to :func:`weyl_unitary`, and nothing
-        larger than one party's factors is allocated beside it."""
-        d, npar, count = self.d, self.nparties, self.count
-        singles = np.stack([_single_weyl(d, m, n) for m in range(d) for n in range(d)])
-        # rows 0..N-1: the m digits of every flat index, rows N..2N-1: its
-        # n digits, first party first
-        digits = np.indices((d,) * (2 * npar)).reshape(2 * npar, count)
-        stack = np.empty((count, self.dim, self.dim), dtype=complex)
-        view = stack.reshape((count,) + (d,) * (2 * npar))
-        for party in range(npar):
-            shape = [count] + [1] * (2 * npar)
-            shape[1 + party] = shape[1 + npar + party] = d
-            factor = singles[digits[party] * d + digits[npar + party]].reshape(shape)
-            if party == 0:
-                view[...] = factor
-            else:
-                view *= factor
-        return stack
+    def unitaries(self, flats) -> np.ndarray:
+        """The dense u_k for the flat indices ``flats``, shape (len, D, D)."""
+        m, n = np.divmod(np.asarray(flats), self.dim)
+        out = np.zeros((m.size, self.dim, self.dim), dtype=complex)
+        out[np.arange(m.size)[:, None], self.shifts[n], np.arange(self.dim)] = self.clocks[m]
+        return out
 
     def unitary(self, m: Index, n: Index) -> np.ndarray:
-        return self._stack[self.flat_index(m, n)].copy()
+        return self.unitary_flat(self.flat_index(m, n))
 
     def unitary_flat(self, flat: int) -> np.ndarray:
-        return self._stack[flat].copy()
+        return self.unitaries([flat])[0]
 
     def conjugation_index(self) -> np.ndarray:
         """Flat index of u_{n,-m}, the unitary that the coefficient a(m, n)
         at each flat (m, n) conjugates with; computed once."""
         if self._conjugation is None:
-            d, npar = self.d, self.nparties
-            digits = np.indices((d,) * (2 * npar)).reshape(2 * npar, self.count)
-            swapped = np.concatenate([digits[npar:], (-digits[:npar]) % d])
-            self._conjugation = d ** np.arange(2 * npar - 1, -1, -1) @ swapped
+            neg = self._place @ ((-self._digits) % self.d)     # flat index of -m
+            self._conjugation = (np.arange(self.dim) * self.dim + neg[:, None]).reshape(-1)
         return self._conjugation
 
     def vec_columns(self) -> np.ndarray:
-        """(dim^2, count) array whose columns are vec(u_{m,n}) in flat order."""
+        """(dim^2, count) array whose columns are vec(u_{m,n}) in flat order:
+        vec(u_{m,n}) holds clocks[m, c] at c D + shifts[n, c]."""
         if self._vec_columns is None:
-            cols = np.empty((self.dim * self.dim, self.count), dtype=complex)
-            # vec stacks columns: cols[j dim + i, k] = u_k[i, j]
-            cols.reshape(self.dim, self.dim, self.count)[...] = \
-                self._stack.transpose(2, 1, 0)
-            self._vec_columns = cols
+            dim, axis = self.dim, np.arange(self.dim)
+            cols = np.zeros((dim * dim, dim, dim), dtype=complex)
+            cols[self.shifts + dim * axis, axis[:, None, None], axis[:, None]] = \
+                self.clocks[:, None, :]
+            self._vec_columns = cols.reshape(dim * dim, self.count)
         return self._vec_columns
 
 
@@ -193,84 +188,60 @@ class WeylRelationsReport:
         }
 
 
-def _product_residual(stack: np.ndarray, digits: np.ndarray, d: int) -> float:
-    """Residual of u_a u_b = lambda^(m_a.n_b) u_(a+b) over every pair (a, b),
-    checked on the column form of the stack in O(D^5) work rather than the
-    O(D^6) of dense products.
+def relations_check(family: WeylFamily) -> WeylRelationsReport:
+    """Exhaustively verify the product and adjoint rules on the family's
+    tables, and the orthogonality relations on its dense vec columns.
 
-    Column j of u_k holds vals[k, j] at row rows[k, j] (its largest entry),
-    plus entries off that support of modulus at most ``off`` (0 for a Weyl
-    family). Column j of M_a M_b, for the monomial parts M, is
-    p = vals[a, r] vals[b, j] at row rows[a, r] with r = rows[b, j]; against
-    the entry q of phi_ab M_(a+b) it differs by |p - q| where the two rows
-    agree and by max(|p|, |q|) where they do not. The off-support parts E
-    add at most |M_a E_b| + |E_a u_b| + |phi E_c| <= (2 D s + 1) off to any
-    entry of u_a u_b - phi_ab u_(a+b), where s bounds every entry, and the
-    residual includes that bound: it bounds the dense residual from above,
-    exactly in real arithmetic and up to the rounding of one complex
-    product in floating point, and equals it when ``off`` is 0.
+    Every column of a table family holds one entry, so the residuals are
+    those of dense products. For a = (m_a, n_a) and b = (m_b, n_b), column
+    j of u_a u_b holds p = clocks[m_a, r] clocks[m_b, j] at row
+    shifts[n_a, r], r = shifts[n_b, j], and column j of
+    lambda^(m_a.n_b) u_(a+b) holds q = lambda^(m_a.n_b) clocks[m_a + m_b, j]
+    at row shifts[n_a + n_b, j]: the residual is |p - q| where the shift
+    rows compose and max(|p|, |q|) where they do not, in O(D^4) work, as p
+    and q do not depend on n_a. Column r = shifts[n, c] of u_{m,n}^dag
+    holds conj(clocks[m, c]) at row c, and column r of
+    lambda^(m.n) u_{-m,-n} holds its entry at row shifts[-n, r]; as each
+    shift row is a permutation, these are all the entries of either.
     """
-    count, dim = stack.shape[:2]
-    npar = digits.shape[1] // 2
-    moduli = np.abs(stack)
-    rows = np.argmax(moduli, axis=1)
-    vals = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0, :]
-    scale = float(np.max(moduli))
-    np.put_along_axis(moduli, rows[:, None, :], 0.0, axis=1)
-    off = float(np.max(moduli))
-    del moduli
+    d, npar, dim = family.d, family.nparties, family.dim
+    clocks, shifts = family.clocks, family.shifts
+    # the index arithmetic, independent of the tables under test
+    digits, place = classical.lattice_digits(d, npar)
+    dots = (digits.T @ digits) % d                   # m.n mod d
+    plus = np.tensordot(place, (digits[:, :, None] + digits[:, None, :]) % d, 1)
+    neg = place @ ((-digits) % d)
+    powers = np.exp((2j * np.pi / d) * np.arange(d))
 
-    # row k count + c of `phased` is lambda^k vals[c], and keys[a, b] picks
-    # the row for phi_ab M_(a+b): k = m_a.n_b mod d, c the flat index of a + b
-    lam = 2j * np.pi / d
-    phased = (np.exp(lam * np.arange(d))[:, None, None] * vals).reshape(-1, dim)
-    place = d ** np.arange(2 * npar - 1, -1, -1)
-    keys = (digits[:, :npar] @ digits[:, npar:].T) % d * count
-    for k in range(2 * npar):
-        keys += (digits[:, k, None] + digits[:, k]) % d * place[k]
-    # rows[a][rows[b]] = rows[a + b] for every pair once it holds for every
-    # a and each unit step b = place[k], by induction over sums of unit
-    # steps; differences, not integer comparisons, whose kernel would page
+    # [n_a, n_b, j]: whether u_a u_b and u_(a+b) put column j on different
+    # rows; differences, not integer comparisons, whose kernel would page
     # in 128 KB of library text that nothing else in a run touches
-    composed = not any((rows[:, rows[g]] - rows[keys[:, g] % count]).any()
-                       for g in place)
-
-    residual = 0.0
-    for a in range(count):
-        p = vals[a][rows]
-        p *= vals
-        q = phased[keys[a]]
+    moved = (shifts[:, shifts] - shifts[plus]).astype(bool)
+    apart, level = moved.any(axis=0), ~moved.all(axis=0)
+    composed = not apart.any()
+    phased = powers[:, None, None] * clocks
+    product_residual = 0.0
+    for ma in range(dim):
+        p = clocks[ma][shifts] * clocks[:, None, :]          # [m_b, n_b, j]
+        q = phased[dots[ma], plus[ma][:, None]]
         res = np.abs(p - q)
         if not composed:
-            apart = (rows[a][rows] - rows[keys[a] % count]).astype(bool)
-            res[apart] = np.maximum(np.abs(p[apart]), np.abs(q[apart]))
-        residual = max(residual, float(np.max(res)))
-    return residual + (2 * dim * scale + 1) * off
+            res = np.maximum(np.where(level, res, 0.0), np.where(
+                apart, np.maximum(np.abs(p), np.abs(q)), 0.0))
+        product_residual = max(product_residual, float(np.max(res)))
 
-
-def relations_check(family: WeylFamily) -> WeylRelationsReport:
-    """Exhaustively verify the product rule (on the unitaries' column form,
-    see :func:`_product_residual`), the adjoint rule, and the
-    orthogonality relations over all index pairs."""
-    d, npar = family.d, family.nparties
-    count = family.count
-    stack = family._stack
-    # row k: the digits (m_1..m_N, n_1..n_N) of flat index k, first slowest
-    digits = np.indices((d,) * (2 * npar)).reshape(2 * npar, count).T
-    place = d ** np.arange(2 * npar - 1, -1, -1)
-    ms, ns = digits[:, :npar], digits[:, npar:]
-    product_residual = _product_residual(stack, digits, d)
-
-    lam = 2j * np.pi / d
-    phases = np.exp(lam * (np.sum(ms * ns, axis=1) % d))
-    targets = ((-digits) % d) @ place
-    adjoint_residual = float(np.max(np.abs(
-        stack.conj().swapaxes(1, 2) - phases[:, None, None] * stack[targets])))
+    dag = clocks.conj()[:, None, :]
+    target = powers[dots][:, :, None] * clocks[neg][:, shifts]   # [m, n, c]
+    res = np.abs(dag - target)
+    off = (shifts[neg[:, None], shifts] - np.arange(dim)).astype(bool)
+    if off.any():
+        res = np.where(off, np.maximum(np.abs(dag), np.abs(target)), res)
+    adjoint_residual = float(np.max(res))
 
     cols = family.vec_columns()
     gram = cols.conj().T @ cols
     orthogonality_residual = float(np.max(np.abs(
-        gram - family.dim * np.eye(count))))
+        gram - family.dim * np.eye(family.count))))
 
     return WeylRelationsReport(d, npar, product_residual, adjoint_residual,
                                orthogonality_residual)
@@ -339,7 +310,7 @@ def map_from_values(family: WeylFamily, values: LatticeField) -> SuperOperator:
             f"coefficient field lives on Z_{values.d}^{values.naxes}, family "
             f"needs Z_{family.d}^{2 * family.nparties}")
     dim = family.dim
-    stack = family._stack[family.conjugation_index()].reshape(family.count, dim * dim)
+    stack = family.unitaries(family.conjugation_index()).reshape(family.count, dim * dim)
     products = (values.values[:, None] * stack.conj()).T @ stack
     matrix = products.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
     return SuperOperator(dim, matrix)
@@ -355,18 +326,15 @@ def map_from_coeffs(field: WeylCoefficientField, t: float = 0.0,
 def _support(d: int, nparties: int) -> tuple:
     """Where sum_{m,n} a~(m, n) P_{m,n} on Z_d^N, D = d^N, can be nonzero.
 
-    vec(u_{m,n}) holds lambda^(m.c) at position c D + (c + n) for each
-    column c, with addition per party mod d. Projectors with different
-    shifts n share no position, so the map is one D x D block per shift, on
-    rows and columns ``positions[n]``. Its entry (c, c') is
+    vec(u_{m,n}) holds lambda^(m.c) at position c D + shifts[n, c] for each
+    column c (see :func:`_tables`). Projectors with different shifts n
+    share no position, so the map is one D x D block per shift, on rows and
+    columns ``positions[n]``. Its entry (c, c') is
     D^-1 sum_m a~(m, n) lambda^(m.(c - c')): the inverse transform of a~
     over the m axes at ``differences[c, c']``, the flat index of c' - c."""
     dim = d ** nparties
-    digits = np.indices((d,) * nparties).reshape(nparties, dim)
-    place = d ** np.arange(nparties - 1, -1, -1)
-    plus = np.tensordot(place, (digits[:, :, None] + digits[:, None, :]) % d, 1)
-    differences = np.tensordot(place, (digits[:, None, :] - digits[:, :, None]) % d, 1)
-    return plus + dim * np.arange(dim), differences
+    positions = _tables(d, nparties)[1] + dim * np.arange(dim)
+    return positions, classical._difference_index_map(d, nparties).T
 
 
 def _scatter_support(blocks: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -399,7 +367,7 @@ class WeylSpectrum:
 
     def projector(self, m: Index, n: Index) -> SuperOperator:
         """P_{m,n} x = u_{m,n} tr(u_{m,n}^dag x) / d^N."""
-        col = weyl_unitary(self.d, m, n).reshape(-1, order="F")
+        col = vec(weyl_unitary(self.d, m, n))
         return SuperOperator(self.dim, np.outer(col, col.conj()) / self.dim)
 
     def assemble(self) -> SuperOperator:
@@ -519,7 +487,7 @@ class LindbladDecomposition:
             if rate == 0:
                 continue
             u = self.jump_operator(pos)
-            matrix += rate * (np.kron(u.conj(), u) - eye)
+            matrix += rate * (SuperOperator.from_conjugation(u).matrix - eye)
         return SuperOperator(dim, matrix)
 
 
@@ -564,11 +532,8 @@ def diagonal_action(field: WeylCoefficientField) -> CirculantGenerator:
     grid = np.array(field.coefficients, dtype=object).reshape(size, size)
     summed = [reduce(lambda x, y: x + y, row) for row in grid]
 
-    coords = np.indices((d,) * npar).reshape(npar, size)
-    reflected = (-coords) % d
-    flat = np.zeros(size, dtype=np.intp)
-    for axis in range(npar):
-        flat = flat * d + reflected[axis]
+    digits, place = classical.lattice_digits(d, npar)
+    flat = place @ ((-digits) % d)
 
     out = [summed[flat[k]] for k in range(size)]
     folded = [Constant(f(0.0)) if f.is_constant else f for f in out]

@@ -64,7 +64,7 @@ def multiset_residual(a, b):
 
 def assemble_reference(spectrum):
     """sum a~(m, n) P_{m,n} as the dense GEMM (cols a~) cols^dag / D over
-    the vec(u_{m,n}) columns of the family's stack, independent of the
+    the vec(u_{m,n}) columns of the family, independent of the
     support that :meth:`WeylSpectrum.assemble` scatters onto."""
     family = WeylFamily(spectrum.d, spectrum.nparties)
     cols = family.vec_columns()

@@ -347,9 +347,9 @@ def test_weyl_oracle_run_cross_checks_the_spectral_report(tmp_path, monkeypatch)
 
 
 def _count_dense_weyl(monkeypatch):
-    """Count calls of the dense Weyl paths: the family's stack, its vec
-    columns and the dense map of a coefficient field."""
-    calls = {"_build_stack": 0, "vec_columns": 0, "map_from_values": 0}
+    """Count calls of the dense Weyl paths: the family's vec columns and
+    the dense map of a coefficient field."""
+    calls = {"vec_columns": 0, "map_from_values": 0}
 
     def counted(owner, name):
         dense = getattr(owner, name)
@@ -359,7 +359,6 @@ def _count_dense_weyl(monkeypatch):
             return dense(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(weyl.WeylFamily, "_build_stack")
     counted(weyl.WeylFamily, "vec_columns")
     counted(weyl, "map_from_values")
     return calls
@@ -376,14 +375,14 @@ def test_weyl_run_builds_no_dense_family(tmp_path, monkeypatch):
     config = write_config(tmp_path, "weyl.json", WEYL_D3_CONFIG)
     out = tmp_path / "weyl.csv"
     assert main(["run", config, "--out", str(out)]) == 0
-    assert calls == {"_build_stack": 0, "vec_columns": 0, "map_from_values": 0}
+    assert calls == {"vec_columns": 0, "map_from_values": 0}
     field = weyl.WeylCoefficientField.constant(3, 1, WEYL_D3_CONFIG["rates"])
     channel = (tmp_path / "weyl.csv.channel.csv").read_bytes()
     assert channel == channel_reference(_evolved_channel(field, 0.0, 1.0))
-    # the oracle's dense generator path does build the family
+    # the oracle's dense generator path does scatter dense unitaries
     calls.update(dict.fromkeys(calls, 0))
     assert main(["run", config, "--out", str(out), "--oracle"]) == 0
-    assert calls["_build_stack"] == 1 and calls["map_from_values"] > 0
+    assert calls["map_from_values"] > 0
 
 
 def test_weyl_oracle_catches_a_transposed_support_block(tmp_path, monkeypatch):
@@ -888,8 +887,44 @@ def _tagged(tag, key="kind", **extra):
     [_tagged("a"), dict(_tagged("b"), required=[])],       # a tag not required
 ], ids=["repeated", "two-keys", "int-tag", "two-consts", "untagged", "no-type",
         "not-required"])
-def test_one_of_keeps_the_general_path_when_a_tag_cannot_decide(branches):
-    assert cli._tag_table({"oneOf": branches}) is None
+def test_compile_refuses_a_one_of_a_tag_cannot_decide(branches):
+    with pytest.raises(ValueError, match="'oneOf' is implemented only"):
+        cli._compile({"oneOf": branches})
+
+
+def _claims(branch):
+    """Whether a failing value still belongs to ``branch``: an object that
+    carries the branch's tag (its properties fixed by 'const'), or, for an
+    untagged branch, a value of the branch's type apart from finiteness."""
+    tag = {k: s["const"] for k, s in branch.get("properties", {}).items() if "const" in s}
+    if tag:
+        return lambda v: (isinstance(v, dict)
+                          and all(k in v and cli._equal(v[k], c) for k, c in tag.items()))
+    name = branch.get("type")
+    if name is None:
+        return lambda v: False
+    is_type = cli._TYPES[name]
+    return lambda v: is_type(v) or name == "number" and isinstance(v, float)
+
+
+def _check_one_of_general(schema):
+    """Reference: a oneOf checked against every branch; a value that belongs
+    to one branch gets that branch's error instead of the generic one."""
+    branches = [cli._compile(b) for b in schema["oneOf"]]
+    claims = [_claims(b) for b in schema["oneOf"]]
+
+    def check(v):
+        errors = [branch(v) for branch in branches]
+        matched = sum(error is None for error in errors)
+        if matched == 1:
+            return None
+        if matched > 1:
+            return cli._Invalid("{!r} is valid under more than one of the given schemas", v)
+        claimed = [error for error, claim in zip(errors, claims) if claim(v)]
+        if len(claimed) == 1:
+            return claimed[0]
+        return cli._Invalid("{!r} is not valid under any of the given schemas", v)
+    return check
 
 
 @settings(max_examples=400, deadline=None)
@@ -903,7 +938,7 @@ def test_one_of_keeps_the_general_path_when_a_tag_cannot_decide(branches):
 @example(spec=0.5)
 def test_timefn_dispatch_agrees_with_the_general_checker(spec):
     fast = cli._compile(cli.TIMEFN_SCHEMA)(spec)
-    general = cli._check_one_of_general(cli.TIMEFN_SCHEMA)(spec)
+    general = _check_one_of_general(cli.TIMEFN_SCHEMA)(spec)
     assert (fast is None) == (general is None)
     if fast is not None:
         assert (fast.message, fast.path) == (general.message, general.path)

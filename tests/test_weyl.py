@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comdyn import oracle
+from comdyn import oracle, weyl
 from comdyn.classical import (CirculantGenerator, LatticeField, convolve, dft,
                               propagate, relaxation)
 from comdyn.errors import NormalizationError, PreconditionFailedError
-from comdyn.superop import compose, diagonalize, validate_channel
+from comdyn.superop import SuperOperator, compose, diagonalize, validate_channel, vec
 from comdyn.timefn import Constant, DampedTrig
 from comdyn.weyl import (WeylCoefficientField, WeylFamily, WeylSpectrum,
                          diagonal_action, embed_stochastic_matrix, evolve,
@@ -136,85 +136,71 @@ def test_relations_check_matches_dense_products(d, nparties):
 
 
 def _corruptible_family(d, nparties):
-    """A family whose stack is its own copy, so corrupting it leaves the
-    cached unitaries of other families alone."""
+    """A family whose tables are its own copies, so corrupting them leaves
+    the cached tables of other families alone."""
     family = WeylFamily(d, nparties)
-    family._stack = family._stack.copy()
+    family.clocks, family.shifts = family.clocks.copy(), family.shifts.copy()
     return family
 
 
-def _support(family):
-    return np.argmax(np.abs(family._stack), axis=1)
+def _flip_a_clock_phase(family):
+    family.clocks[2, 3] *= -1.0
 
 
-def _flip_support_phase(family):
-    family._stack[5, _support(family)[5, 3], 3] *= -1.0
+def _swap_two_shift_rows(family):
+    # every u_{m,1} and u_{m,2} trade their rows: each stays a permutation
+    family.shifts[[1, 2]] = family.shifts[[2, 1]]
 
 
-def _swap_unitaries(family):
-    # two shifts u_{0,n}: equal entries on different rows
-    family._stack[[1, 2]] = family._stack[[2, 1]]
-
-
-def _raise_an_exact_zero(family):
-    row = (_support(family)[7, 2] + 1) % family.dim
-    assert family._stack[7, row, 2] == 0.0
-    family._stack[7, row, 2] = 1e-13
-
-
-def _replace_by_a_dense_unitary(family):
-    # the normalized DFT matrix: unitary, with no zero entry
-    k = np.arange(family.dim)
-    family._stack[11] = np.exp(2j * np.pi * np.outer(k, k) / family.dim) / np.sqrt(family.dim)
-
-
-@pytest.mark.parametrize("corrupt,off_support", [
-    (_flip_support_phase, False), (_swap_unitaries, False),
-    (_replace_by_a_dense_unitary, True), (_raise_an_exact_zero, True)])
+@pytest.mark.parametrize("corrupt", [_flip_a_clock_phase, _swap_two_shift_rows])
 @pytest.mark.parametrize("d,nparties", [(2, 3), (3, 2)])
 def test_relations_check_never_falls_below_the_dense_check_on_a_corrupt_stack(
-        d, nparties, corrupt, off_support):
+        d, nparties, corrupt):
     family = _corruptible_family(d, nparties)
     corrupt(family)
     report = relations_check(family)
-    product, _, _ = _dense_relations_check(family)
-    assert report.product_residual >= product
-    if not off_support:
-        # the column form holds every nonzero entry the dense products see
-        assert report.product_residual == product
-    if corrupt is _raise_an_exact_zero:
-        # the dense residual stays near 1e-13 and passes, while the bound
-        # adds (2 D s + 1) 1e-13 and fails
-        assert product < 1e-12 <= report.product_residual
-    else:
-        assert not report.passed() and product >= 1e-12
+    product, adjoint, _ = _dense_relations_check(family)
+    # each column of a table family holds one entry, corrupt or not, so the
+    # table residuals are the dense ones
+    assert (report.product_residual, report.adjoint_residual) == (product, adjoint)
+    assert not report.passed() and product >= 1e-12
+
+
+@pytest.mark.parametrize("d,nparties", [(2, 2), (3, 1), (2, 3), (3, 2)])
+def test_relations_check_matches_the_dense_check_on_random_tables(d, nparties):
+    # random complex clocks and a random permutation per shift row: most
+    # shift rows fail to compose, and there the dense residual of a column
+    # is the larger modulus of its two entries, not their difference
+    rng = np.random.default_rng(10 * d + nparties)
+    family = WeylFamily(d, nparties)
+    family.clocks = rng.normal(size=family.clocks.shape) + 1j * rng.normal(
+        size=family.clocks.shape)
+    family.shifts = np.array([rng.permutation(family.dim) for _ in range(family.dim)])
+    report = relations_check(family)
+    product, adjoint, _ = _dense_relations_check(family)
+    # one ulp of the largest product apart, as under sparse perturbations
+    bound = 4 * np.finfo(float).eps * float(np.max(np.abs(family.clocks))) ** 2
+    assert abs(report.product_residual - product) <= bound
+    assert abs(report.adjoint_residual - adjoint) <= bound
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(2, 2), (3, 1), (2, 3)]),
        st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
-                          st.integers(0, 10 ** 6), st.floats(-16.0, -1.0),
-                          st.floats(0.0, 2 * np.pi)), min_size=1, max_size=4))
+                          st.floats(-16.0, -1.0), st.floats(0.0, 2 * np.pi)),
+                min_size=1, max_size=4))
 def test_relations_check_bounds_the_dense_check_under_sparse_perturbations(
         shape, perturbations):
     family = _corruptible_family(*shape)
-    support = _support(family)
-    off_support = False
-    for k, i, j, exponent, angle in perturbations:
-        k, i, j = k % family.count, i % family.dim, j % family.dim
-        family._stack[k, i, j] += 10.0 ** exponent * np.exp(1j * angle)
-        off_support |= bool(i != support[k, j])
+    for m, c, exponent, angle in perturbations:
+        family.clocks[m % family.dim, c % family.dim] += 10.0 ** exponent * np.exp(1j * angle)
     report = relations_check(family)
     product, _, _ = _dense_relations_check(family)
-    if off_support:
-        assert report.product_residual >= product
-    else:
-        # on the support alone the two checks take the maximum over the same
-        # entries, but BLAS rounds each complex product with a fused
-        # multiply-add where numpy rounds twice: one ulp of the largest
-        # product apart, in either direction
-        scale = float(np.max(np.abs(family._stack))) ** 2
-        assert abs(report.product_residual - product) <= 4 * np.finfo(float).eps * scale
+    # both checks take the maximum over the same entries, but BLAS rounds
+    # each complex product with a fused multiply-add where numpy rounds
+    # twice: one ulp of the largest product apart, in either direction
+    scale = float(np.max(np.abs(family.clocks))) ** 2
+    assert abs(report.product_residual - product) <= 4 * np.finfo(float).eps * scale
 
 
 def test_relations_check_memory_peak_stays_below_the_dense_check():
@@ -243,22 +229,38 @@ def test_family_index_roundtrip():
 
 @pytest.mark.parametrize("d,nparties", [(2, 1), (2, 3), (2, 4), (3, 2), (4, 2),
                                         (5, 2), (3, 3), (2, 5)])
-def test_family_stack_is_bit_identical_to_per_unitary_kron(d, nparties):
-    # the batched build must reproduce reduce(np.kron, ...) to the bit,
-    # signed zeros included
+def test_family_unitaries_match_per_unitary_kron(d, nparties):
+    # equal everywhere, and to the bit on the support; the kron's zeros may
+    # be -0.0 where the scattered ones are +0.0
     family = WeylFamily(d, nparties)
-    assert family._stack.shape == (family.count, family.dim, family.dim)
     for flat in range(family.count):
-        assert (family._stack[flat].tobytes()
-                == weyl_unitary(d, *family.index_pair(flat)).tobytes()), flat
+        got = family.unitary_flat(flat)
+        reference = weyl_unitary(d, *family.index_pair(flat))
+        support = reference != 0
+        assert np.array_equal(got, reference), flat
+        assert np.count_nonzero(support) == family.dim
+        assert got[support].tobytes() == reference[support].tobytes(), flat
+
+
+def test_family_construction_allocates_under_a_megabyte():
+    # two D x D tables: 24 KB at D = 32, where the dense stack was 16.8 MB
+    weyl._tables.cache_clear()
+    tracemalloc.start()
+    try:
+        family = WeylFamily(2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.clocks.shape == family.shifts.shape == (32, 32)
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("d,nparties", [(2, 1), (3, 2), (2, 4), (4, 2)])
 def test_vec_columns_copy_the_stack_column_by_column(d, nparties):
     family = WeylFamily(d, nparties)
     cols = family.vec_columns()
-    reference = np.stack([family.unitary_flat(k).reshape(-1, order="F")
-                          for k in range(family.count)], axis=1)
+    reference = np.stack([vec(family.unitary_flat(k)) for k in range(family.count)],
+                         axis=1)
     assert cols.flags.c_contiguous and cols.tobytes() == reference.tobytes()
 
 
@@ -550,7 +552,7 @@ def map_from_values_reference(family, values):
             continue
         m, n = family.index_pair(flat)
         u = family.unitary(n, tuple((-x) % family.d for x in m))
-        matrix += coeff * np.kron(u.conj(), u)
+        matrix += coeff * SuperOperator.from_conjugation(u).matrix
     return matrix
 
 
