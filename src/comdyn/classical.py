@@ -171,17 +171,35 @@ class CirculantGenerator:
     def rates(self, t: float) -> LatticeField:
         return LatticeField(self.d, self.naxes, self.bank.values(t)[0])
 
+    def rate_rows(self, times) -> np.ndarray:
+        """The rates at each of ``times``, one row per time, refused as
+        :meth:`rates` refuses a non-finite field."""
+        rows = self.bank.values(times)
+        if not np.isfinite(rows).all():
+            raise ValueError("field has non-finite values")
+        return rows
+
     def integrated_rates(self, t0: float, t1: float) -> LatticeField:
         return LatticeField(self.d, self.naxes, self.bank.integrals(t0, t1)[0])
 
 
-def circulant_matrix(gen: CirculantGenerator, t: float = 0.0) -> np.ndarray:
+def circulant_matrix(gen: CirculantGenerator, t=0.0) -> np.ndarray:
     """Dense generator matrix L(m, n) = a_t(m - n), real when the rates are
-    real to rounding (every rate is an entry of L, so the rates decide)."""
-    values = gen.rates(t).values
-    if np.max(np.abs(values.imag)) <= 1e-14 * max(1.0, np.max(np.abs(values))):
-        values = values.real
-    return values[_difference_index_map(gen.d, gen.naxes)]
+    real to rounding (every rate is an entry of L, so the rates decide).
+
+    An array of times gives the stack of their matrices from one bank
+    block: real when every row is real, and otherwise complex, with the
+    imaginary part of each real row dropped, as stacking the one-time
+    matrices gives."""
+    rows = gen.rate_rows(t)
+    scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
+    real = np.max(np.abs(rows.imag), axis=1) <= 1e-14 * scale
+    if real.all():
+        rows = rows.real
+    else:
+        rows.imag[real] = 0.0
+    stack = rows[:, _difference_index_map(gen.d, gen.naxes)]
+    return stack if np.ndim(t) else stack[0]
 
 
 def circulant_spectrum(gen: CirculantGenerator, t: float = 0.0) -> LatticeField:

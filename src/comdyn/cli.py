@@ -559,8 +559,7 @@ def write_sidecar(path: str, config: dict, reports: dict, elapsed: float):
     payload = {"config": config, "reports": reports, "versions": versions,
                "wall_time_seconds": round(elapsed, 6)}
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, default=str)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2, default=str) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +652,7 @@ def _run_weyl(config, args):
     def residual(t, relax, steps):
         channel = weyl.WeylSpectrum(relax).assemble()
         prop = _ordered_propagator(
-            lambda u: weyl.map_from_coeffs(field, u, family).matrix,
+            lambda u: weyl.map_from_coeffs(field, u, family),
             t0, t, mode, steps, family.dim ** 2)
         return float(np.max(np.abs(channel.matrix - prop)))
 
@@ -719,7 +718,7 @@ def _run_qubit(config, args):
                      float(rho[0, 1].real), float(rho[0, 1].imag), purity])
 
     def residual(t, amap, steps):
-        prop = _ordered_propagator(lambda u: qubit.build_generator(spec, u).matrix,
+        prop = _ordered_propagator(lambda u: qubit.build_generator(spec, u),
                                    t0, t, mode, steps, 4)
         return float(np.max(np.abs(amap.matrix - prop)))
 

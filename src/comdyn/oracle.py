@@ -7,12 +7,13 @@ exponentials (earliest factor applied first). For commuting generator
 families the ordering is immaterial and the product converges at second
 order to exp of the integrated generator; for noncommuting ones it converges
 to the genuinely time-ordered propagator, which is exactly what makes it a
-useful negative control.
+useful negative control. The generator is called once per chunk of steps,
+with the chunk's midpoints, and returns their stacked matrices; each kind's
+block builder gives the same bits as its one-time call at every midpoint.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -28,7 +29,8 @@ DEFAULT_STEPS_PER_UNIT = 4096
 #: call: 256 4x4 complex steps, or two 64x64 real ones.
 CHUNK_BYTES = 1 << 16
 
-MatrixFunction = Callable[[float], np.ndarray]
+#: Midpoints in, their stacked step generators out: shape (len, n, n).
+MatrixBlockFunction = Callable[[np.ndarray], np.ndarray]
 
 
 def expm(m: Union[np.ndarray, SuperOperator]) -> Union[np.ndarray, SuperOperator]:
@@ -47,31 +49,39 @@ def expm(m: Union[np.ndarray, SuperOperator]) -> Union[np.ndarray, SuperOperator
     return result
 
 
-def ordered_exp(lfun: MatrixFunction, t0: float, t: float, steps: int) -> np.ndarray:
+def ordered_exp(lfun: MatrixBlockFunction, t0: float, t: float, steps: int) -> np.ndarray:
     """Time-ordered exponential by a midpoint product of step exponentials.
 
     Computes prod_j exp(h L(t_j + h/2)) with the earliest factor rightmost,
     i.e. applied first. Exact for constant generators; order h^2 otherwise.
 
-    ``lfun`` is called once per step, at each midpoint in turn. The step
-    generators are exponentiated a chunk at a time by one stacked
-    ``scipy.linalg.expm`` (the same per-matrix computation, without the
-    per-call overhead), and a chunk holds about ``CHUNK_BYTES`` of them, so
-    memory stays small for any step count. The product is multiplied up one
-    factor at a time in the dtype of the factors: real generators give a
-    real product. Overflow names the first step whose exponential is not
-    finite.
+    ``lfun`` takes an array of midpoints and returns their stacked
+    generators. It is called once per chunk of steps, in order, and once
+    before that on the first midpoint alone, whose step generator fixes the
+    chunk: about ``CHUNK_BYTES`` of steps, so memory stays small for any
+    step count. Every midpoint is evaluated exactly once; the first chunk
+    is that first step followed by the rest of its midpoints. Each chunk is
+    exponentiated by one stacked ``scipy.linalg.expm`` (the same per-matrix
+    computation, without the per-call overhead) in the dtype its steps
+    share. The product is multiplied up one factor at a time in the dtype
+    of the factors: real generators give a real product. Overflow names the
+    first step whose exponential is not finite.
     """
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
     h = (t - t0) / steps
-    generators = (h * np.asarray(lfun(t0 + (j + 0.5) * h)) for j in range(steps))
-    first = next(generators)
-    chunk = max(1, CHUNK_BYTES // first.nbytes)
-    generators = itertools.chain([first], generators)
-    total = np.eye(first.shape[0], dtype=first.dtype)
+    midpoints = t0 + (np.arange(steps) + 0.5) * h
+    first = h * np.asarray(lfun(midpoints[:1]))
+    chunk = max(1, CHUNK_BYTES // first[0].nbytes)
+    total = np.eye(first.shape[1], dtype=first.dtype)
     for start in range(0, steps, chunk):
-        stack = np.stack(list(itertools.islice(generators, chunk)))
+        stop = min(start + chunk, steps)
+        if start:
+            stack = h * np.asarray(lfun(midpoints[start:stop]))
+        elif stop > 1:
+            stack = np.concatenate([first, h * np.asarray(lfun(midpoints[1:stop]))])
+        else:
+            stack = first
         factors = scipy.linalg.expm(stack)
         finite = np.isfinite(factors).all(axis=(1, 2))
         if not finite.all():
@@ -85,13 +95,14 @@ def ordered_exp(lfun: MatrixFunction, t0: float, t: float, steps: int) -> np.nda
     return total
 
 
-def evolve_state(lfun: Callable[[float], SuperOperator], rho0: np.ndarray,
+def evolve_state(lfun: MatrixBlockFunction, rho0: np.ndarray,
                  times: Sequence[float],
                  steps_per_unit: int = DEFAULT_STEPS_PER_UNIT) -> list:
     """March a state along a time grid with cumulative ordered products.
 
-    ``lfun`` returns the generator at a given time as a SuperOperator; the
-    trajectory starts from rho0 at times[0].
+    ``lfun`` returns the stacked generator matrices at an array of times,
+    as :func:`ordered_exp` takes it; the trajectory starts from rho0 at
+    times[0].
     """
     times = np.asarray(times, dtype=float)
     rho = np.asarray(rho0, dtype=complex).copy()
@@ -99,7 +110,7 @@ def evolve_state(lfun: Callable[[float], SuperOperator], rho0: np.ndarray,
     for left, right in zip(times[:-1], times[1:]):
         span = right - left
         steps = max(1, int(np.ceil(span * steps_per_unit)))
-        segment = ordered_exp(lambda u: lfun(u).matrix, left, right, steps)
+        segment = ordered_exp(lfun, left, right, steps)
         rho = devec(segment @ vec(rho), rho.shape[0])
         trajectory.append(rho.copy())
     return trajectory

@@ -157,13 +157,29 @@ def _generator_basis(mu: float) -> np.ndarray:
     return np.stack([rotation, pumping] + dephasing)
 
 
-def build_generator(spec: QubitGeneratorSpec, t: float = 0.0) -> SuperOperator:
+def build_generator(spec: QubitGeneratorSpec, t=0.0):
     """Assemble the generator at time t as a 4x4 superoperator: the bank's
     row at t contracted with the spec's fixed basis, summed term by term
-    in column order."""
-    row = spec.bank.values(t)[0]
-    _require_hermitian(row[2:].reshape(2, 2), t)
-    return SuperOperator(2, np.einsum("k,kij->ij", row, spec.basis))
+    in column order.
+
+    An array of times gives the (len, 4, 4) stack of their matrices from
+    one bank block, each the same sum as at its time alone; c must be
+    Hermitian at every time, and the refusal names the first that fails.
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    rows = spec.bank.values(times)
+    stack = np.einsum("rk,kij->rij", rows, spec.basis)
+    # _require_hermitian's figures, row by row, to find the rows it refuses
+    c00, c01, c10, c11 = rows[:, 2:].T
+    scale = np.maximum(1.0, np.max(np.abs(rows[:, 2:]), axis=1))
+    skew = np.maximum(np.maximum(2.0 * np.abs(c00.imag), np.abs(c01 - c10.conj())),
+                      2.0 * np.abs(c11.imag))
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    for i in np.flatnonzero((skew > 1e-9 * scale) | ~finite):
+        _require_hermitian(rows[i, 2:].reshape(2, 2), times[i].item() if np.ndim(t) else t)
+        if not finite[i]:
+            raise ValueError("superoperator matrix has non-finite entries")
+    return stack if np.ndim(t) else SuperOperator(2, stack[0])
 
 
 def _modes(row: np.ndarray) -> np.ndarray:

@@ -240,8 +240,8 @@ def relations_check(family: WeylFamily) -> WeylRelationsReport:
 
     cols = family.vec_columns()
     gram = cols.conj().T @ cols
-    orthogonality_residual = float(np.max(np.abs(
-        gram - family.dim * np.eye(family.count))))
+    gram.reshape(-1)[::family.count + 1] -= family.dim
+    orthogonality_residual = float(np.max(np.abs(gram, out=gram).real))
 
     return WeylRelationsReport(d, npar, product_residual, adjoint_residual,
                                orthogonality_residual)
@@ -296,7 +296,7 @@ class WeylCoefficientField:
 # maps from coefficient fields
 # ---------------------------------------------------------------------------
 
-def map_from_values(family: WeylFamily, values: LatticeField) -> SuperOperator:
+def map_from_values(family: WeylFamily, values) -> Union[SuperOperator, np.ndarray]:
     """A x = sum a(m, n) u_{n,-m} x u_{n,-m}^dag for a fixed coefficient field.
 
     With each u = u_{n,-m} flattened into a row of U, in flat (m, n) order,
@@ -304,22 +304,45 @@ def map_from_values(family: WeylFamily, values: LatticeField) -> SuperOperator:
     product (a conj(U))^T U; reordered from rows (i, j) and columns (k, l)
     to rows (i, k) and columns (j, l), it is the sum of the Kronecker
     products a(m, n) conj(u) (x) u.
+
+    ``values`` is one field, giving its :class:`SuperOperator`, or a
+    (rows, count) block of coefficient rows in flat order, giving the
+    (rows, D^2, D^2) stack of their matrices, each the same product as for
+    its row alone. U is scattered once per call.
     """
-    if (values.d, values.naxes) != (family.d, 2 * family.nparties):
-        raise DimensionMismatchError(
-            f"coefficient field lives on Z_{values.d}^{values.naxes}, family "
-            f"needs Z_{family.d}^{2 * family.nparties}")
+    if isinstance(values, LatticeField):
+        if (values.d, values.naxes) != (family.d, 2 * family.nparties):
+            raise DimensionMismatchError(
+                f"coefficient field lives on Z_{values.d}^{values.naxes}, family "
+                f"needs Z_{family.d}^{2 * family.nparties}")
+        block = values.values[None]
+    else:
+        block = np.asarray(values)
+        if block.ndim != 2 or block.shape[1] != family.count:
+            raise DimensionMismatchError(
+                f"coefficient rows of shape {block.shape}, family needs "
+                f"(rows, {family.count})")
     dim = family.dim
     stack = family.unitaries(family.conjugation_index()).reshape(family.count, dim * dim)
-    products = (values.values[:, None] * stack.conj()).T @ stack
-    matrix = products.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
-    return SuperOperator(dim, matrix)
+    products = (block[:, :, None] * stack.conj()).transpose(0, 2, 1) @ stack
+    maps = products.reshape((-1,) + (dim,) * 4).transpose(0, 1, 3, 2, 4).reshape(
+        -1, dim * dim, dim * dim)
+    if isinstance(values, LatticeField):
+        return SuperOperator(dim, maps[0])
+    if not np.isfinite(maps).all():
+        raise ValueError("superoperator matrix has non-finite entries")
+    return maps
 
 
-def map_from_coeffs(field: WeylCoefficientField, t: float = 0.0,
-                    family: Optional[WeylFamily] = None) -> SuperOperator:
+def map_from_coeffs(field: WeylCoefficientField, t=0.0,
+                    family: Optional[WeylFamily] = None) -> Union[SuperOperator, np.ndarray]:
+    """The map of the field at time ``t``; an array of times gives the
+    stack of their matrices from one bank block and one
+    :func:`map_from_values` call."""
     if family is None:
         family = field.family()
+    if np.ndim(t):
+        return map_from_values(family, field.as_circulant().rate_rows(t))
     return map_from_values(family, field.as_circulant().rates(t))
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from comdyn.classical import CirculantGenerator
 from comdyn.superop import SuperOperator
+from comdyn.timefn import DampedTrig, Polynomial
 from comdyn.weyl import WeylFamily
 
 
@@ -15,6 +17,24 @@ def rng():
 
 def random_matrix(rng, dim):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def stacked(fn):
+    """A matrix function of one time as the oracle's block function: the
+    stack of ``fn`` at each of an array of times."""
+    return lambda times: np.stack([fn(t) for t in times])
+
+
+def mixed_realness_generator(complex_first=False):
+    """Rates on Z_3 that are real to rounding (imaginary part at most 1e-14
+    of the largest modulus) on about [0, 1) and complex after it, or, with
+    ``complex_first``, complex before t = 1 and real after it: the imaginary
+    part of the first rate is 1e-14 t^4, or 1e-14 (2 - t)^4."""
+    imag = [16.0, -32.0, 24.0, -8.0, 1.0] if complex_first else [0.0] * 4 + [1.0]
+    return CirculantGenerator(3, 1, (
+        Polynomial([-0.9 + 1e-14j * imag[0]] + [1e-14j * c for c in imag[1:]]),
+        DampedTrig(amplitude=0.2, decay=-0.3, frequency=1.1, phase=0.4, offset=0.5),
+        Polynomial([0.4, 0.05])))
 
 
 def random_superoperator(rng, dim):

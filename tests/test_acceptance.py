@@ -28,7 +28,8 @@ from comdyn.weyl import (WeylCoefficientField, diagonal_action, evolve,
                          map_from_coeffs, relations_check)
 
 from conftest import (multiset_residual, random_kolmogorov_rates,
-                      random_probability_values, random_unital_tp_generator)
+                      random_probability_values, random_unital_tp_generator,
+                      stacked)
 
 SEED = 987654321
 
@@ -145,7 +146,7 @@ def test_criterion_5_commutative_families_vs_time_ordered_product():
     field = WeylCoefficientField(2, 1, (-1.0 * total,) + others)
     closed_w = evolve(field, 0.0, horizon, "markov")
     ordered_w = oracle.ordered_exp(
-        lambda u: map_from_coeffs(field, u).matrix, 0.0, horizon, steps)
+        lambda u: map_from_coeffs(field, u), 0.0, horizon, steps)
     res_weyl = float(np.max(np.abs(closed_w.matrix - ordered_w)))
 
     spec = QubitGeneratorSpec(
@@ -154,7 +155,7 @@ def test_criterion_5_commutative_families_vs_time_ordered_product():
         mu=0.4)
     closed_q = qubit.propagate(spec, 0.0, horizon)
     ordered_q = oracle.ordered_exp(
-        lambda u: build_generator(spec, u).matrix, 0.0, horizon, steps)
+        lambda u: build_generator(spec, u), 0.0, horizon, steps)
     res_qubit = float(np.max(np.abs(closed_q.matrix - ordered_q)))
 
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -164,7 +165,7 @@ def test_criterion_5_commutative_families_vs_time_ordered_product():
         h = np.cos(t) * sx + np.sin(t) * sz
         return -1j * (np.kron(np.eye(2), h) - np.kron(h.T, np.eye(2)))
 
-    ordered_nc = oracle.ordered_exp(noncommuting, 0.0, horizon, steps)
+    ordered_nc = oracle.ordered_exp(stacked(noncommuting), 0.0, horizon, steps)
     nodes = np.linspace(0.0, horizon, 4001)
     integrated = np.trapezoid(np.stack([noncommuting(t) for t in nodes]),
                               nodes, axis=0)
@@ -292,7 +293,7 @@ def test_criterion_8_two_level_dynamics():
         mu=0.4)
     closed = qubit.propagate(driven, 0.0, 2.0)
     ordered = oracle.ordered_exp(
-        lambda u: build_generator(driven, u).matrix, 0.0, 2.0, 4096)
+        lambda u: build_generator(driven, u), 0.0, 2.0, 4096)
     res_oracle = float(np.max(np.abs(closed.matrix - ordered)))
 
     cosine = QubitGeneratorSpec(

@@ -11,9 +11,9 @@ from comdyn.classical import (CirculantGenerator, KolmogorovViolation, LatticeFi
                               kolmogorov_check_nonmarkov, propagate, relaxation)
 from comdyn.errors import (DimensionMismatchError, NonProbabilisticResultError,
                            PreconditionFailedError)
-from comdyn.timefn import Constant, DampedTrig, Polynomial
+from comdyn.timefn import Constant, DampedTrig, Polynomial, Tabulated
 
-from conftest import multiset_residual, random_kolmogorov_rates
+from conftest import mixed_realness_generator, multiset_residual, random_kolmogorov_rates
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,47 @@ def test_circulants_commute(rng):
     b = CirculantGenerator.constant(4, 1, rng.normal(size=4))
     ma, mb = circulant_matrix(a), circulant_matrix(b)
     assert np.max(np.abs(ma @ mb - mb @ ma)) < 1e-12
+
+
+BLOCK_GENERATORS = {
+    "real": lambda: CirculantGenerator(2, 2, tuple(
+        DampedTrig(amplitude=0.1 * k, decay=-0.2, frequency=0.5 + k, phase=0.3, offset=0.4)
+        for k in range(4))),
+    "complex": lambda: CirculantGenerator(3, 1, (
+        Constant(-0.5 + 0.2j), Polynomial([0.1, 0.3j, -0.05]),
+        DampedTrig(amplitude=0.3, decay=-0.1, frequency=2.0, phase=1.0, offset=0.2))),
+    "mixed": mixed_realness_generator,
+    "mixed, complex first": lambda: mixed_realness_generator(complex_first=True),
+    "tabulated": lambda: CirculantGenerator(2, 1, (
+        Tabulated([0.0, 0.7, 1.4, 2.1], [-0.3, -0.5, -0.2, -0.4]),
+        Tabulated([0.0, 0.7, 1.4, 2.1], [0.3, 0.5, 0.2, 0.4]))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_GENERATORS))
+def test_circulant_matrix_block_is_bit_identical_to_one_time_calls(kind):
+    gen = BLOCK_GENERATORS[kind]()
+    times = np.linspace(0.01, 2.0, 53)
+    one_time = [circulant_matrix(gen, float(t)) for t in times]
+    stacked = np.stack(one_time)
+    block = circulant_matrix(gen, times)
+    # the stack's dtype is the one np.stack gives the one-time matrices
+    assert block.dtype == stacked.dtype
+    assert np.array_equal(block, stacked)
+    for n in (1, 2, 7):
+        assert np.array_equal(circulant_matrix(gen, times[:n]), stacked[:n])
+    realness = {m.dtype for m in one_time}
+    assert realness == ({np.dtype(float)} if kind in ("real", "tabulated") else
+                        {np.dtype(complex)} if kind == "complex" else
+                        {np.dtype(float), np.dtype(complex)})
+
+
+def test_circulant_matrix_block_refuses_a_non_finite_rate():
+    gen = CirculantGenerator(2, 1, (DampedTrig(decay=800.0), Constant(0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in (1.0, np.array([0.1, 1.0])):
+            with pytest.raises(ValueError, match="field has non-finite values"):
+                circulant_matrix(gen, t)
 
 
 def test_spectrum_two_site():

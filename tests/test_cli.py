@@ -458,6 +458,26 @@ def test_run_sidecar_records_the_versions(tmp_path):
                                    "scipy": scipy.__version__}
 
 
+def test_write_sidecar_bytes_equal_json_dump(tmp_path):
+    import io
+    import scipy
+    import comdyn
+    config = {"kind": "classical", "name": "Zürich – ✓ naïve",
+              "rates": [[-0.5, float("nan")], [float("inf"), -0.0, [1, [2, {"é": []}]]]],
+              "time": {"t0": 0.0, "t": 1e-300, "samples": 3}, "empty": {}}
+    reports = {"oracle": {"max_residual": float("nan"), "passed": False},
+               "where": tmp_path, "classification": {"markovian": None}}
+    path = tmp_path / "x.csv.meta.json"
+    cli.write_sidecar(str(path), config, reports, 0.1234567)
+    reference = io.StringIO()
+    json.dump({"config": config, "reports": reports,
+               "versions": {"comdyn": comdyn.__version__, "numpy": np.__version__,
+                            "scipy": scipy.__version__},
+               "wall_time_seconds": 0.123457}, reference, indent=2, default=str)
+    reference.write("\n")
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+
 def test_resolvent_run(tmp_path):
     config = write_config(tmp_path, "resolvent.json", {
         "kind": "resolvent",

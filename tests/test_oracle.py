@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from comdyn import classical, oracle, qubit
+from comdyn import classical, oracle, qubit, timefn, weyl
 from comdyn.errors import OverflowInExponentialError
 from comdyn.superop import SuperOperator
 from comdyn.timefn import Constant, DampedTrig
 
-from conftest import random_matrix
+from conftest import mixed_realness_generator, random_matrix, stacked
 
 
 def noncommuting_rotation(t):
@@ -59,7 +59,7 @@ def test_expm_reports_overflow():
 def test_ordered_exp_exact_for_constant(rng):
     m = random_matrix(rng, 3)
     for steps in (1, 7):
-        out = oracle.ordered_exp(lambda t: m, 0.0, 1.3, steps)
+        out = oracle.ordered_exp(stacked(lambda u: m), 0.0, 1.3, steps)
         assert np.max(np.abs(out - oracle.expm(1.3 * m))) < 1e-12
 
 
@@ -70,13 +70,13 @@ def test_ordered_exp_matches_commuting_closed_form():
         mu=0.45)
     closed = qubit.propagate(spec, 0.0, 2.0)
     product = oracle.ordered_exp(
-        lambda u: qubit.build_generator(spec, u).matrix, 0.0, 2.0, 4096)
+        lambda u: qubit.build_generator(spec, u), 0.0, 2.0, 4096)
     assert np.max(np.abs(closed.matrix - product)) < 1e-7
 
 
 def test_ordered_exp_detects_ordering_effects():
     t1 = 2.0
-    product = oracle.ordered_exp(noncommuting_rotation, 0.0, t1, 4096)
+    product = oracle.ordered_exp(stacked(noncommuting_rotation), 0.0, t1, 4096)
     # naive exp of the integrated generator ignores time ordering
     nodes = np.linspace(0.0, t1, 20001)
     samples = np.stack([noncommuting_rotation(t) for t in nodes])
@@ -94,7 +94,7 @@ def test_richardson_order_two():
 
     def run(steps):
         return oracle.ordered_exp(
-            lambda u: qubit.build_generator(spec, u).matrix, 0.0, 2.0, steps)
+            lambda u: qubit.build_generator(spec, u), 0.0, 2.0, steps)
 
     err_n = np.linalg.norm(run(64) - closed)
     err_2n = np.linalg.norm(run(128) - closed)
@@ -105,16 +105,16 @@ def test_ordered_exp_of_a_real_generator_is_real():
     a = np.array([[-1.0, 0.5, 0.2], [0.7, -0.9, 0.1], [0.3, 0.4, -0.3]])
     b = np.array([[0.2, -0.1, 0.0], [0.0, 0.3, -0.4], [0.1, 0.0, 0.2]])
 
-    def lfun(u):
+    def generator(u):
         return a + np.sin(u) * b
 
     steps, t0, t1 = 300, 0.2, 1.7
-    product = oracle.ordered_exp(lfun, t0, t1, steps)
+    product = oracle.ordered_exp(stacked(generator), t0, t1, steps)
     assert product.dtype == np.float64
     h = (t1 - t0) / steps
     reference = np.eye(3, dtype=complex)
     for j in range(steps):
-        reference = scipy.linalg.expm(h * lfun(t0 + (j + 0.5) * h)) @ reference
+        reference = scipy.linalg.expm(h * generator(t0 + (j + 0.5) * h)) @ reference
     assert np.max(np.abs(product - reference)) <= 1e-14
 
 
@@ -122,17 +122,24 @@ def test_ordered_exp_of_a_real_generator_is_real():
 def test_ordered_exp_calls_lfun_once_per_midpoint_in_order(monkeypatch, chunk_bytes):
     if chunk_bytes is not None:  # six 2x2 steps per chunk
         monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk_bytes)
+    chunk = oracle.CHUNK_BYTES // 32
     m = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for steps in (1, 7, 300):
-        times = []
+        calls = []
 
         def lfun(u):
-            times.append(u)
-            return m
+            calls.append(u.tolist())
+            return np.broadcast_to(m, (len(u), 2, 2))
 
         oracle.ordered_exp(lfun, 0.5, 2.0, steps)
         h = 1.5 / steps
-        assert times == [0.5 + (j + 0.5) * h for j in range(steps)]
+        # every midpoint once, in order, as the per-step product formed them
+        assert sum(calls, []) == [0.5 + (j + 0.5) * h for j in range(steps)]
+        # the first midpoint alone sizes the chunks; then one call per chunk
+        # (the first chunk's call holds the rest of its midpoints)
+        sizes = [min(chunk, steps - start) for start in range(0, steps, chunk)]
+        sizes[0] -= 1
+        assert [len(c) for c in calls] == [1] + [n for n in sizes if n]
 
 
 def test_ordered_exp_takes_one_stacked_expm_per_chunk(monkeypatch):
@@ -146,7 +153,7 @@ def test_ordered_exp_takes_one_stacked_expm_per_chunk(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "expm", counting)
     steps = 1024
-    oracle.ordered_exp(lambda u: qubit.build_generator(spec, u).matrix, 0.0, 1.0, steps)
+    oracle.ordered_exp(lambda u: qubit.build_generator(spec, u), 0.0, 1.0, steps)
     chunk = oracle.CHUNK_BYTES // (16 * 4 * 4)
     assert len(calls) == -(-steps // chunk) <= 4
     assert sum(shape[0] for shape in calls) == steps
@@ -159,7 +166,7 @@ def test_ordered_exp_overflow_names_the_first_bad_step(monkeypatch):
     monkeypatch.setattr(oracle, "CHUNK_BYTES", 64)
 
     def lfun(u):
-        return (1e4 if u > 0.6 else 1.0) * np.eye(2)
+        return np.where(u > 0.6, 1e4, 1.0)[:, None, None] * np.eye(2)
 
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowInExponentialError) as caught:
@@ -169,14 +176,112 @@ def test_ordered_exp_overflow_names_the_first_bad_step(monkeypatch):
     assert caught.value.exit_code == 2
 
 
+def _per_step_product(matrix_at, t0, t, steps):
+    """The ordered product formed one step at a time: each step generator
+    from a one-time call, stacked a chunk at a time (the first step's
+    bytes fix the chunk), one stacked expm per chunk. Returns the product
+    and each stack's (length, dtype)."""
+    h = (t - t0) / steps
+    generators = [h * np.asarray(matrix_at(t0 + (j + 0.5) * h)) for j in range(steps)]
+    chunk = max(1, oracle.CHUNK_BYTES // generators[0].nbytes)
+    total = np.eye(generators[0].shape[0], dtype=generators[0].dtype)
+    stacks = []
+    for start in range(0, steps, chunk):
+        stack = np.stack(generators[start:start + chunk])
+        stacks.append((len(stack), stack.dtype))
+        for factor in scipy.linalg.expm(stack):
+            total = factor @ total
+    return total, stacks
+
+
+def _weyl_field():
+    others = (DampedTrig.sin(amplitude=0.2, offset=0.6),
+              DampedTrig.sin(amplitude=0.1, offset=0.4),
+              DampedTrig.sin(amplitude=0.25, offset=0.9))
+    return weyl.WeylCoefficientField(2, 1, (-1.0 * (others[0] + others[1] + others[2]),)
+                                     + others)
+
+
+def _kinds():
+    """Name -> (block function, one-time function, steps) on [0, 2]."""
+    mixed = mixed_realness_generator()
+    late = mixed_realness_generator(complex_first=True)
+    spec = qubit.QubitGeneratorSpec(
+        epsilon=Constant(0.2), gamma=DampedTrig.sin(offset=1.0),
+        c=((Constant(0.1), Constant(0.05 + 0.02j)), (Constant(0.05 - 0.02j), Constant(0.3))),
+        mu=0.4)
+    field = _weyl_field()
+    family = field.family()
+    return {
+        "classical, real first": (lambda u: classical.circulant_matrix(mixed, u),
+                                  lambda u: classical.circulant_matrix(mixed, u), 2000),
+        "classical, complex first": (lambda u: classical.circulant_matrix(late, u),
+                                     lambda u: classical.circulant_matrix(late, u), 1000),
+        "qubit": (lambda u: qubit.build_generator(spec, u),
+                  lambda u: qubit.build_generator(spec, u).matrix, 1024),
+        "weyl": (lambda u: weyl.map_from_coeffs(field, u, family),
+                 lambda u: weyl.map_from_coeffs(field, u, family).matrix, 512),
+    }
+
+
+@pytest.mark.parametrize("kind", ["classical, real first", "classical, complex first",
+                                  "qubit", "weyl"])
+def test_ordered_exp_of_block_builders_equals_the_per_step_product(monkeypatch, kind):
+    block, one_time, steps = _kinds()[kind]
+    reference, reference_stacks = _per_step_product(one_time, 0.0, 2.0, steps)
+    stacks = []
+    expm = scipy.linalg.expm
+
+    def recording(m):
+        stacks.append((len(m), m.dtype))
+        return expm(m)
+
+    monkeypatch.setattr(scipy.linalg, "expm", recording)
+    product = oracle.ordered_exp(block, 0.0, 2.0, steps)
+    # the same chunk boundaries, each stack in the dtype its steps share
+    assert stacks == reference_stacks
+    assert product.dtype == reference.dtype and np.array_equal(product, reference)
+    if kind.startswith("classical"):
+        # real steps then complex ones (or the reverse): a real chunk, a
+        # mixed one and a complex one
+        dtypes = [dtype for _, dtype in stacks]
+        assert len(set(dtypes)) == 2 and len(stacks) > 2
+
+
+@pytest.mark.parametrize("kind", ["classical, real first", "qubit", "weyl"])
+def test_ordered_exp_takes_one_bank_block_per_chunk(monkeypatch, kind):
+    block, one_time, steps = _kinds()[kind]
+    calls = {"values": 0, "map_from_values": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(timefn.CoefficientBank, "values")
+    counted(weyl, "map_from_values")
+    lengths = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda m: lengths.append(len(m)) or expm(m))
+    oracle.ordered_exp(block, 0.0, 2.0, steps)
+    assert sum(lengths) == steps and len(lengths) > 1
+    # the first midpoint alone sizes the chunks; then one block per chunk
+    assert calls["values"] == len(lengths) + 1
+    assert calls["map_from_values"] == (len(lengths) + 1 if kind == "weyl" else 0)
+
+
 # ---------------------------------------------------------------------------
 # state evolution
 # ---------------------------------------------------------------------------
 
 def test_evolve_state_constant_under_zero_generator():
     rho0 = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-    trajectory = oracle.evolve_state(lambda t: SuperOperator.zero(2), rho0,
-                                     np.linspace(0, 1, 5), steps_per_unit=16)
+    trajectory = oracle.evolve_state(stacked(lambda u: SuperOperator.zero(2).matrix),
+                                     rho0, np.linspace(0, 1, 5), steps_per_unit=16)
     for rho in trajectory:
         assert np.max(np.abs(rho - rho0)) < 1e-13
 
@@ -187,7 +292,7 @@ def test_evolve_state_dephasing_decay():
     rho0 = np.array([[0.6, 0.5], [0.5, 0.4]], dtype=complex)
     times = np.linspace(0.0, 2.0, 9)
     trajectory = oracle.evolve_state(
-        lambda t: qubit.build_generator(spec, t), rho0, times,
+        lambda u: qubit.build_generator(spec, u), rho0, times,
         steps_per_unit=256)
     for t, rho in zip(times, trajectory):
         expected = 0.5 * np.exp(-rate * t)
@@ -204,7 +309,7 @@ def test_evolve_state_diagonal_matches_classical():
     rho0 = np.diag(p0).astype(complex)
     times = np.linspace(0.0, 1.0, 5)
     trajectory = oracle.evolve_state(
-        lambda t: map_from_coeffs(field), rho0, times, steps_per_unit=512)
+        lambda u: map_from_coeffs(field, u), rho0, times, steps_per_unit=512)
     pop_gen = diagonal_action(field)
     for t, rho in zip(times, trajectory):
         kernel = classical.propagate(pop_gen, 0.0, float(t))

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from comdyn import oracle
-from comdyn.errors import PreconditionFailedError
+from comdyn.errors import OverflowInExponentialError, PreconditionFailedError
 from comdyn.qubit import (E00, E11, IDENTITY2, SIGMA3, SIGMA_MINUS, SIGMA_PLUS,
                           QubitGeneratorSpec, _require_hermitian,
                           build_generator, classify,
@@ -170,7 +170,7 @@ def test_propagate_time_dependent_matches_ordered_product():
         mu=0.4)
     closed = propagate(spec, 0.0, 2.0)
     reference = oracle.ordered_exp(
-        lambda u: build_generator(spec, u).matrix, 0.0, 2.0, 4096)
+        lambda u: build_generator(spec, u), 0.0, 2.0, 4096)
     assert np.max(np.abs(closed.matrix - reference)) < 1e-7
 
 
@@ -421,6 +421,73 @@ def test_build_generator_matches_term_by_term_assembly(rng, mu):
         for t in rng.uniform(0.0, 3.0, size=4):
             got = build_generator(spec, float(t)).matrix
             assert np.max(np.abs(got - build_generator_reference(spec, float(t)))) <= 1e-15
+
+
+@pytest.mark.parametrize("mu", [0.3, Fraction(2, 7)])
+def test_build_generator_block_is_bit_identical_to_one_time_calls(rng, mu):
+    spec = random_qubit_spec(rng, mu)
+    times = np.linspace(0.0, 3.0, 301)
+    block = build_generator(spec, times)
+    one_time = np.stack([build_generator(spec, float(t)).matrix for t in times])
+    assert block.dtype == one_time.dtype and np.array_equal(block, one_time)
+    for n in (1, 2, 256):
+        assert np.array_equal(build_generator(spec, times[:n]), one_time[:n])
+
+
+def _drifting_c_spec():
+    """c01 - conj(c10) = 1e-6 t^2: Hermitian within 1e-9 up to t = 0.0316."""
+    return QubitGeneratorSpec(Constant(0.1), Constant(0.5),
+                              ((Constant(0.2), Polynomial([0.1, 0.0, 1e-6])),
+                               (Constant(0.1), Constant(0.4))), 0.5)
+
+
+def test_build_generator_block_names_the_first_non_hermitian_time():
+    spec = _drifting_c_spec()
+    times = np.linspace(0.0, 0.1, 11)
+    with pytest.raises(ValueError) as caught:
+        build_generator(spec, times)
+    assert str(caught.value) == "c(t) is not Hermitian at t=0.04"
+    assert np.array_equal(build_generator(spec, times[:4]),
+                          np.stack([build_generator(spec, float(t)).matrix
+                                    for t in times[:4]]))
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 512])
+def test_ordered_exp_refuses_the_first_non_hermitian_midpoint(monkeypatch, chunk_bytes):
+    if chunk_bytes is not None:  # two 4x4 complex steps per chunk
+        monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk_bytes)
+    spec = _drifting_c_spec()
+    steps, h = 64, 1.0 / 64
+    expected = None
+    for j in range(steps):
+        try:
+            build_generator(spec, 0.0 + (j + 0.5) * h)
+        except ValueError as error:
+            expected = str(error)
+            break
+    assert expected == "c(t) is not Hermitian at t=0.0390625"
+    with pytest.raises(ValueError) as caught:
+        oracle.ordered_exp(lambda u: build_generator(spec, u), 0.0, 1.0, steps)
+    assert str(caught.value) == expected
+
+
+def test_ordered_exp_overflow_of_a_qubit_generator_names_the_same_step():
+    # -gamma = 4000 t: the steps' exponentials overflow from a middle step on
+    spec = QubitGeneratorSpec(Constant(0.0), Polynomial([0.0, -4000.0]),
+                              ((Constant(0.0), Constant(0.0)),
+                               (Constant(0.0), Constant(0.0))), 0.5)
+    steps, h = 8, 2.0 / 8
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            step = h * build_generator(spec, (j + 0.5) * h).matrix
+            if not np.isfinite(scipy.linalg.expm(step)).all():
+                break
+        with pytest.raises(OverflowInExponentialError) as caught:
+            oracle.ordered_exp(lambda u: build_generator(spec, u), 0.0, 2.0, steps)
+    assert str(caught.value) == (
+        f"matrix exponential overflowed at step {j} of {steps} (midpoint "
+        f"t={(j + 0.5) * h!r}, step norm {np.linalg.norm(step):.3e})")
+    assert 0 < j < steps - 1
 
 
 def test_build_generator_refuses_non_hermitian_c_with_the_same_message():

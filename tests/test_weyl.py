@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from comdyn import oracle, weyl
 from comdyn.classical import (CirculantGenerator, LatticeField, convolve, dft,
                               propagate, relaxation)
-from comdyn.errors import NormalizationError, PreconditionFailedError
+from comdyn.errors import DimensionMismatchError, NormalizationError, PreconditionFailedError
 from comdyn.superop import SuperOperator, compose, diagonalize, validate_channel, vec
-from comdyn.timefn import Constant, DampedTrig
+from comdyn.timefn import Constant, DampedTrig, Polynomial
 from comdyn.weyl import (WeylCoefficientField, WeylFamily, WeylSpectrum,
                          diagonal_action, embed_stochastic_matrix, evolve,
                          lindblad_decomposition, map_from_coeffs,
@@ -213,6 +213,20 @@ def test_relations_check_memory_peak_stays_below_the_dense_check():
         tracemalloc.stop()
     # the dense check peaked at 4.88 MB on a fresh D = 16 family
     assert peak <= 4_875_000
+
+
+def test_relations_check_orthogonality_residual_keeps_no_gram_sized_copies():
+    family = WeylFamily(2, 4)
+    columns = 16 * family.dim ** 4          # bytes of the (D^2, D^2) vec columns
+    tracemalloc.start()
+    try:
+        relations_check(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the columns, their conjugate and the Gram, all 1.05 MB at D = 16; a
+    # residual taken as abs(gram - D eye) added two more copies (4.06 MB)
+    assert peak < 3.5 * columns
 
 
 @pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)])
@@ -431,7 +445,7 @@ def test_evolve_time_dependent_matches_ordered_product():
     field = WeylCoefficientField(2, 1, (-1.0 * total,) + tuple(others))
     closed = evolve(field, 0.0, 2.0, "markov")
     reference = oracle.ordered_exp(
-        lambda u: map_from_coeffs(field, u).matrix, 0.0, 2.0, 4096)
+        lambda u: map_from_coeffs(field, u), 0.0, 2.0, 4096)
     assert np.max(np.abs(closed.matrix - reference)) < 1e-7
 
 
@@ -589,6 +603,28 @@ def test_map_from_values_matches_kronecker_sum(rng, d, nparties):
         field = LatticeField(d, 2 * nparties, values)
         got = map_from_values(family, field).matrix
         assert np.max(np.abs(got - map_from_values_reference(family, field))) <= 1e-15
+
+
+@pytest.mark.parametrize("d,nparties", [(2, 1), (3, 1), (2, 2)])
+def test_map_from_coeffs_block_is_bit_identical_to_one_time_calls(d, nparties):
+    rng = np.random.default_rng(7 * d + nparties)
+    count = d ** (2 * nparties)
+    coefficients = [DampedTrig(amplitude=rng.uniform(-1, 1), decay=-rng.uniform(0, 0.5),
+                               frequency=rng.uniform(0, 3), phase=rng.uniform(0, 6),
+                               offset=rng.uniform(-1, 1)) for _ in range(count - 2)]
+    coefficients += [Constant(0.3 - 0.2j), Polynomial([0.1j, 0.4, -0.05])]
+    field = WeylCoefficientField(d, nparties, tuple(coefficients))
+    family = field.family()
+    times = np.linspace(0.0, 2.0, 41)
+    one_time = np.stack([map_from_coeffs(field, float(t), family).matrix for t in times])
+    block = map_from_coeffs(field, times, family)
+    assert block.dtype == one_time.dtype and np.array_equal(block, one_time)
+    for n in (1, 2, 16):
+        assert np.array_equal(map_from_coeffs(field, times[:n], family), one_time[:n])
+    rows = field.as_circulant().bank.values(times)
+    assert np.array_equal(map_from_values(family, rows), one_time)
+    with pytest.raises(DimensionMismatchError):
+        map_from_values(family, rows[:, 1:])
 
 
 def test_conjugation_index_pairs_each_coefficient_with_u_n_minus_m():
