@@ -202,11 +202,6 @@ def circulant_matrix(gen: CirculantGenerator, t=0.0) -> np.ndarray:
     return stack if np.ndim(t) else stack[0]
 
 
-def circulant_spectrum(gen: CirculantGenerator, t: float = 0.0) -> LatticeField:
-    """Eigenvalues l(m) = (dft a_t)(m); eigenvectors are the Fourier modes."""
-    return dft(gen.rates(t))
-
-
 def fourier_modes(d: int, naxes: int) -> np.ndarray:
     """Columns are the normalized circulant eigenvectors
     psi_m(n) = lambda^(m.n) / sqrt(d^naxes).

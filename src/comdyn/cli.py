@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -442,7 +443,7 @@ def _kernel_table(config) -> tuple:
     """The config's Laplace table and the worst residual over its s values
     of the identity s C^ - 1 = K^ C^, where C^ = (1 + f^) / s."""
     if "rate" in config:
-        signal = kernel.mode_signal(_timefn(config["rate"]))
+        signal = kernel.RateModeSignal(_timefn(config["rate"]))
     else:
         signal = kernel.ExponentialMixtureSignal(config["weights"], config["exponents"])
     table = kernel.laplace_table(signal, config["s_values"])
@@ -566,61 +567,65 @@ def write_sidecar(path: str, config: dict, reports: dict, elapsed: float):
 # run: per-kind experiments
 # ---------------------------------------------------------------------------
 
-def _ordered_propagator(lfun, t0: float, t: float, mode: str, steps: int,
-                        size: int) -> np.ndarray:
-    """The oracle's time-ordered product over the mode's integration window;
-    the identity on an empty window."""
-    lo, hi = classical.integration_window(t0, t, mode)
-    if hi > lo:
-        return oracle.ordered_exp(lfun, lo, hi, steps)
-    return np.eye(size)
-
-
 def _times(config) -> list:
     """The end times of the config's rows."""
     window = config["time"]
     return np.linspace(window["t0"], window["t"], window["samples"]).tolist()
 
 
-def _tabulate(config, args, header: list, rows: list, closed: list, residual,
-              report_steps: bool = True) -> tuple:
-    """The table of ``rows`` (time first), written from the closed forms at
-    the same positions of ``closed``. With ``--oracle`` each row gains the
-    column ``residual(t, closed form, steps)`` and the worst residual is
-    reported. Returns the header, the rows and ``{"oracle": report}``,
-    which is empty without ``--oracle``."""
-    if not args.oracle:
-        return header, rows, {}
+def _oracle_settings(config, args) -> tuple:
+    """``(tol, steps)``: the options over the config's ``oracle`` block."""
     settings = config.get("oracle", {})
-    tol = args.tol if args.tol is not None else settings.get("tol", 1e-7)
-    steps = args.steps if args.steps is not None else settings.get("steps", 2048)
+    return (args.tol if args.tol is not None else settings.get("tol", 1e-7),
+            args.steps if args.steps is not None else settings.get("steps", 2048))
+
+
+def _oracle_column(header: list, rows: list, residuals, tol: float) -> tuple:
+    """Appends each row's residual; the header with their column, and the report."""
     worst = 0.0
-    for values, form in zip(rows, closed):
-        values.append(residual(values[0], form, steps))
-        worst = max(worst, values[-1])
-    report = {"max_residual": worst, "tol": tol, "passed": worst <= tol}
-    if report_steps:
-        report["steps"] = steps
-    return header + ["oracle_residual"], rows, {"oracle": report}
+    for values, residual in zip(rows, residuals):
+        values.append(residual)
+        worst = max(worst, residual)
+    return (header + ["oracle_residual"],
+            {"max_residual": worst, "tol": tol, "passed": worst <= tol})
 
 
-def _run_classical(config, args):
-    gen = _classical_generator(config)
+def _run_spectral(config, args, kind):
+    """A classical, Weyl or qubit run. ``kind(config, mode, t0, times,
+    oracle)`` gives the header, the rows (time first) and their closed forms,
+    the generator's block builder and size, ``residual(closed form, product)``
+    and ``finish(oracle report or None)``, run last, which gives the kind's
+    extra reports and channel matrix or None. ``--oracle`` compares each
+    closed form with the time-ordered product over its row's window."""
     mode = config.get("mode", "markov")
     t0, times = config["time"]["t0"], _times(config)
+    header, rows, closed, block, size, residual, finish = kind(
+        config, mode, t0, times, args.oracle)
+    oracle_reports = {}
+    if args.oracle:
+        tol, steps = _oracle_settings(config, args)
+        windows = (classical.integration_window(t0, t, mode) for t in times)
+        products = (oracle.ordered_exp(block, lo, hi, steps) if hi > lo
+                    else np.eye(size) for lo, hi in windows)
+        # row by row: the closed form, then its product, then the residual
+        header, oracle_reports["oracle"] = _oracle_column(
+            header, rows, map(residual, closed, products), tol)
+        oracle_reports["oracle"]["steps"] = steps
+    extra, channel = finish(oracle_reports.get("oracle"))
+    return header, rows, {"mode": mode, **extra, **oracle_reports}, channel
+
+
+def _classical(config, mode, t0, times, with_oracle) -> tuple:
+    """The classical kind of :func:`_run_spectral`: lattice populations."""
+    gen = _classical_generator(config)
     size = gen.d ** gen.naxes
     unit = classical.LatticeField.unit(gen.d, gen.naxes).values
     fields = classical.propagate(gen, t0, times, mode)
     rows = [[t] + field.values.real.tolist() for t, field in zip(times, fields)]
-
-    def residual(t, field, steps):
-        prop = _ordered_propagator(lambda u: classical.circulant_matrix(gen, u),
-                                   t0, t, mode, steps, size)
-        return float(np.max(np.abs(field.values - prop @ unit)))
-
-    header, rows, oracle_report = _tabulate(
-        config, args, ["t"] + [f"P{i}" for i in range(size)], rows, fields, residual)
-    return header, rows, {"mode": mode, **oracle_report}, None
+    return (["t"] + [f"P{i}" for i in range(size)], rows, fields,
+            lambda u: classical.circulant_matrix(gen, u), size,
+            lambda field, prop: float(np.max(np.abs(field.values - prop @ unit))),
+            lambda oracle_report: ({}, None))
 
 
 def _weyl_final_channel(relax, tol: float = DEFAULT_TOL) -> tuple:
@@ -632,41 +637,54 @@ def _weyl_final_channel(relax, tol: float = DEFAULT_TOL) -> tuple:
             spectrum.rounding_bound())
 
 
-def _run_weyl(config, args):
+def _weyl(config, mode, t0, times, with_oracle) -> tuple:
+    """The Weyl kind of :func:`_run_spectral`: relaxation factors, final channel."""
     field = _weyl_field(config, config["rates"])
-    mode = config.get("mode", "markov")
-    t0, times = config["time"]["t0"], _times(config)
     npar = field.nparties
-    labels = []
-    for digits in classical.lattice_digits(field.d, 2 * npar)[0].T.tolist():
-        tag = "".join(map(str, digits[:npar])) + "_" + "".join(map(str, digits[npar:]))
-        labels.extend([f"re_relax_{tag}", f"im_relax_{tag}"])
+    tags = ["".join(map(str, digits[:npar])) + "_" + "".join(map(str, digits[npar:]))
+            for digits in classical.lattice_digits(field.d, 2 * npar)[0].T.tolist()]
     relaxes = classical.relaxation(field.as_circulant(), t0, times, mode)
     # a complex array viewed as floats is its (re, im) pairs
     rows = [[t] + relax.values.view(float).tolist() for t, relax in zip(times, relaxes)]
-
     # the oracle time-orders the dense generator, assembled on the family's
     # unitaries and not on the support the closed form is scattered onto
-    family = field.family() if args.oracle else None
+    family = field.family() if with_oracle else None
 
-    def residual(t, relax, steps):
-        channel = weyl.WeylSpectrum(relax).assemble()
-        prop = _ordered_propagator(
-            lambda u: weyl.map_from_coeffs(field, u, family),
-            t0, t, mode, steps, family.dim ** 2)
-        return float(np.max(np.abs(channel.matrix - prop)))
+    def finish(oracle_report):
+        final_map, final, atol = _weyl_final_channel(relaxes[-1])
+        if oracle_report is not None:
+            # the dense report of the written channel must say the same
+            agrees = final.agrees_with(validate_channel(final_map), atol)
+            oracle_report["final_channel_agrees"] = agrees
+            oracle_report["passed"] = oracle_report["passed"] and agrees
+        return {"final_channel": final.as_dict()}, final_map.matrix
 
-    header, rows, oracle_report = _tabulate(config, args, ["t"] + labels, rows,
-                                            relaxes, residual)
-    final_map, final, atol = _weyl_final_channel(relaxes[-1])
-    if args.oracle:
-        # the dense report of the written channel must say the same
-        report = oracle_report["oracle"]
-        report["final_channel_agrees"] = final.agrees_with(
-            validate_channel(final_map), atol)
-        report["passed"] = report["passed"] and report["final_channel_agrees"]
-    reports = {"mode": mode, "final_channel": final.as_dict(), **oracle_report}
-    return header, rows, reports, final_map.matrix
+    # a row's channel is assembled when the oracle reaches the row
+    return (["t"] + [f"{p}_relax_{tag}" for tag in tags for p in ("re", "im")], rows,
+            (weyl.WeylSpectrum(relax).assemble() for relax in relaxes),
+            lambda u: weyl.map_from_coeffs(field, u, family), field.d ** (2 * npar),
+            lambda channel, prop: float(np.max(np.abs(channel.matrix - prop))), finish)
+
+
+def _qubit(config, mode, t0, times, with_oracle) -> tuple:
+    """The qubit kind of :func:`_run_spectral`: the evolved initial state."""
+    spec = _qubit_spec(config)
+    rho0 = np.array([[complex(*e) for e in row] for row in config["initial_state"]])
+    defect = qubit.state_defect(rho0)
+    if defect is not None:
+        raise ConfigError(f"config invalid at initial_state: {defect}")
+    maps = qubit.propagate(spec, t0, times, mode)
+    rows = []
+    for t, amap in zip(times, maps):
+        rho = amap.apply(rho0)
+        purity = float(np.real(np.trace(rho @ rho)))
+        rows.append([t, float(rho[0, 0].real), float(rho[1, 1].real),
+                     float(rho[0, 1].real), float(rho[0, 1].imag), purity])
+    return (["t", "rho00", "rho11", "re_rho01", "im_rho01", "purity"], rows, maps,
+            lambda u: qubit.build_generator(spec, u), 4,
+            lambda amap, prop: float(np.max(np.abs(amap.matrix - prop))),
+            lambda oracle_report: ({"classification": qubit.classify(
+                spec, t0, config["time"]["t"]).as_dict()}, None))
 
 
 def _run_mixture(config, args):
@@ -678,19 +696,20 @@ def _run_mixture(config, args):
     n_modes = cset.basis.eigenvalues.size
     mixtures = [spec.eigenvalue_mixture(t - t0) for t in times]
     rows = [[t] + c.view(float).tolist() for t, c in zip(times, mixtures)]
-
-    def residual(t, c, steps):
-        # the weights were checked above on [0, t - t0], which holds every
-        # row's window, so the map is assembled without a second check
-        tau = t - t0
-        direct = sum(w * oracle.expm(tau * g.matrix)
-                     for w, g in zip(spec.weight_values(tau), cset.generators))
-        return float(np.max(np.abs(cset.basis.assemble(c).matrix - direct)))
-
     header = ["t"] + [v for a in range(n_modes) for v in (f"re_c{a}", f"im_c{a}")]
-    header, rows, oracle_report = _tabulate(config, args, header, rows, mixtures,
-                                            residual, report_steps=False)
-    return header, rows, {"n_generators": len(cset), **oracle_report}, None
+    reports = {"n_generators": len(cset)}
+    if args.oracle:
+        def residual(t, c):
+            # a sum of exponentials, not a product; the weights were checked
+            # above on [0, t - t0], which holds every row's window
+            direct = sum(w * oracle.expm((t - t0) * g.matrix)
+                         for w, g in zip(spec.weight_values(t - t0), cset.generators))
+            return float(np.max(np.abs(cset.basis.assemble(c).matrix - direct)))
+
+        tol, _ = _oracle_settings(config, args)
+        header, reports["oracle"] = _oracle_column(
+            header, rows, map(residual, times, mixtures), tol)
+    return header, rows, reports, None
 
 
 def _run_resolvent(config, args):
@@ -703,35 +722,6 @@ def _run_resolvent(config, args):
     return header, rows, {"generator_norm": gen.norm()}, None
 
 
-def _run_qubit(config, args):
-    spec = _qubit_spec(config)
-    mode = config.get("mode", "markov")
-    rho0 = np.array([[complex(*e) for e in row]
-                     for row in config["initial_state"]])
-    t0, times = config["time"]["t0"], _times(config)
-    maps = qubit.propagate(spec, t0, times, mode)
-    rows = []
-    for t, amap in zip(times, maps):
-        rho = amap.apply(rho0)
-        purity = float(np.real(np.trace(rho @ rho)))
-        rows.append([t, float(rho[0, 0].real), float(rho[1, 1].real),
-                     float(rho[0, 1].real), float(rho[0, 1].imag), purity])
-
-    def residual(t, amap, steps):
-        prop = _ordered_propagator(lambda u: qubit.build_generator(spec, u),
-                                   t0, t, mode, steps, 4)
-        return float(np.max(np.abs(amap.matrix - prop)))
-
-    header, rows, oracle_report = _tabulate(
-        config, args, ["t", "rho00", "rho11", "re_rho01", "im_rho01", "purity"],
-        rows, maps, residual)
-    reports = {"mode": mode,
-               "classification": qubit.classify(
-                   spec, t0, config["time"]["t"]).as_dict(),
-               **oracle_report}
-    return header, rows, reports, None
-
-
 def _run_kernel(config, args):
     table, identity_residual = _kernel_table(config)
     header = ["s", "re_f_hat", "im_f_hat", "re_k_hat", "im_k_hat", "quad_error"]
@@ -742,11 +732,11 @@ def _run_kernel(config, args):
 
 
 _RUNNERS = {
-    "classical": _run_classical,
-    "weyl": _run_weyl,
+    "classical": partial(_run_spectral, kind=_classical),
+    "weyl": partial(_run_spectral, kind=_weyl),
     "mixture": _run_mixture,
     "resolvent": _run_resolvent,
-    "qubit": _run_qubit,
+    "qubit": partial(_run_spectral, kind=_qubit),
     "kernel": _run_kernel,
 }
 

@@ -199,8 +199,7 @@ def mixture_map(spec: MixtureSpec, t0: float, t: float,
 
 
 def mixture_generator_eigenvalues(spec: MixtureSpec, t: float,
-                                  literal: bool = False,
-                                  floor: float = SINGULARITY_FLOOR) -> np.ndarray:
+                                  literal: bool = False) -> np.ndarray:
     """Eigenvalues mu_a(t) of the local (in general non-Markovian) generator.
 
     The exact value is the logarithmic derivative c_a'(t)/c_a(t), including
@@ -209,12 +208,12 @@ def mixture_generator_eigenvalues(spec: MixtureSpec, t: float,
     e^(lambda t), which agrees with the exact one only for constant weights.
     """
     c = spec.eigenvalue_mixture(t)
-    small = np.abs(c) < floor
+    small = np.abs(c) < SINGULARITY_FLOOR
     if np.any(small):
         idx = int(np.argmax(small))
         raise SingularEigenvalueError(
-            f"|c_{idx}(t)| = {abs(c[idx]):.3e} below floor {floor:.1e} at t={t}; "
-            "the local generator is singular there")
+            f"|c_{idx}(t)| = {abs(c[idx]):.3e} below floor {SINGULARITY_FLOOR:.1e} "
+            f"at t={t}; the local generator is singular there")
     if literal:
         p = spec.weight_values(t)
         lam = spec.generator_set.eigenvalues

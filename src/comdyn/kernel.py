@@ -24,7 +24,7 @@ import numpy as np
 import scipy.integrate
 
 from .errors import DivergentTransformError, PoleEncounteredError
-from .timefn import TimeFunction, as_time_function
+from .timefn import DampedTrig, Polynomial, TimeFunction, as_time_function
 
 #: |1 + f^| floor below which the kernel transform is reported as a pole.
 POLE_FLOOR = 1e-10
@@ -35,7 +35,7 @@ TAIL_TARGET = 1e-14
 #: Safety margin required between s and the mode's growth-rate estimate.
 GROWTH_MARGIN = 1e-6
 
-#: Horizon over which a time-dependent rate is probed for its growth bound.
+#: Horizon over which a rate without a certified growth bound is probed.
 PROBE_HORIZON = 20.0
 
 
@@ -75,16 +75,48 @@ class RateModeSignal(EigenmodeSignal):
         return self.rate(t) * self.c(t)
 
     def growth_bound(self):
-        if self.rate.is_constant:
-            return float(np.real(self.rate(0.0)))
+        """sup of Re rate(t) over t >= 0, +inf when unbounded above. Certified
+        for constant, polynomial (at t = 0 and the real critical points in
+        (0, inf)) and damped-trig rates, else probed on [0, PROBE_HORIZON]."""
+        rate = self.rate
+        if rate.is_constant:
+            return float(np.real(rate(0.0)))
+        if isinstance(rate, Polynomial):
+            poly = np.polynomial.Polynomial(np.real(rate.coeffs)).trim()
+            if poly.degree() >= 1 and poly.coef[-1] > 0:
+                return np.inf
+            critical = poly.deriv().roots().real
+            return float(np.max(poly(np.append(critical[critical > 0], 0.0))))
+        if isinstance(rate, DampedTrig) and np.isrealobj(
+                [rate.decay, rate.frequency, rate.phase]):
+            return _damped_trig_sup(rate)
         probes = np.linspace(0.0, PROBE_HORIZON, 513)
-        return float(max(np.real(self.rate(t)) for t in probes))
+        return float(max(np.real(rate(t)) for t in probes))
 
     def f_hat_analytic(self, s):
         if not self.rate.is_constant:
             return None
         lam = complex(self.rate(0.0))
         return lam / (s - lam)
+
+
+def _damped_trig_sup(rate: DampedTrig) -> float:
+    """sup of Re(offset + A e^(a t) cos(w t + phase)) over t >= 0 for real
+    a, w and phase. It is +inf when a > 0 and the rate grows; otherwise the
+    largest of the value at t = 0, the values at the first period's critical
+    points w t + phase = atan2(a, w) + k pi (later maxima are damped) and,
+    when a < 0, the limit offset."""
+    a, w, phase = rate.decay, rate.frequency, rate.phase
+    amplitude = np.real(rate.amplitude)
+    # with w = 0 the rate is monotone, increasing when A cos(phase) > 0
+    if a > 0 and (w != 0 and amplitude != 0 or amplitude * np.cos(phase) > 0):
+        return np.inf
+    points = [0.0]
+    if w != 0:
+        first = ((np.arctan2(a, w) - phase) / w) % (np.pi / abs(w))
+        points += [first, first + np.pi / abs(w)]
+    values = np.real(rate(np.array(points)))
+    return float(max(values.max(), np.real(rate.offset)) if a < 0 else values.max())
 
 
 class ExponentialMixtureSignal(EigenmodeSignal):
@@ -109,11 +141,6 @@ class ExponentialMixtureSignal(EigenmodeSignal):
         return complex(np.sum(self.weights * self.exponents / (s - self.exponents)))
 
 
-def mode_signal(rate) -> RateModeSignal:
-    """Signal for a mode with Fourier-space rate a~(t)."""
-    return RateModeSignal(rate)
-
-
 # ---------------------------------------------------------------------------
 # Laplace transforms
 # ---------------------------------------------------------------------------
@@ -131,8 +158,10 @@ def laplace_with_error(signal: EigenmodeSignal, s: float,
     """
     growth = signal.growth_bound()
     if s <= growth + GROWTH_MARGIN:
+        unbounded = (f": rate {signal.rate!r} is unbounded above on t >= 0"
+                     if growth == np.inf else "")
         raise DivergentTransformError(
-            f"s={s} does not dominate the growth-rate estimate {growth:.6g}")
+            f"s={s} does not dominate the growth-rate estimate {growth:.6g}{unbounded}")
     if method not in ("auto", "analytic", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     if method in ("auto", "analytic"):
@@ -160,17 +189,12 @@ def laplace(signal: EigenmodeSignal, s: float, method: str = "auto") -> complex:
     return laplace_with_error(signal, s, method)[0]
 
 
-def c_hat(signal: EigenmodeSignal, s: float, method: str = "auto") -> complex:
-    """Laplace transform of c, via c^ = (1 + f^) / s."""
-    return (1.0 + laplace(signal, s, method)) / s
-
-
-def kernel_hat(f_hat: complex, s: float, floor: float = POLE_FLOOR) -> complex:
+def kernel_hat(f_hat: complex, s: float) -> complex:
     """Memory-kernel transform K^ = s f^ / (1 + f^)."""
     denom = 1.0 + f_hat
-    if abs(denom) < floor:
+    if abs(denom) < POLE_FLOOR:
         raise PoleEncounteredError(
-            f"1 + f^ = {denom} within pole floor {floor:.1e} at s={s}")
+            f"1 + f^ = {denom} within pole floor {POLE_FLOOR:.1e} at s={s}")
     return s * f_hat / denom
 
 
@@ -184,15 +208,14 @@ class LaplaceSample:
     errors: np.ndarray
 
 
-def laplace_table(signal: EigenmodeSignal, s_values: Sequence[float],
-                  method: str = "auto", floor: float = POLE_FLOOR) -> LaplaceSample:
+def laplace_table(signal: EigenmodeSignal, s_values: Sequence[float]) -> LaplaceSample:
     s_values = np.asarray(s_values, dtype=float)
     f_vals = np.empty(s_values.size, dtype=complex)
     k_vals = np.empty(s_values.size, dtype=complex)
     errors = np.empty(s_values.size)
     for i, s in enumerate(s_values):
-        f_vals[i], errors[i] = laplace_with_error(signal, float(s), method)
-        k_vals[i] = kernel_hat(f_vals[i], float(s), floor)
+        f_vals[i], errors[i] = laplace_with_error(signal, float(s))
+        k_vals[i] = kernel_hat(f_vals[i], float(s))
     return LaplaceSample(s_values, f_vals, k_vals, errors)
 
 

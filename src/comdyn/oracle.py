@@ -14,16 +14,13 @@ block builder gives the same bits as its one-time call at every midpoint.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 import scipy.linalg
 
 from .errors import OverflowInExponentialError
-from .superop import SuperOperator, devec, vec
-
-#: Default number of product steps per unit time for state evolution.
-DEFAULT_STEPS_PER_UNIT = 4096
+from .superop import SuperOperator
 
 #: Bytes of step generators :func:`ordered_exp` exponentiates per stacked
 #: call: 256 4x4 complex steps, or two 64x64 real ones.
@@ -94,23 +91,3 @@ def ordered_exp(lfun: MatrixBlockFunction, t0: float, t: float, steps: int) -> n
             total = factor @ total
     return total
 
-
-def evolve_state(lfun: MatrixBlockFunction, rho0: np.ndarray,
-                 times: Sequence[float],
-                 steps_per_unit: int = DEFAULT_STEPS_PER_UNIT) -> list:
-    """March a state along a time grid with cumulative ordered products.
-
-    ``lfun`` returns the stacked generator matrices at an array of times,
-    as :func:`ordered_exp` takes it; the trajectory starts from rho0 at
-    times[0].
-    """
-    times = np.asarray(times, dtype=float)
-    rho = np.asarray(rho0, dtype=complex).copy()
-    trajectory = [rho.copy()]
-    for left, right in zip(times[:-1], times[1:]):
-        span = right - left
-        steps = max(1, int(np.ceil(span * steps_per_unit)))
-        segment = ordered_exp(lfun, left, right, steps)
-        rho = devec(segment @ vec(rho), rho.shape[0])
-        trajectory.append(rho.copy())
-    return trajectory

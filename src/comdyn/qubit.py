@@ -132,6 +132,20 @@ def _require_hermitian(cmat: np.ndarray, t: float, tol: float = 1e-9,
     return cmat
 
 
+def state_defect(rho: np.ndarray) -> Optional[str]:
+    """Why ``rho`` is not a density matrix within ``DEFAULT_TOL``, or None: not
+    Hermitian, a trace other than 1 or a negative eigenvalue, in that order."""
+    skew = float(np.max(np.abs(rho - rho.conj().T)))
+    trace, lowest = complex(np.trace(rho)), float(np.linalg.eigvalsh(rho)[0])
+    for failed, problem in (
+            (skew > DEFAULT_TOL, f"not Hermitian (max |rho - rho^H| = {skew!r})"),
+            (abs(trace - 1.0) > DEFAULT_TOL, f"trace {trace.real!r} is not 1"),
+            (lowest < -DEFAULT_TOL, f"eigenvalue {lowest!r} is negative")):
+        if failed:
+            return problem
+    return None
+
+
 def _dissipator(jump: np.ndarray) -> np.ndarray:
     jj = jump.conj().T @ jump
     return (np.kron(jump.conj(), jump)

@@ -99,7 +99,7 @@ class Polynomial(TimeFunction):
         return self._poly.degree() == 0 or not np.any(self._poly.coef[1:])
 
     def __repr__(self):
-        return f"Polynomial({list(self._poly.coef)!r})"
+        return f"Polynomial({self._poly.coef.tolist()!r})"
 
 
 class DampedTrig(TimeFunction):

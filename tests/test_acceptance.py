@@ -17,8 +17,8 @@ from comdyn.classical import (CirculantGenerator, LatticeField,
 from comdyn.generators import (CommutingGeneratorSet, MixtureSpec,
                                mixture_generator_eigenvalues, mixture_map,
                                resolvent_channel, resolvent_generator)
-from comdyn.kernel import (ExponentialMixtureSignal, kernel_hat, laplace,
-                           memory_kernel, mode_signal, volterra_check)
+from comdyn.kernel import (ExponentialMixtureSignal, RateModeSignal, kernel_hat,
+                           laplace, memory_kernel, volterra_check)
 from comdyn.qubit import (QubitGeneratorSpec, build_generator, classify,
                           damping_basis, gamma_eigenvalue, spectral_projector,
                           v_conjugation)
@@ -247,7 +247,7 @@ def test_criterion_7_memory_kernel_correspondence():
         worst_quad = max(worst_quad, abs(chat - re))
 
     lam = -0.8
-    flat = mode_signal(Constant(lam))
+    flat = RateModeSignal(Constant(lam))
     worst_flat = max(abs(kernel_hat(laplace(flat, float(s)), float(s)) - lam)
                      for s in (0.3, 1.0, 5.0, 20.0))
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from comdyn import oracle
 from comdyn.classical import (CirculantGenerator, KolmogorovViolation, LatticeField,
-                              _dft_kernel, circulant_matrix, circulant_spectrum,
+                              _dft_kernel, circulant_matrix,
                               composition_check, condition_grid, convolve,
                               dft, fourier_modes, idft,
                               kolmogorov_check, kolmogorov_check_markov,
@@ -159,17 +159,17 @@ def test_circulant_matrix_block_refuses_a_non_finite_rate():
 def test_spectrum_two_site():
     gamma = 0.6
     gen = CirculantGenerator.constant(2, 1, [-gamma, gamma])
-    assert np.allclose(circulant_spectrum(gen).values, [0.0, -2 * gamma])
+    assert np.allclose(dft(gen.rates(0.0)).values, [0.0, -2 * gamma])
 
 
 def test_spectrum_of_unit():
     gen = CirculantGenerator.constant(3, 1, [1.0, 0.0, 0.0])
-    assert np.max(np.abs(circulant_spectrum(gen).values - 1.0)) < 1e-14
+    assert np.max(np.abs(dft(gen.rates(0.0)).values - 1.0)) < 1e-14
 
 
 def test_spectrum_matches_dense_eigensolver(rng):
     gen = CirculantGenerator.constant(3, 2, rng.normal(size=9))
-    closed = circulant_spectrum(gen).values
+    closed = dft(gen.rates(0.0)).values
     dense = np.linalg.eigvals(circulant_matrix(gen))
     assert multiset_residual(closed, dense) < 1e-10
 
@@ -178,7 +178,7 @@ def test_fourier_modes_are_eigenvectors(rng):
     gen = CirculantGenerator.constant(4, 1, rng.normal(size=4))
     mat = circulant_matrix(gen)
     modes = fourier_modes(4, 1)
-    spectrum = circulant_spectrum(gen).values
+    spectrum = dft(gen.rates(0.0)).values
     for m in range(4):
         value = spectrum[(-m) % 4]
         assert np.max(np.abs(mat @ modes[:, m] - value * modes[:, m])) < 1e-12
@@ -189,7 +189,7 @@ def test_fourier_modes_symmetric_rates_pair_directly(rng):
     gen = CirculantGenerator.constant(4, 1, [-1.0, 0.3, 0.4, 0.3])
     mat = circulant_matrix(gen)
     modes = fourier_modes(4, 1)
-    spectrum = circulant_spectrum(gen).values
+    spectrum = dft(gen.rates(0.0)).values
     for m in range(4):
         assert np.max(np.abs(mat @ modes[:, m] - spectrum[m] * modes[:, m])) < 1e-12
 

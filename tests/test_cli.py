@@ -446,6 +446,70 @@ def test_mixture_oracle_run_checks_the_weights_once(tmp_path, monkeypatch):
         assert residual == float(np.max(np.abs(amap.matrix - direct)))
 
 
+_SPECTRAL_CONFIGS = {"classical": CLASSICAL_CONFIG, "weyl": WEYL_CONFIG,
+                     "qubit": QUBIT_CONFIG}
+
+# rows at t = 0.5 (an empty window in either mode), 1.0 and 1.5
+_OFFSET_TIME = {"t0": 0.5, "t": 1.5, "samples": 3}
+_MODE_WINDOWS = {"markov": [(0.5, 1.0), (0.5, 1.5)],
+                 "nonmarkov": [(0.0, 0.5), (0.0, 1.0)]}
+
+
+def _recording_ordered_exp(monkeypatch):
+    """Replaces oracle.ordered_exp by a cheap product that records each
+    call's window and step count."""
+    calls = []
+    original = oracle.ordered_exp
+
+    def recorded(lfun, t0, t, steps):
+        calls.append((t0, t, steps))
+        return original(lfun, t0, t, 4)
+
+    monkeypatch.setattr(oracle, "ordered_exp", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("argv, settings, steps, tol", [
+    ([], None, 2048, 1e-7),
+    ([], {"steps": 64, "tol": 1e-3}, 64, 1e-3),
+    (["--steps", "32", "--tol", "0.5"], {"steps": 64, "tol": 1e-3}, 32, 0.5),
+])
+@pytest.mark.parametrize("mode", ["markov", "nonmarkov"])
+@pytest.mark.parametrize("kind", sorted(_SPECTRAL_CONFIGS))
+def test_oracle_orders_each_row_over_its_mode_window(tmp_path, monkeypatch, kind, mode,
+                                                     argv, settings, steps, tol):
+    calls = _recording_ordered_exp(monkeypatch)
+    payload = dict(_SPECTRAL_CONFIGS[kind], mode=mode, time=_OFFSET_TIME)
+    if settings is not None:
+        payload["oracle"] = settings
+    config = write_config(tmp_path, "config.json", payload)
+    out = tmp_path / "result.csv"
+    assert main(["run", config, "--out", str(out), "--oracle"] + argv) == 0
+    # one call per row with a non-empty window, over that row's window in
+    # the mode, with --steps over the config's steps over the default
+    assert calls == [(lo, hi, steps) for lo, hi in _MODE_WINDOWS[mode]]
+    report = json.loads((tmp_path / "result.csv.meta.json").read_text())["reports"]
+    assert report["mode"] == mode
+    assert report["oracle"]["steps"] == steps and report["oracle"]["tol"] == tol
+    header, rows = read_csv(out)
+    assert header[-1] == "oracle_residual" and rows.shape[0] == 3
+    # the row at t = t0 is the identity map, compared with the identity
+    assert rows[0, -1] == 0.0
+    assert report["oracle"]["max_residual"] == rows[:, -1].max()
+
+
+def test_mixture_oracle_report_has_no_steps(tmp_path, monkeypatch):
+    calls = _recording_ordered_exp(monkeypatch)
+    config = write_config(tmp_path, "mixture.json",
+                          dict(MIXTURE_CONFIG, oracle={"steps": 64, "tol": 1e-3}))
+    out = tmp_path / "mixture.csv"
+    assert main(["run", config, "--out", str(out), "--oracle", "--steps", "32"]) == 0
+    report = json.loads((tmp_path / "mixture.csv.meta.json").read_text())["reports"]
+    assert list(report["oracle"]) == ["max_residual", "tol", "passed"]
+    assert report["oracle"]["tol"] == 1e-3
+    assert calls == []
+
+
 def test_run_sidecar_records_the_versions(tmp_path):
     import scipy
     import comdyn
@@ -724,6 +788,9 @@ NON_MARKOV_GENERATORS = {"generators": [[-0.6, 0.2, 0.2, 0.2],
                                         [0.3, -0.1, -0.1, -0.1]],
                          "weights": [0.5, 0.5]}
 
+UNBOUNDED_KERNEL = {"kind": "kernel", "rate": {"kind": "polynomial", "coeffs": [-25.0, 1.0]},
+                    "s_values": [0.5, 1.0]}
+
 FAILURE_PATHS = {
     # name: (command, config, extra argv, exit code, stderr prefix)
     "weyl-kolmogorov": (
@@ -749,6 +816,26 @@ FAILURE_PATHS = {
                     c=[[0.4, {"kind": "polynomial", "coeffs": [0.0, 0.1]}],
                        [0.0, 0.3]]),
         [], 1, "error: int_0^t c is not Hermitian at t=0.015"),
+    # c(t) = exp(t^2 / 2 - 25 t) grows faster than any exponential, although
+    # its rate stays negative on [0, 20]
+    "kernel-unbounded-polynomial-run": (
+        "run", UNBOUNDED_KERNEL, [], 2,
+        "precondition failed: s=0.5 does not dominate the growth-rate estimate inf: "
+        "rate Polynomial([-25.0, 1.0]) is unbounded above on t >= 0"),
+    "kernel-unbounded-polynomial-validate": (
+        "validate", UNBOUNDED_KERNEL, [], 2,
+        "precondition failed: s=0.5 does not dominate the growth-rate estimate inf: "
+        "rate Polynomial([-25.0, 1.0]) is unbounded above on t >= 0"),
+    "qubit-initial-state-not-hermitian": (
+        "run", dict(QUBIT_CONFIG, initial_state=[[[2, 0], [0.5, 0]], [[0, 0], [-1, 0]]]),
+        [], 1, "error: config invalid at initial_state: not Hermitian "
+        "(max |rho - rho^H| = 0.5)"),
+    "qubit-initial-state-trace": (
+        "run", dict(QUBIT_CONFIG, initial_state=[[[0.5, 0], [0, 0]], [[0, 0], [0.25, 0]]]),
+        [], 1, "error: config invalid at initial_state: trace 0.75 is not 1"),
+    "qubit-initial-state-negative": (
+        "run", dict(QUBIT_CONFIG, initial_state=[[[2, 0], [0, 0]], [[0, 0], [-1, 0]]]),
+        [], 1, "error: config invalid at initial_state: eigenvalue -1.0 is negative"),
     "kernel-divergent-transform": (
         "run", {"kind": "kernel", "rate": {"kind": "damped-trig", "decay": 2.0},
                 "s_values": [0.5]}, [], 2,

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from comdyn.errors import DivergentTransformError, PoleEncounteredError
-from comdyn.kernel import (ExponentialMixtureSignal, MemoryKernel, c_hat,
+from comdyn.kernel import (ExponentialMixtureSignal, MemoryKernel, RateModeSignal,
                            kernel_hat, laplace, laplace_table,
-                           laplace_with_error, memory_kernel, mode_signal,
-                           volterra_check)
-from comdyn.timefn import Constant, DampedTrig
+                           laplace_with_error, memory_kernel, volterra_check)
+from comdyn.timefn import Constant, DampedTrig, Polynomial
 
 
 def quad_complex(f, a, b):
@@ -21,7 +21,7 @@ def quad_complex(f, a, b):
 # ---------------------------------------------------------------------------
 
 def test_zero_rate_mode():
-    sig = mode_signal(Constant(0.0))
+    sig = RateModeSignal(Constant(0.0))
     for t in (0.0, 0.7, 3.0):
         assert sig.c(t) == 1.0
         assert sig.f(t) == 0.0
@@ -29,7 +29,7 @@ def test_zero_rate_mode():
 
 def test_constant_rate_closed_form():
     lam = -0.8
-    sig = mode_signal(Constant(lam))
+    sig = RateModeSignal(Constant(lam))
     for t in (0.0, 0.5, 2.0):
         assert abs(sig.c(t) - np.exp(lam * t)) < 1e-14
         assert abs(sig.f(t) - lam * np.exp(lam * t)) < 1e-14
@@ -37,7 +37,7 @@ def test_constant_rate_closed_form():
 
 def test_oscillating_rate_against_quadrature():
     # rate -1 - sin t
-    sig = mode_signal(DampedTrig.sin(amplitude=-1.0, offset=-1.0))
+    sig = RateModeSignal(DampedTrig.sin(amplitude=-1.0, offset=-1.0))
     for t in (0.4, 1.3, 2.7):
         integral = quad(lambda u: -1.0 - np.sin(u), 0.0, t, limit=200)[0]
         assert abs(sig.c(t) - np.exp(integral)) < 1e-9
@@ -45,7 +45,7 @@ def test_oscillating_rate_against_quadrature():
 
 
 def test_relaxation_is_integral_of_its_derivative():
-    sig = mode_signal(DampedTrig.cos(amplitude=0.4, offset=-0.9))
+    sig = RateModeSignal(DampedTrig.cos(amplitude=0.4, offset=-0.9))
     for t in (0.5, 1.7):
         integral = quad_complex(sig.f, 0.0, t)
         assert abs(sig.c(t) - 1.0 - integral) < 1e-9
@@ -65,14 +65,14 @@ def test_mixture_signal_consistency():
 # ---------------------------------------------------------------------------
 
 def test_textbook_transform():
-    sig = mode_signal(Constant(-1.0))
+    sig = RateModeSignal(Constant(-1.0))
     assert abs(laplace(sig, 1.0) - (-0.5)) < 1e-14
     value = laplace(sig, 1.0, method="quadrature")
     assert abs(value - (-0.5)) < 1e-9
 
 
 def test_zero_signal_transforms_to_zero():
-    sig = mode_signal(Constant(0.0))
+    sig = RateModeSignal(Constant(0.0))
     for s in (0.5, 2.0):
         assert laplace(sig, s) == 0.0
 
@@ -86,14 +86,54 @@ def test_mixture_rational_matches_quadrature():
 
 
 def test_quadrature_error_estimate_is_honest():
-    sig = mode_signal(DampedTrig.sin(amplitude=-1.0, offset=-1.0))
+    sig = RateModeSignal(DampedTrig.sin(amplitude=-1.0, offset=-1.0))
     value, error = laplace_with_error(sig, 1.5)
     reference = quad_complex(lambda t: np.exp(-1.5 * t) * sig.f(t), 0.0, 60.0)
     assert abs(value - reference) <= max(error, 1e-10)
 
 
+def test_growth_beyond_the_probe_window_is_refused():
+    # c(t) = exp(t^2 / 2 - 25 t): the rate t - 25 is negative on [0, 20],
+    # yet the transform diverges for every s
+    sig = RateModeSignal(Polynomial([-25.0, 1.0]))
+    assert sig.growth_bound() == np.inf
+    with pytest.raises(DivergentTransformError,
+                       match=r"rate Polynomial\(\[-25.0, 1.0\]\) is unbounded above"):
+        laplace_with_error(sig, 0.5)
+
+
+@pytest.mark.parametrize("rate, bound", [
+    (Polynomial([0.5, 2.0, -1.0]), 1.5),                 # the maximum at t = 1
+    (Polynomial([-1.0, 0.0, 0.0]), -1.0),                # trailing zeros
+    (Polynomial([-30.0, 1.0, -0.02]), -17.5),            # at t = 25, past the probes
+    (Polynomial([0.5, 1j]), 0.5),                        # a real part constant in t
+    (DampedTrig.sin(amplitude=-1.0, offset=-1.0), 0.0),  # -1 - sin t at t = 3 pi / 2
+    (DampedTrig.exp(amplitude=-0.3, decay=-0.5, offset=-0.8), -0.8),  # as t -> inf
+    (DampedTrig(amplitude=1.0, decay=2.0, phase=np.pi), -1.0),  # -e^(2t) from t = 0
+    (DampedTrig(amplitude=1.0, decay=0.1, frequency=1.0, offset=-5.0), np.inf),
+    (DampedTrig.exp(amplitude=1.0, decay=0.1, offset=-5.0), np.inf),
+])
+def test_growth_bound_is_the_supremum_over_all_times(rate, bound):
+    assert RateModeSignal(rate).growth_bound() == pytest.approx(bound, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitude=st.floats(-2, 2), decay=st.floats(-1, 0),
+       frequency=st.one_of(st.just(0.0), st.floats(0.5, 3), st.floats(-3, -0.5)),
+       phase=st.floats(-np.pi, np.pi), offset=st.floats(-1, 1))
+def test_damped_trig_growth_bound_is_the_sampled_supremum(amplitude, decay, frequency,
+                                                          phase, offset):
+    rate = DampedTrig(amplitude, decay, frequency, phase, offset)
+    bound = RateModeSignal(rate).growth_bound()
+    # [0, 40] holds every maximum that the damping has not yet lowered
+    sampled = float(np.max(np.real(rate(np.linspace(0.0, 40.0, 40001)))))
+    if decay < 0:
+        sampled = max(sampled, offset)
+    assert sampled - 1e-12 <= bound <= sampled + 1e-4
+
+
 def test_divergent_transform_guard():
-    sig = mode_signal(Constant(0.5))
+    sig = RateModeSignal(Constant(0.5))
     with pytest.raises(DivergentTransformError):
         laplace(sig, 0.3)
 
@@ -108,7 +148,7 @@ def test_kernel_hat_of_zero():
 
 def test_constant_rate_kernel_is_flat():
     lam = -0.8
-    sig = mode_signal(Constant(lam))
+    sig = RateModeSignal(Constant(lam))
     for s in (0.3, 1.0, 7.0):
         assert abs(kernel_hat(laplace(sig, s), s) - lam) < 1e-12
 
@@ -127,7 +167,7 @@ def test_laplace_master_identity():
         assert abs(s * chat - 1.0 - kh * chat) < 1e-12
         direct = quad_complex(lambda t: np.exp(-s * t) * sig.c(t), 0.0, 80.0)
         assert abs(chat - direct) < 1e-7
-        assert abs(c_hat(sig, float(s)) - chat) < 1e-14
+        assert abs((1.0 + laplace(sig, float(s))) / s - chat) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +212,7 @@ def test_memory_kernel_requires_normalized_weights():
 # ---------------------------------------------------------------------------
 
 def test_volterra_recovers_memoryless_decay():
-    sig = mode_signal(Constant(-1.0))
+    sig = RateModeSignal(Constant(-1.0))
     kernel = memory_kernel(ExponentialMixtureSignal([1.0], [-1.0]))
     report = volterra_check(sig, kernel, horizon=1.0, step=2e-4)
     assert report.max_rel_residual < 1e-8
@@ -194,7 +234,7 @@ def test_volterra_step_refinement_improves():
 
 
 def test_volterra_zero_kernel_keeps_constant_mode():
-    sig = mode_signal(Constant(0.0))
+    sig = RateModeSignal(Constant(0.0))
     kernel = MemoryKernel(0.0, np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
     report = volterra_check(sig, kernel, horizon=1.0, step=1e-3)
     assert report.max_abs_residual < 1e-14

@@ -272,48 +272,3 @@ def test_ordered_exp_takes_one_bank_block_per_chunk(monkeypatch, kind):
     # the first midpoint alone sizes the chunks; then one block per chunk
     assert calls["values"] == len(lengths) + 1
     assert calls["map_from_values"] == (len(lengths) + 1 if kind == "weyl" else 0)
-
-
-# ---------------------------------------------------------------------------
-# state evolution
-# ---------------------------------------------------------------------------
-
-def test_evolve_state_constant_under_zero_generator():
-    rho0 = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-    trajectory = oracle.evolve_state(stacked(lambda u: SuperOperator.zero(2).matrix),
-                                     rho0, np.linspace(0, 1, 5), steps_per_unit=16)
-    for rho in trajectory:
-        assert np.max(np.abs(rho - rho0)) < 1e-13
-
-
-def test_evolve_state_dephasing_decay():
-    rate = 0.8
-    spec = qubit.QubitGeneratorSpec.constant(c=((rate, 0.0), (0.0, rate)), mu=0.5)
-    rho0 = np.array([[0.6, 0.5], [0.5, 0.4]], dtype=complex)
-    times = np.linspace(0.0, 2.0, 9)
-    trajectory = oracle.evolve_state(
-        lambda u: qubit.build_generator(spec, u), rho0, times,
-        steps_per_unit=256)
-    for t, rho in zip(times, trajectory):
-        expected = 0.5 * np.exp(-rate * t)
-        assert abs(rho[0, 1] - expected) < 1e-6
-        assert abs(np.trace(rho) - 1.0) < 1e-10
-        assert abs(rho[0, 0] - 0.6) < 1e-10
-
-
-def test_evolve_state_diagonal_matches_classical():
-    from comdyn.weyl import WeylCoefficientField, diagonal_action, map_from_coeffs
-    values = np.array([-1.3, 0.4, 0.2, 0.0, 0.3, 0.1, 0.2, 0.05, 0.05])
-    field = WeylCoefficientField.constant(3, 1, values)
-    p0 = np.array([0.5, 0.3, 0.2])
-    rho0 = np.diag(p0).astype(complex)
-    times = np.linspace(0.0, 1.0, 5)
-    trajectory = oracle.evolve_state(
-        lambda u: map_from_coeffs(field, u), rho0, times, steps_per_unit=512)
-    pop_gen = diagonal_action(field)
-    for t, rho in zip(times, trajectory):
-        kernel = classical.propagate(pop_gen, 0.0, float(t))
-        expected = classical.convolve(
-            kernel, classical.LatticeField(3, 1, p0)).values.real
-        assert np.max(np.abs(np.diag(rho).real - expected)) < 1e-6
-        assert abs(np.trace(rho) - 1.0) < 1e-10
