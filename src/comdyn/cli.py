@@ -443,7 +443,11 @@ def _kernel_table(config) -> tuple:
     """The config's Laplace table and the worst residual over its s values
     of the identity s C^ - 1 = K^ C^, where C^ = (1 + f^) / s."""
     if "rate" in config:
-        signal = kernel.RateModeSignal(_timefn(config["rate"]))
+        rate = config["rate"]
+        if isinstance(rate, dict) and rate["kind"] == "tabulated":
+            raise ConfigError("config invalid at rate: the transform needs the rate on all "
+                              f"t >= 0; a tabulated rate ends at t={max(rate['times'])}")
+        signal = kernel.RateModeSignal(_timefn(rate))
     else:
         signal = kernel.ExponentialMixtureSignal(config["weights"], config["exponents"])
     table = kernel.laplace_table(signal, config["s_values"])

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .classical import window_grid
 from .errors import (DefectiveMapError, InvalidWeightsError,
@@ -254,8 +253,8 @@ def resolvent_channel(gen: SuperOperator, s: float, k: int = 0,
     result = np.eye(gen.matrix.shape[0], dtype=complex)
     try:
         for _ in range(k + 1):
-            result = scipy.linalg.solve(shifted, result)
-    except scipy.linalg.LinAlgError as exc:
+            result = np.linalg.solve(shifted, result)
+    except np.linalg.LinAlgError as exc:
         raise SingularResolventError(f"(s - L) singular at s={s}") from exc
     return SuperOperator(gen.dim, (s ** (k + 1)) * result)
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DefectiveMapError, DimensionMismatchError
 
@@ -438,7 +437,7 @@ def diagonalize(a: SuperOperator) -> SpectralDecomposition:
     Raises :class:`DefectiveMapError` when the eigenvector matrix condition
     number exceeds :data:`DEFAULT_COND_CAP` (Jordan blocks of size > 1).
     """
-    vals, vecs = scipy.linalg.eig(a.matrix)
+    vals, vecs = np.linalg.eig(a.matrix)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     vecs = vecs[:, order]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from comdyn import classical, cli, generators, oracle, qubit, superop, weyl
+from comdyn import classical, cli, generators, kernel, oracle, qubit, superop, weyl
 from comdyn.cli import _fmt, main, write_channel
 
 from conftest import assemble_reference
@@ -395,6 +395,38 @@ def test_weyl_oracle_catches_a_transposed_support_block(tmp_path, monkeypatch):
     monkeypatch.setattr(weyl, "_scatter_support", lambda blocks, positions:
                         scatter(blocks.transpose(0, 2, 1), positions))
     assert main(["run", config, "--out", str(out), "--oracle"]) == 0
+    report = json.loads(sidecar.read_text())["reports"]["oracle"]
+    assert report["max_residual"] > 1e3 * report["tol"]
+    assert not report["passed"]
+
+
+def _flip_classical_mode(monkeypatch):
+    relaxation = classical.relaxation
+
+    def flipped(*args, **kwargs):
+        # two sites: P = (1 + r, 1 - r) / 2 becomes (1 - r, 1 + r) / 2,
+        # still a probability vector, so only the oracle can tell
+        return [classical.LatticeField(f.d, f.naxes, f.values * np.array([1.0, -1.0]))
+                for f in relaxation(*args, **kwargs)]
+    monkeypatch.setattr(classical, "relaxation", flipped)
+
+
+def _flip_qubit_mode(monkeypatch):
+    modes = qubit._modes
+    monkeypatch.setattr(qubit, "_modes", lambda row: modes(row) * np.array([1, 1, 1, -1]))
+
+
+@pytest.mark.parametrize("config, flip", [(CLASSICAL_CONFIG, _flip_classical_mode),
+                                          (QUBIT_CONFIG, _flip_qubit_mode)],
+                         ids=["classical", "qubit"])
+def test_oracle_catches_a_flipped_mode(tmp_path, monkeypatch, config, flip):
+    path = write_config(tmp_path, "config.json", config)
+    out = tmp_path / "result.csv"
+    sidecar = tmp_path / "result.csv.meta.json"
+    assert main(["run", path, "--out", str(out), "--oracle"]) == 0
+    assert json.loads(sidecar.read_text())["reports"]["oracle"]["passed"]
+    flip(monkeypatch)
+    assert main(["run", path, "--out", str(out), "--oracle"]) == 0
     report = json.loads(sidecar.read_text())["reports"]["oracle"]
     assert report["max_residual"] > 1e3 * report["tol"]
     assert not report["passed"]
@@ -791,6 +823,12 @@ NON_MARKOV_GENERATORS = {"generators": [[-0.6, 0.2, 0.2, 0.2],
 UNBOUNDED_KERNEL = {"kind": "kernel", "rate": {"kind": "polynomial", "coeffs": [-25.0, 1.0]},
                     "s_values": [0.5, 1.0]}
 
+TABULATED_KERNEL = {"kind": "kernel", "s_values": [0.5],
+                    "rate": {"kind": "tabulated", "times": [0, 1, 2],
+                             "values": [-1.0, -1.2, -1.1]}}
+TABULATED_KERNEL_REFUSAL = ("error: config invalid at rate: the transform needs the rate "
+                            "on all t >= 0; a tabulated rate ends at t=2\n")
+
 FAILURE_PATHS = {
     # name: (command, config, extra argv, exit code, stderr prefix)
     "weyl-kolmogorov": (
@@ -822,6 +860,9 @@ FAILURE_PATHS = {
         "run", UNBOUNDED_KERNEL, [], 2,
         "precondition failed: s=0.5 does not dominate the growth-rate estimate inf: "
         "rate Polynomial([-25.0, 1.0]) is unbounded above on t >= 0"),
+    "kernel-tabulated-rate-run": ("run", TABULATED_KERNEL, [], 1, TABULATED_KERNEL_REFUSAL),
+    "kernel-tabulated-rate-validate": (
+        "validate", TABULATED_KERNEL, [], 1, TABULATED_KERNEL_REFUSAL),
     "kernel-unbounded-polynomial-validate": (
         "validate", UNBOUNDED_KERNEL, [], 2,
         "precondition failed: s=0.5 does not dominate the growth-rate estimate inf: "
@@ -933,6 +974,20 @@ def test_failure_paths_exit_with_their_code_and_write_nothing(tmp_path, capsys, 
     assert captured.err.count("\n") == 1
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_tabulated_kernel_rate_is_refused_before_the_transform(tmp_path, capsys, monkeypatch,
+                                                               command):
+    # samples on [0, 40] cover the old probe window and the quadrature
+    # horizon, yet the rate past t = 40 is still undefined
+    def untouched(*args):
+        raise AssertionError("the transform ran")
+    monkeypatch.setattr(kernel, "laplace_table", untouched)
+    rate = {"kind": "tabulated", "times": [0.0, 20.0, 40.0], "values": [-1.0, -1.2, -1.1]}
+    config = write_config(tmp_path, "kernel.json", dict(TABULATED_KERNEL, rate=rate))
+    assert main([command, config, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == TABULATED_KERNEL_REFUSAL.replace("t=2", "t=40.0")
 
 
 _NUMBERS = st.one_of(st.integers(-3, 3), st.floats(), st.booleans())
@@ -1152,11 +1207,20 @@ def test_importing_the_cli_loads_the_top_level_scipy_package():
 
 
 def test_importing_the_cli_loads_neither_jsonschema_nor_scipy_interpolate():
+    # nor any scipy submodule that a bare ``import scipy`` does not load:
+    # scipy.linalg and scipy.integrate alone cost more than the rest of
+    # the import
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = ("import sys, comdyn.cli; "
-            "print(sorted(m for m in ('jsonschema', 'scipy.interpolate') "
-            "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+
+    def loaded(statement):
+        code = (f"import json, sys; {statement}; print(json.dumps(sorted(m for m in "
+                "sys.modules if m.startswith('scipy.') or m == 'jsonschema')))")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        return set(json.loads(result.stdout))
+
+    bare = loaded("import numpy, scipy")
+    used = loaded("import comdyn.cli")
+    assert used <= bare
+    assert "jsonschema" not in used and "scipy.interpolate" not in used

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from comdyn import kernel
 from comdyn.errors import DivergentTransformError, PoleEncounteredError
 from comdyn.kernel import (ExponentialMixtureSignal, MemoryKernel, RateModeSignal,
                            kernel_hat, laplace, laplace_table,
@@ -60,6 +61,14 @@ def test_mixture_signal_consistency():
         assert abs(sig.f(t) - numeric) < 1e-7
 
 
+def test_mixture_signal_takes_arrays():
+    sig = ExponentialMixtureSignal([0.3, 0.5, 0.2], [-0.6, -1.7 + 2j, -0.2 - 0.5j])
+    times = np.array([[0.0, 0.3], [1.1, 4.0]])
+    for fn in (sig.c, sig.f):
+        assert isinstance(fn(0.3), complex)
+        assert np.array_equal(fn(times), [[fn(float(t)) for t in row] for row in times])
+
+
 # ---------------------------------------------------------------------------
 # Laplace transforms
 # ---------------------------------------------------------------------------
@@ -78,11 +87,42 @@ def test_zero_signal_transforms_to_zero():
 
 
 def test_mixture_rational_matches_quadrature():
-    sig = ExponentialMixtureSignal([0.35, 0.65], [-0.6, -1.7])
-    for s in (0.4, 1.0, 3.0):
-        analytic = laplace(sig, s, method="analytic")
-        numeric = laplace(sig, s, method="quadrature")
-        assert abs(analytic - numeric) < 1e-8
+    # the second signal is complex, so both parts are integrated in one pass
+    for sig in (ExponentialMixtureSignal([0.35, 0.65], [-0.6, -1.7]),
+                ExponentialMixtureSignal([0.4, 0.6], [-0.6 + 2j, -1.7])):
+        for s in (0.4, 1.0, 3.0):
+            analytic = laplace(sig, s, method="analytic")
+            numeric = laplace(sig, s, method="quadrature")
+            assert abs(analytic - numeric) < 1e-8
+
+
+def test_one_gauss_kronrod_panel_is_exact_to_degree_31(rng):
+    a, b = np.array([-0.3]), np.array([1.1])
+    for degree in range(32):
+        poly = np.polynomial.Polynomial(rng.standard_normal(degree + 1)
+                                        + 1j * rng.standard_normal(degree + 1))
+        value, _ = kernel._gk21_panels(poly, a, b)
+        exact = poly.integ()(b[0]) - poly.integ()(a[0])
+        assert abs(value[0] - exact) <= 1e-14 * max(1.0, abs(exact))
+    # degree 32 is the first the rule does not integrate exactly
+    value, _ = kernel._gk21_panels(lambda t: t ** 32, np.array([-1.0]), np.array([1.0]))
+    assert abs(value[0] - 2.0 / 33.0) > 1e-12
+
+
+@pytest.mark.parametrize("frequency", [500.0, 5000.0, 1e5])
+@pytest.mark.parametrize("paired", [True, False])
+def test_limit_capped_quadrature_never_under_reports(monkeypatch, frequency, paired):
+    # e^(-s t) f(t) oscillates too fast for QUAD_LIMIT panels on the horizon
+    exponents = [-0.5 + 1j * frequency] + ([-0.5 - 1j * frequency] if paired else [])
+    sig = ExponentialMixtureSignal(np.ones(len(exponents)) / len(exponents), exponents)
+    panels = []
+    gk21 = kernel._gk21_panels
+    monkeypatch.setattr(kernel, "_gk21_panels",
+                        lambda fun, lo, hi: panels.append(lo.size) or gk21(fun, lo, hi))
+    value, error = laplace_with_error(sig, 0.5, method="quadrature")
+    # the first panel, then two halves per bisection up to the cap
+    assert sum(panels) == 2 * kernel.QUAD_LIMIT - 1
+    assert abs(value - sig.f_hat_analytic(0.5)) <= error
 
 
 def test_quadrature_error_estimate_is_honest():

@@ -52,6 +52,51 @@ def test_expm_reports_overflow():
             oracle.expm(2000.0 * np.eye(2))
 
 
+def _stack_of_norms(rng, n, dtype, norms):
+    """Random n x n matrices of the given 1-norms; above 20 skew-Hermitian,
+    so that the exponential stays of order one."""
+    a = rng.standard_normal((len(norms), n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((len(norms), n, n))
+    big = np.asarray(norms) > 20
+    a[big] -= np.swapaxes(a[big], 1, 2).conj()
+    return a * (np.asarray(norms) / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+
+
+# from 0 through every Pade degree to norms needing 10 and 12 squarings
+NORMS = [0.0, 1e-3, 0.01, 0.2, 0.9, 2.0, 5.0, 20.0, 80.0, 700.0, 3000.0, 5500.0, 20000.0]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
+def test_stacked_expm_agrees_with_scipy(rng, n, dtype):
+    # one stack mixes every norm, so its slices take different degrees and
+    # squaring counts; scipy's own real path strays up to ~150 eps |A| from a
+    # 40-digit reference on such matrices, its complex path ~5, so real
+    # stacks are compared with scipy on the same stack made complex
+    assert np.ceil(np.log2(max(NORMS) / oracle.PADE_THETA[-1][1])) >= 10
+    for order in (NORMS, NORMS[::-1]):
+        a = _stack_of_norms(rng, n, dtype, order)
+        got = oracle.stacked_expm(a)
+        assert got.dtype == a.dtype
+        reference = scipy.linalg.expm(a.astype(complex))
+        error = np.abs(got - reference).sum(axis=1).max(axis=1)
+        scale = np.abs(reference).sum(axis=1).max(axis=1)
+        eps = np.finfo(float).eps
+        assert np.all(error <= 16 * eps * np.maximum(1.0, order) * scale)
+        assert np.array_equal(got[order.index(0.0)], np.eye(n))
+
+
+def test_stacked_expm_of_non_finite_slices_is_non_finite():
+    stack = np.stack([np.eye(2), np.full((2, 2), np.nan), np.diag([np.inf, 0.0]),
+                      1e3 * np.eye(2)])
+    with np.errstate(over="ignore"):
+        out = oracle.stacked_expm(stack)
+    finite = np.isfinite(out).all(axis=(1, 2))
+    assert finite.tolist() == [True, False, False, False]
+    assert np.max(np.abs(out[0] - np.e * np.eye(2))) <= 4 * np.finfo(float).eps * np.e
+
+
 # ---------------------------------------------------------------------------
 # ordered exponential
 # ---------------------------------------------------------------------------
@@ -145,13 +190,13 @@ def test_ordered_exp_calls_lfun_once_per_midpoint_in_order(monkeypatch, chunk_by
 def test_ordered_exp_takes_one_stacked_expm_per_chunk(monkeypatch):
     spec = qubit.QubitGeneratorSpec.constant(epsilon=0.3, gamma=1.0, mu=0.25)
     calls = []
-    expm = scipy.linalg.expm
+    expm = oracle.stacked_expm
 
     def counting(m):
         calls.append(m.shape)
         return expm(m)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    monkeypatch.setattr(oracle, "stacked_expm", counting)
     steps = 1024
     oracle.ordered_exp(lambda u: qubit.build_generator(spec, u), 0.0, 1.0, steps)
     chunk = oracle.CHUNK_BYTES // (16 * 4 * 4)
@@ -189,7 +234,7 @@ def _per_step_product(matrix_at, t0, t, steps):
     for start in range(0, steps, chunk):
         stack = np.stack(generators[start:start + chunk])
         stacks.append((len(stack), stack.dtype))
-        for factor in scipy.linalg.expm(stack):
+        for factor in oracle.stacked_expm(stack):
             total = factor @ total
     return total, stacks
 
@@ -230,13 +275,13 @@ def test_ordered_exp_of_block_builders_equals_the_per_step_product(monkeypatch, 
     block, one_time, steps = _kinds()[kind]
     reference, reference_stacks = _per_step_product(one_time, 0.0, 2.0, steps)
     stacks = []
-    expm = scipy.linalg.expm
+    expm = oracle.stacked_expm
 
     def recording(m):
         stacks.append((len(m), m.dtype))
         return expm(m)
 
-    monkeypatch.setattr(scipy.linalg, "expm", recording)
+    monkeypatch.setattr(oracle, "stacked_expm", recording)
     product = oracle.ordered_exp(block, 0.0, 2.0, steps)
     # the same chunk boundaries, each stack in the dtype its steps share
     assert stacks == reference_stacks
@@ -264,8 +309,8 @@ def test_ordered_exp_takes_one_bank_block_per_chunk(monkeypatch, kind):
     counted(timefn.CoefficientBank, "values")
     counted(weyl, "map_from_values")
     lengths = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm",
+    expm = oracle.stacked_expm
+    monkeypatch.setattr(oracle, "stacked_expm",
                         lambda m: lengths.append(len(m)) or expm(m))
     oracle.ordered_exp(block, 0.0, 2.0, steps)
     assert sum(lengths) == steps and len(lengths) > 1
