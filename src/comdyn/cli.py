@@ -381,13 +381,16 @@ class ConfigError(ComdynError, ValueError):
     exit_code = 1
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> tuple:
+    """The checked config and the text it was parsed from, which
+    :func:`write_sidecar` echoes."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            text = handle.read()
+        config = json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return validate_config(config)
+    return validate_config(config), text
 
 
 def validate_config(config: dict) -> dict:
@@ -515,9 +518,7 @@ def _fmt(value: float) -> str:
 
 def write_table(path: str, fmt: str, header: list, rows: list):
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         payload = {"columns": header,
@@ -558,13 +559,18 @@ def write_channel(path: str, matrix: np.ndarray):
             handle.write(prefix + prefix.join(lines))
 
 
-def write_sidecar(path: str, config: dict, reports: dict, elapsed: float):
+def write_sidecar(path: str, config_text: str, reports: dict, elapsed: float):
+    """The sidecar's ``config`` is ``config_text``, a config that
+    :func:`load_config` parsed as one JSON value, spliced in without its
+    outer JSON whitespace (space, tab, LF, CR); the rest is indented JSON."""
     versions = {"comdyn": __version__, "numpy": np.__version__,
                 "scipy": scipy.__version__}
-    payload = {"config": config, "reports": reports, "versions": versions,
-               "wall_time_seconds": round(elapsed, 6)}
+    rest = json.dumps({"reports": reports, "versions": versions,
+                       "wall_time_seconds": round(elapsed, 6)}, indent=2, default=str)
+    # rest[2:] drops the dump's opening "{\n"
+    text = '{\n  "config": ' + config_text.strip(" \t\n\r") + ",\n" + rest[2:] + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, indent=2, default=str) + "\n")
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -745,13 +751,11 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: dict, args) -> int:
+def run_experiment(config: dict, config_text: str, args) -> int:
     started = time.perf_counter()
     out_path = args.out or config.get("output")
     if out_path is None:
-        print("error: no output path (use --out or the 'output' field)",
-              file=sys.stderr)
-        return 1
+        raise ConfigError("no output path (use --out or the 'output' field)")
     header, rows, reports, channel = _RUNNERS[config["kind"]](config, args)
     try:
         write_table(out_path, args.format, header, rows)
@@ -759,7 +763,7 @@ def run_experiment(config: dict, args) -> int:
             channel_path = out_path + ".channel.csv"
             write_channel(channel_path, channel)
             reports["channel_matrix_path"] = channel_path
-        write_sidecar(out_path + ".meta.json", config, reports,
+        write_sidecar(out_path + ".meta.json", config_text, reports,
                       time.perf_counter() - started)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
@@ -785,15 +789,14 @@ def _validate_weyl(config, tol):
     gen = field.as_circulant()
     t0, t = config["time"]["t0"], config["time"]["t"]
     mode = config.get("mode", "markov")
-    checks = []
     relations = weyl.relations_check(field.family())
-    checks.append({"name": "weyl_relations", "passed": relations.passed(),
-                   **relations.as_dict()})
     convention = weyl.spectrum_convention_residual(field.d, field.nparties)
-    checks.append({"name": "spectrum_convention", "passed": convention < 1e-10,
-                   "residual": convention})
     report = classical.kolmogorov_check(gen, t0, t, mode, tol)
-    checks.append({"name": f"kolmogorov_{mode}", **report.as_dict()})
+    checks = [{"name": "weyl_relations", "passed": relations.passed(),
+               **relations.as_dict()},
+              {"name": "spectrum_convention", "passed": convention < 1e-10,
+               "residual": convention},
+              {"name": f"kolmogorov_{mode}", **report.as_dict()}]
     if report.passed:
         # the report above is the check relaxation would repeat
         relax = classical.relaxation(gen, t0, t, mode, tol, check=False)
@@ -859,7 +862,7 @@ def _validate_resolvent(config, tol):
 
 def _validate_kernel(config, tol):
     _, worst = _kernel_table(config)
-    return [{"name": "laplace_identity", "passed": worst < 1e-12,
+    return [{"name": "laplace_identity", "passed": bool(worst < 1e-12),
              "residual": worst}]
 
 
@@ -914,10 +917,7 @@ def self_test(tol: float = 1e-10) -> list:
 
 def validate_command(config: Optional[dict], tol: float, out_path: Optional[str],
                      ) -> int:
-    if config is None:
-        checks = self_test(tol)
-    else:
-        checks = _VALIDATORS[config["kind"]](config, tol)
+    checks = self_test(tol) if config is None else _VALIDATORS[config["kind"]](config, tol)
     passed = all(c.get("passed", False) for c in checks)
     payload = {"passed": passed, "checks": checks}
     text = json.dumps(payload, indent=2, default=str) + "\n"
@@ -966,9 +966,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = load_config(args.config)
-            return run_experiment(config, args)
-        config = load_config(args.config) if args.config else None
+            return run_experiment(*load_config(args.config), args)
+        config = load_config(args.config)[0] if args.config else None
         return validate_command(config, args.tol, args.out)
     except ComdynError as exc:
         prefix = "error" if exc.exit_code == 1 else "precondition failed"

@@ -554,24 +554,97 @@ def test_run_sidecar_records_the_versions(tmp_path):
                                    "scipy": scipy.__version__}
 
 
-def test_write_sidecar_bytes_equal_json_dump(tmp_path):
-    import io
+def test_write_sidecar_splices_the_config_text(tmp_path):
     import scipy
     import comdyn
-    config = {"kind": "classical", "name": "Zürich – ✓ naïve",
-              "rates": [[-0.5, float("nan")], [float("inf"), -0.0, [1, [2, {"é": []}]]]],
-              "time": {"t0": 0.0, "t": 1e-300, "samples": 3}, "empty": {}}
+    body = ('{"kind": "classical", "name": "Zürich – ✓ naïve",\r\n'
+            '  "rates": [-0.0, 1e-300, [1, [2, {"é": []}]]],\r\n'
+            '  "time": {"t0": -0.0, "t": 1e-300, "samples": 3}, "empty": {}}')
+    text = " \t\r\n" + body + "\r\n\n\t "
     reports = {"oracle": {"max_residual": float("nan"), "passed": False},
                "where": tmp_path, "classification": {"markovian": None}}
     path = tmp_path / "x.csv.meta.json"
-    cli.write_sidecar(str(path), config, reports, 0.1234567)
-    reference = io.StringIO()
-    json.dump({"config": config, "reports": reports,
-               "versions": {"comdyn": comdyn.__version__, "numpy": np.__version__,
-                            "scipy": scipy.__version__},
-               "wall_time_seconds": 0.123457}, reference, indent=2, default=str)
-    reference.write("\n")
-    assert path.read_bytes() == reference.getvalue().encode("utf-8")
+    cli.write_sidecar(str(path), text, reports, 0.1234567)
+    expected = (
+        '{\n  "config": ' + body + ',\n'
+        '  "reports": {\n'
+        '    "oracle": {\n'
+        '      "max_residual": NaN,\n'
+        '      "passed": false\n'
+        '    },\n'
+        f'    "where": {json.dumps(str(tmp_path))},\n'
+        '    "classification": {\n'
+        '      "markovian": null\n'
+        '    }\n'
+        '  },\n'
+        '  "versions": {\n'
+        f'    "comdyn": "{comdyn.__version__}",\n'
+        f'    "numpy": "{np.__version__}",\n'
+        f'    "scipy": "{scipy.__version__}"\n'
+        '  },\n'
+        '  "wall_time_seconds": 0.123457\n'
+        '}\n')
+    assert path.read_bytes() == expected.encode("utf-8")
+    sidecar = json.loads(path.read_text(encoding="utf-8"))
+    assert sidecar["config"] == json.loads(text)
+
+
+# numbers that Python re-spells: 1e-3 (0.001), 2.50 (2.5) and a 40-digit
+# decimal (0.7)
+RESPELLED_CLASSICAL = """{
+    "kind": "classical",
+    "dims": {
+        "d": 2,
+        "N": 1
+    },
+    "rates": [
+        -0.7000000000000000000000000000000000000000,
+        0.7
+    ],
+    "time": {
+        "t0": 1e-3,
+        "t": 2.50,
+        "samples": 9
+    },
+    "mode": "markov"
+}
+"""
+
+
+def test_sidecar_echoes_the_config_file_text(tmp_path):
+    config = tmp_path / "classical.json"
+    config.write_text(RESPELLED_CLASSICAL)
+    out = tmp_path / "first.csv"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    sidecar = (tmp_path / "first.csv.meta.json").read_text()
+    assert sidecar.startswith('{\n  "config": ' + RESPELLED_CLASSICAL.strip() + ',\n  "reports": ')
+    echo = json.loads(sidecar)["config"]
+    assert echo == json.loads(RESPELLED_CLASSICAL)
+    # the echo re-runs to the same table, both as parsed and as the
+    # sidecar's own text
+    rerun_config = write_config(tmp_path, "echo.json", echo)
+    rerun_out = tmp_path / "second.csv"
+    assert main(["run", rerun_config, "--out", str(rerun_out)]) == 0
+    assert out.read_bytes() == rerun_out.read_bytes()
+    verbatim = tmp_path / "verbatim.json"
+    verbatim.write_text(sidecar[len('{\n  "config": '):sidecar.index(',\n  "reports": ')])
+    assert main(["run", str(verbatim), "--out", str(tmp_path / "third.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "third.csv").read_bytes()
+
+
+def test_weyl_channel_csv_does_not_depend_on_the_config_echo(tmp_path, monkeypatch):
+    compact = write_config(tmp_path, "compact.json", WEYL_CONFIG)
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(WEYL_CONFIG, indent=4) + "\n")
+    assert main(["run", compact, "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["run", str(indented), "--out", str(tmp_path / "b.csv")]) == 0
+    monkeypatch.setattr(cli, "write_sidecar", lambda *args: None)
+    assert main(["run", compact, "--out", str(tmp_path / "c.csv")]) == 0
+    assert not (tmp_path / "c.csv.meta.json").exists()
+    channels = [(tmp_path / f"{name}.csv.channel.csv").read_bytes() for name in "abc"]
+    assert channels[0] == channels[1] == channels[2]
+    tables = [(tmp_path / f"{name}.csv").read_bytes() for name in "abc"]
+    assert tables[0] == tables[1] == tables[2]
 
 
 def test_resolvent_run(tmp_path):
@@ -590,13 +663,16 @@ def test_resolvent_run(tmp_path):
     assert np.all(rows[:, cp_column] == 1.0)
 
 
+KERNEL_CONFIG = {
+    "kind": "kernel",
+    "weights": [0.35, 0.65],
+    "exponents": [-0.6, -1.7],
+    "s_values": [0.5, 1.0, 2.0, 4.0],
+}
+
+
 def test_kernel_run(tmp_path):
-    config = write_config(tmp_path, "kernel.json", {
-        "kind": "kernel",
-        "weights": [0.35, 0.65],
-        "exponents": [-0.6, -1.7],
-        "s_values": [0.5, 1.0, 2.0, 4.0],
-    })
+    config = write_config(tmp_path, "kernel.json", KERNEL_CONFIG)
     out = tmp_path / "kernel.csv"
     assert main(["run", config, "--out", str(out)]) == 0
     header, rows = read_csv(out)
@@ -692,7 +768,7 @@ def test_validate_qubit_certifies_commutativity_on_the_fixed_basis(
                    c=[[{"kind": "polynomial", "coeffs": [0.3, 0.1]}, 0.05],
                       [0.05, 0.2]])
     config = write_config(tmp_path, "qubit.json", payload)
-    basis = cli._qubit_spec(cli.load_config(config)).basis
+    basis = cli._qubit_spec(cli.load_config(config)[0]).basis
     pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     assert len(pairs) == 15
     reference = max(float(np.linalg.norm(basis[i] @ basis[j] - basis[j] @ basis[i], 2))
@@ -973,6 +1049,43 @@ def test_failure_paths_exit_with_their_code_and_write_nothing(tmp_path, capsys, 
     assert captured.err.startswith(prefix)
     assert captured.err.count("\n") == 1
     assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+KIND_CONFIGS = {"classical": CLASSICAL_CONFIG, "weyl": WEYL_CONFIG, "qubit": QUBIT_CONFIG,
+                "mixture": MIXTURE_CONFIG, "resolvent": RESOLVENT_CONFIG,
+                "kernel": KERNEL_CONFIG}
+
+
+def _passed_values(node):
+    """Every value under a ``passed`` key, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "passed":
+                yield value
+            yield from _passed_values(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _passed_values(value)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
+def test_passed_is_a_json_boolean_in_every_report(tmp_path, kind):
+    # a numpy bool would reach the JSON as the string "True" through default=str
+    config = write_config(tmp_path, f"{kind}.json", KIND_CONFIGS[kind])
+    assert main(["run", config, "--out", str(tmp_path / "out.csv"), "--oracle"]) == 0
+    assert main(["validate", config, "--out", str(tmp_path / "report.json")]) == 0
+    sidecar, report = (list(_passed_values(json.loads((tmp_path / name).read_text())))
+                       for name in ("out.csv.meta.json", "report.json"))
+    assert report
+    assert all(v is True or v is False for v in sidecar + report), (sidecar, report)
+
+
+def test_run_without_an_output_path_is_an_input_error(tmp_path, capsys):
+    config = write_config(tmp_path, "config.json", CLASSICAL_CONFIG)
+    assert main(["run", config]) == 1
+    assert capsys.readouterr().err == (
+        "error: no output path (use --out or the 'output' field)\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
