@@ -233,9 +233,12 @@ class KolmogorovReport:
     first_violation: Optional[KolmogorovViolation]
     grid: np.ndarray
     tol: float
+    #: whether the window certificate, not the grid, decided the result
+    certified: bool = False
 
     def as_dict(self) -> dict:
-        out = {"mode": self.mode, "passed": self.passed, "tol": self.tol}
+        out = {"mode": self.mode, "passed": self.passed, "certified": self.certified,
+               "tol": self.tol}
         if self.first_violation is not None:
             v = self.first_violation
             out["first_violation"] = {
@@ -279,10 +282,58 @@ def _first_violation(block: np.ndarray, times: np.ndarray, tol: float,
 
 def kolmogorov_check_markov(gen: CirculantGenerator, grid: Sequence[float],
                             tol: float = DEFAULT_TOL) -> KolmogorovReport:
-    """Pointwise conditions: a_t(m) >= 0 for m != 0, sum_m a_t(m) = 0."""
+    """Pointwise conditions: a_t(m) >= 0 for m != 0, sum_m a_t(m) = 0.
+
+    Certified first on the window [min grid, max grid] by the bank's
+    :meth:`~comdyn.timefn.CoefficientBank.window_bounds`: when every
+    condition holds there with the rounding margin to spare, the report
+    passes without evaluating the grid. Otherwise the grid is screened, and
+    its first violation is the witness. If the grid passes but the bounds
+    fail beyond the margin, the rates are screened at the certificate points
+    where they fail, earliest first, and the first violation there is the
+    witness. ``certified`` marks the reports the certificate decided."""
     grid = np.asarray(grid, dtype=float)
+    bounds = gen.bank.window_bounds(grid.min(), grid.max()) if grid.size else None
+    if bounds is not None and _certified(bounds, tol):
+        return KolmogorovReport("markov", True, None, grid, tol, True)
     violation = _first_violation(gen.bank.values(grid), grid, tol, "pointwise")
-    return KolmogorovReport("markov", violation is None, violation, grid, tol)
+    certified = False
+    if violation is None and bounds is not None:
+        violation = _violation_at_bounds(gen, bounds, tol)
+        certified = violation is not None
+    return KolmogorovReport("markov", violation is None, violation, grid, tol, certified)
+
+
+def _certified(bounds, tol: float) -> bool:
+    """Whether window bounds with real rates show the conditions of
+    :data:`_CONDITIONS` holding with ``bounds.margin`` to spare; the zero
+    sum is held to ``tol`` times the least the largest |rate| can be."""
+    margin = bounds.margin
+    floor = np.max(np.maximum(bounds.low, -bounds.high)) - margin
+    return bool(np.all(bounds.low[1:] >= margin - tol) and bounds.high[0] <= tol - margin
+                and bounds.total + margin <= tol * max(1.0, floor))
+
+
+def _violation_at_bounds(gen: CirculantGenerator, bounds,
+                         tol: float) -> Optional[KolmogorovViolation]:
+    """The first violation of the rates at the certificate points whose
+    bounds fail beyond the margin (an off-origin minimum, the origin's
+    maximum, the peaks of the sum's parts), screened earliest first, 64
+    times a block; None if none fails there."""
+    rows = 64
+    margin = bounds.margin
+    off = bounds.low < -tol - margin
+    off[0] = False
+    times = [bounds.low_at[off], bounds.high_at[:int(bounds.high[0] > tol + margin)]]
+    if bounds.total > tol + margin:
+        times.append(bounds.total_at)
+    times = np.unique(np.concatenate(times))
+    for lo in range(0, times.size, rows):
+        block = times[lo:lo + rows]
+        violation = _first_violation(gen.bank.values(block), block, tol, "pointwise")
+        if violation is not None:
+            return violation
+    return None
 
 
 def kolmogorov_check_nonmarkov(gen: CirculantGenerator, taus: Sequence[float],

@@ -385,7 +385,7 @@ def load_config(path: str) -> tuple:
     """The checked config and the text it was parsed from, which
     :func:`write_sidecar` echoes."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
         config = json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
@@ -454,11 +454,8 @@ def _kernel_table(config) -> tuple:
     else:
         signal = kernel.ExponentialMixtureSignal(config["weights"], config["exponents"])
     table = kernel.laplace_table(signal, config["s_values"])
-    worst = 0.0
-    for s, fh, kh in zip(table.s_values, table.f_hat, table.k_hat):
-        chat = (1.0 + fh) / s
-        worst = max(worst, abs(s * chat - 1.0 - kh * chat))
-    return table, worst
+    chat = (1.0 + table.f_hat) / table.s_values
+    return table, max(0.0, *np.abs(table.s_values * chat - 1.0 - table.k_hat * chat).tolist())
 
 
 def _constant_field(config, rates, path: str, what: str) -> weyl.WeylCoefficientField:
@@ -516,14 +513,22 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _json_list(items: list, pad: str) -> str:
+    """A flat list as ``json.dumps(..., indent=2)`` lays it out with ``pad``,
+    a newline and its brackets' indent, from the C encoder."""
+    return (f"[{pad}  " + json.dumps(items, separators=(f",{pad}  ", ""))[1:-1] + f"{pad}]"
+            if items else "[]")
+
+
 def write_table(path: str, fmt: str, header: list, rows: list):
+    """A CSV of 17-digit floats, or the JSON that ``json.dumps(indent=2)``
+    writes of ``{"columns", "rows"}`` (a double's repr reads back as it)."""
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(header)] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
     else:
-        payload = {"columns": header,
-                   "rows": [[float(_fmt(v)) for v in row] for row in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
+        body = ",\n    ".join(_json_list(list(map(float, row)), "\n    ") for row in rows)
+        text = ('{\n  "columns": ' + _json_list(header, "\n  ") + ',\n  "rows": '
+                + (f"[\n    {body}\n  ]" if rows else "[]") + "\n}\n")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
@@ -563,9 +568,9 @@ def write_sidecar(path: str, config_text: str, reports: dict, elapsed: float):
     """The sidecar's ``config`` is ``config_text``, a config that
     :func:`load_config` parsed as one JSON value, spliced in without its
     outer JSON whitespace (space, tab, LF, CR); the rest is indented JSON."""
-    versions = {"comdyn": __version__, "numpy": np.__version__,
-                "scipy": scipy.__version__}
-    rest = json.dumps({"reports": reports, "versions": versions,
+    rest = json.dumps({"reports": reports, "versions": {
+                           "comdyn": __version__, "numpy": np.__version__,
+                           "scipy": scipy.__version__},
                        "wall_time_seconds": round(elapsed, 6)}, indent=2, default=str)
     # rest[2:] drops the dump's opening "{\n"
     text = '{\n  "config": ' + config_text.strip(" \t\n\r") + ",\n" + rest[2:] + "\n"
@@ -687,9 +692,9 @@ def _qubit(config, mode, t0, times, with_oracle) -> tuple:
     rows = []
     for t, amap in zip(times, maps):
         rho = amap.apply(rho0)
-        purity = float(np.real(np.trace(rho @ rho)))
         rows.append([t, float(rho[0, 0].real), float(rho[1, 1].real),
-                     float(rho[0, 1].real), float(rho[0, 1].imag), purity])
+                     float(rho[0, 1].real), float(rho[0, 1].imag),
+                     float(np.real(np.trace(rho @ rho)))])
     return (["t", "rho00", "rho11", "re_rho01", "im_rho01", "purity"], rows, maps,
             lambda u: qubit.build_generator(spec, u), 4,
             lambda amap, prop: float(np.max(np.abs(amap.matrix - prop))),
@@ -760,14 +765,12 @@ def run_experiment(config: dict, config_text: str, args) -> int:
     try:
         write_table(out_path, args.format, header, rows)
         if channel is not None:
-            channel_path = out_path + ".channel.csv"
-            write_channel(channel_path, channel)
-            reports["channel_matrix_path"] = channel_path
+            reports["channel_matrix_path"] = path = out_path + ".channel.csv"
+            write_channel(path, channel)
         write_sidecar(out_path + ".meta.json", config_text, reports,
                       time.perf_counter() - started)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"cannot write output: {exc}") from exc
     return 0
 
 
@@ -890,15 +893,14 @@ def self_test(tol: float = 1e-10) -> list:
     gen = classical.CirculantGenerator.constant(3, 1, [-1.5, 1.0, 0.5])
     report = classical.kolmogorov_check(gen, 0.0, 1.0, "markov", tol)
     checks.append({"name": "kolmogorov_canonical", **report.as_dict()})
-    size = 9
-    values = np.arange(1.0, size + 1.0)
+    values = np.arange(1.0, 10.0)
     values /= values.sum()
     field = weyl.WeylCoefficientField.constant(3, 1, values)
     rep = validate_channel(weyl.map_from_coeffs(field))
     checks.append({"name": "probability_field_cptp",
                    "passed": rep.cp and rep.tp and rep.unital, **rep.as_dict()})
     other = weyl.WeylCoefficientField.constant(
-        3, 1, np.arange(2.0, size + 2.0) / np.arange(2.0, size + 2.0).sum())
+        3, 1, np.arange(2.0, 11.0) / np.arange(2.0, 11.0).sum())
     a = weyl.map_from_coeffs(field).matrix
     b = weyl.map_from_coeffs(other).matrix
     comm = float(np.linalg.norm(a @ b - b @ a, 2))
@@ -915,19 +917,16 @@ def self_test(tol: float = 1e-10) -> list:
     return checks
 
 
-def validate_command(config: Optional[dict], tol: float, out_path: Optional[str],
-                     ) -> int:
+def validate_command(config: Optional[dict], tol: float, out_path: Optional[str]) -> int:
     checks = self_test(tol) if config is None else _VALIDATORS[config["kind"]](config, tol)
     passed = all(c.get("passed", False) for c in checks)
-    payload = {"passed": passed, "checks": checks}
-    text = json.dumps(payload, indent=2, default=str) + "\n"
+    text = json.dumps({"passed": passed, "checks": checks}, indent=2, default=str) + "\n"
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 1
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         print(text, end="")
     return 0 if passed else 2

@@ -14,7 +14,7 @@ integrates a whole tuple of them over an array of times in one call.
 from __future__ import annotations
 
 import numbers
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial as _NPoly
@@ -351,10 +351,144 @@ class CoefficientBank:
         core = np.where(self._flat, t * np.cos(self._phase), core)
         return self._offset * t + self._amplitude * core
 
+    @np.errstate(all="ignore")
+    def window_bounds(self, lo: float, hi: float) -> Optional[WindowBounds]:
+        """Each function's real minimum and maximum over [lo, hi], read off
+        its endpoints and critical points, and a bound on the sum of all of
+        them; None when a function is tabulated, a sum or scaled, has a
+        complex or non-finite parameter, or a bound is not finite.
+
+        A constant is its value. A polynomial's candidates are the
+        endpoints and the real parts of its derivative's roots (batched
+        companion eigenvalues, one stack per degree). A damped-trig
+        function is critical where ``w t + phase = atan2(decay, w) + k pi``;
+        its critical values alternate in sign with a magnitude monotone in
+        k, so the first two and last two critical points in the window hold
+        its extremes (with w = 0, the endpoints alone). The sum is bounded
+        by the extremes of three parts: the summed polynomial coefficients
+        with the constants and offsets added to the first, and one
+        damped-trig function per exact (decay, frequency) pair, its phasors
+        summed. Candidates are evaluated in the operation order of
+        :meth:`values`; ``margin`` bounds the rounding of both."""
+        params = (self._constant_values, self._poly_coeffs, self._amplitude,
+                  self._decay, self._frequency, self._phase, self._offset)
+        if (self._other or not np.isfinite([lo, hi]).all()
+                or any(np.iscomplexobj(p) and np.any(p.imag) for p in params)
+                or not all(np.isfinite(p).all() for p in params)):
+            return None
+        const, coeffs, amp, decay, freq, phase, offset = (np.real(p) for p in params)
+        low, low_at, high, high_at = (np.empty(self.size) for _ in range(4))
+        r = max(abs(lo), abs(hi))
+        growth = np.exp(np.maximum(decay * lo, decay * hi))
+        magnitude = np.concatenate([
+            np.abs(const), _horner(np.abs(coeffs), r),
+            np.abs(offset) + np.abs(amp) * growth
+            * (2.0 + (np.abs(decay) + np.abs(freq)) * r + np.abs(phase))])
+        # the sum's parts: one polynomial, one damped-trig function per group
+        total = np.zeros((1, max(coeffs.shape[1], 1)))
+        total[0, :coeffs.shape[1]] = coeffs.sum(axis=0)
+        total[0, 0] += const.sum() + offset.sum()
+        kinds = [(self._constant, const[None], np.full((1, const.size), float(lo)))]
+        parts = [_poly_candidates(total, lo, hi)]
+        if self._poly.size:
+            kinds.append((self._poly, *_poly_candidates(coeffs, lo, hi)))
+        if self._trig.size:
+            kinds.append((self._trig,
+                          *_trig_candidates(amp, decay, freq, phase, offset, lo, hi)))
+            keys, group = np.unique(decay + 1j * freq, return_inverse=True)
+            phasor = (np.bincount(group, amp * np.cos(phase), keys.size)
+                      + 1j * np.bincount(group, amp * np.sin(phase), keys.size))
+            parts.append(_trig_candidates(np.abs(phasor), keys.real, keys.imag,
+                                          np.angle(phasor), 0.0, lo, hi))
+        for index, values, times in kinds:
+            low[index], low_at[index], high[index], high_at[index] = _extremes(values, times)
+        peaks = [_extremes(np.abs(values), times)[2:] for values, times in parts]
+        bounds = WindowBounds(low, low_at, high, high_at,
+                              float(sum(peak.sum() for peak, _ in peaks)),
+                              np.concatenate([at for _, at in peaks]),
+                              float((self.size + 2 * total.shape[1] + 8)
+                                    * np.finfo(float).eps * magnitude.sum()))
+        finite = np.isfinite([low, high, magnitude]).all() and np.isfinite(bounds.total)
+        return bounds if finite else None
+
+
+class WindowBounds(NamedTuple):
+    """Certified bounds of a :class:`CoefficientBank` over one window."""
+
+    low: np.ndarray        # min_t f_j(t), one per function
+    low_at: np.ndarray     # a time where f_j takes it
+    high: np.ndarray       # max_t f_j(t)
+    high_at: np.ndarray
+    total: float           # upper bound of max_t |sum_j f_j(t)|
+    total_at: np.ndarray   # where each part of that bound peaks
+    margin: float          # rounding margin: (n + 2 width + 8) eps sum_j max|f_j|
+
+
+def _extremes(values: np.ndarray, times: np.ndarray) -> tuple:
+    """Per column of candidate values: the minimum, its time, the maximum
+    and its time."""
+    columns = np.arange(values.shape[1])
+    lowest, highest = np.argmin(values, axis=0), np.argmax(values, axis=0)
+    return (values[lowest, columns], times[lowest, columns],
+            values[highest, columns], times[highest, columns])
+
+
+def _poly_candidates(coeffs: np.ndarray, lo: float, hi: float) -> tuple:
+    """Values and times, one column per coefficient row: the endpoints and
+    the real parts of the derivative's roots, as companion eigenvalues and
+    after two Newton steps, clipped into [lo, hi]. Leading terms no larger
+    on the window than eps times the whole row are left out of the roots,
+    which keeps the companion well scaled; they move a value by less than
+    the bank's margin."""
+    rows, width = coeffs.shape
+    deriv = coeffs[:, 1:] * np.arange(1, width)
+    curve = deriv[:, 1:] * np.arange(1, width - 1)
+    times = np.full((2 * max(width, 2) - 2, rows), float(lo))
+    times[1] = hi
+    size = np.abs(coeffs) * max(abs(lo), abs(hi)) ** np.arange(width)
+    kept = size[:, 1:] > np.finfo(float).eps * size.sum(axis=1, keepdims=True)
+    degree = np.max(np.where(kept, np.arange(width - 1), -1), axis=1, initial=-1)
+    for k in range(1, width - 1):
+        which = np.flatnonzero(degree == k)
+        if which.size:
+            column = -deriv[which, :k] / deriv[which, k, None]
+            finite = np.isfinite(column).all(axis=1)
+            if k == 1:          # a line's root is the column itself
+                roots = column.T
+            else:
+                companion = np.zeros((which.size, k, k))
+                companion[:, 1:, :-1] = np.eye(k - 1)
+                companion[:, :, -1] = np.where(finite[:, None], column, 0.0)
+                roots = np.linalg.eigvals(companion).real.T
+            polished = roots
+            for _ in range(2):
+                step = _horner(deriv[which], polished) / _horner(curve[which], polished)
+                polished = np.where(np.isfinite(step), polished - step, polished)
+            # an overflowing companion leaves NaN times, so no bounds
+            times[2:2 + k, which] = np.where(finite, roots, np.nan)
+            times[width:width + k, which] = np.where(finite, polished, np.nan)
+    times = np.clip(times, lo, hi)
+    return _horner(coeffs, times), times
+
+
+def _trig_candidates(amplitude, decay, frequency, phase, offset, lo, hi) -> tuple:
+    """Values and times, one column per damped-trig function: the endpoints
+    and the first two and last two critical points in [lo, hi]."""
+    w = np.where(frequency == 0, 1.0, frequency)
+    base = np.arctan2(decay, frequency) - phase
+    ends = (np.array([[lo], [hi]]) * w - base) / np.pi
+    first, last = np.ceil(ends.min(axis=0)), np.floor(ends.max(axis=0))
+    k = np.clip(np.stack([first, first + 1, last - 1, last]), first, np.maximum(first, last))
+    inside = (frequency != 0) & (first <= last)
+    crit = np.where(inside, np.clip((base + k * np.pi) / w, lo, hi), lo)
+    times = np.concatenate([np.full((2, w.size), float(lo)), crit])
+    times[1] = hi
+    return offset + amplitude * np.exp(decay * times) * np.cos(frequency * times + phase), times
+
 
 def _padded(rows) -> np.ndarray:
     """Coefficient rows zero-padded on the right into one matrix."""
-    width = max((len(r) for r in rows), default=0)
+    width = max((len(r) for r in rows), default=1)
     out = np.zeros((len(rows), width),
                    dtype=np.result_type(float, *{r.dtype for r in rows}))
     for i, r in enumerate(rows):

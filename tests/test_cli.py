@@ -113,6 +113,40 @@ def test_json_format(tmp_path):
     assert len(payload["rows"]) == 9
 
 
+def _indented_table(header, rows) -> str:
+    """The JSON table as the pure-Python indent encoder writes it, each
+    value re-read from its 17-digit text first."""
+    payload = {"columns": header, "rows": [[float(_fmt(v)) for v in row] for row in rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["t", "a,b", "ü", 'q"'],
+     [[0.0, float("nan"), float("inf"), -float("inf")],
+      [-0.0, 1e-300, -1e-300, 5e-324],
+      [np.float64(0.1), 3, True, np.float32(0.1)],
+      [1.7976931348623157e308, -2.5, 1 / 3, 2.0 ** 60]]),
+    (["t"], [[0.5]]),
+    (["t"], []),
+    (["t"], [[]]),
+    ([], [[1.0], [2.0]]),
+])
+def test_json_table_bytes_equal_the_indented_encoder(tmp_path, header, rows):
+    out = tmp_path / "table.json"
+    cli.write_table(str(out), "json", header, rows)
+    assert out.read_bytes() == _indented_table(header, rows).encode()
+
+
+def test_fmt_reads_back_as_every_double(rng):
+    # the JSON table writes repr(v) where it wrote float(_fmt(v)): the same
+    # double for every bit pattern, NaN aside
+    bits = rng.integers(0, 2 ** 63, size=20000, dtype=np.int64)
+    bits[::2] |= np.int64(-2 ** 63)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)].tolist() + [0.0, -0.0, 5e-324, 1e-300]
+    assert all(repr(float(_fmt(v))) == repr(v) for v in values)
+
+
 def test_weyl_run_emits_spectrum_and_channel(tmp_path):
     config = write_config(tmp_path, "weyl.json", WEYL_CONFIG)
     out = tmp_path / "weyl.csv"
