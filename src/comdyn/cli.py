@@ -416,28 +416,22 @@ def validate_config(config: dict) -> dict:
 # builders
 # ---------------------------------------------------------------------------
 
-def _timefn(spec) -> timefn.TimeFunction:
-    if isinstance(spec, (int, float)):
-        return timefn.Constant(spec)
-    return timefn.from_spec(spec)
-
-
 def _classical_generator(config) -> classical.CirculantGenerator:
     d, n = config["dims"]["d"], config["dims"]["N"]
-    return classical.CirculantGenerator(d, n, tuple(_timefn(r) for r in config["rates"]))
+    return classical.CirculantGenerator(d, n, tuple(map(timefn.from_spec, config["rates"])))
 
 
 def _weyl_field(config, rates) -> weyl.WeylCoefficientField:
     d, n = config["dims"]["d"], config["dims"]["N"]
-    return weyl.WeylCoefficientField(d, n, tuple(_timefn(r) for r in rates))
+    return weyl.WeylCoefficientField(d, n, tuple(map(timefn.from_spec, rates)))
 
 
 def _qubit_spec(config) -> qubit.QubitGeneratorSpec:
     c = config.get("c", [[0.0, 0.0], [0.0, 0.0]])
     return qubit.QubitGeneratorSpec(
-        epsilon=_timefn(config.get("epsilon", 0.0)),
-        gamma=_timefn(config["gamma"]),
-        c=tuple(tuple(_timefn(f) for f in row) for row in c),
+        epsilon=timefn.from_spec(config.get("epsilon", 0.0)),
+        gamma=timefn.from_spec(config["gamma"]),
+        c=tuple(tuple(map(timefn.from_spec, row)) for row in c),
         mu=config["mu"],
     )
 
@@ -450,7 +444,7 @@ def _kernel_table(config) -> tuple:
         if isinstance(rate, dict) and rate["kind"] == "tabulated":
             raise ConfigError("config invalid at rate: the transform needs the rate on all "
                               f"t >= 0; a tabulated rate ends at t={max(rate['times'])}")
-        signal = kernel.RateModeSignal(_timefn(rate))
+        signal = kernel.RateModeSignal(timefn.from_spec(rate))
     else:
         signal = kernel.ExponentialMixtureSignal(config["weights"], config["exponents"])
     table = kernel.laplace_table(signal, config["s_values"])
@@ -489,10 +483,6 @@ def _mixture_generators(config) -> list:
                 f"(index {v.index}, value {v.value:.6e})", witness=report)
         maps.append(weyl.map_from_coeffs(field))
     return maps
-
-
-def _mixture_spec(config, cset) -> generators.MixtureSpec:
-    return generators.MixtureSpec(tuple(_timefn(w) for w in config["weights"]), cset)
 
 
 def _resolvent_channels(config, tol) -> tuple:
@@ -705,7 +695,7 @@ def _qubit(config, mode, t0, times, with_oracle) -> tuple:
 def _run_mixture(config, args):
     cset = generators.CommutingGeneratorSet.from_generators(
         _mixture_generators(config))
-    spec = _mixture_spec(config, cset)
+    spec = generators.MixtureSpec(tuple(map(timefn.from_spec, config["weights"])), cset)
     t0, times = config["time"]["t0"], _times(config)
     spec.validate_weights(t0, config["time"]["t"])
     n_modes = cset.basis.eigenvalues.size
@@ -802,7 +792,7 @@ def _validate_weyl(config, tol):
               {"name": f"kolmogorov_{mode}", **report.as_dict()}]
     if report.passed:
         # the report above is the check relaxation would repeat
-        relax = classical.relaxation(gen, t0, t, mode, tol, check=False)
+        relax = classical.relaxation(gen, t0, t, mode, check=False)
         amap, spectral, atol = _weyl_final_channel(relax, tol)
         rep = validate_channel(amap, tol)
         checks.append({"name": "channel_cptp_unital",
@@ -845,7 +835,7 @@ def _validate_mixture(config, tol):
         return checks + [{"name": "commuting_set", "passed": False,
                           "detail": str(exc)}]
     checks.append({"name": "commuting_set", "passed": True})
-    spec = _mixture_spec(config, cset)
+    spec = generators.MixtureSpec(tuple(map(timefn.from_spec, config["weights"])), cset)
     window = config["time"]
     try:
         spec.validate_weights(window["t0"], window["t"], tol)

@@ -63,8 +63,7 @@ class CommutingGeneratorSet:
         return len(self.generators)
 
     @classmethod
-    def from_generators(cls, generators: Sequence[SuperOperator],
-                        tol: float = DEFAULT_TOL) -> "CommutingGeneratorSet":
+    def from_generators(cls, generators: Sequence[SuperOperator]) -> "CommutingGeneratorSet":
         generators = tuple(generators)
         if not generators:
             raise ValueError("need at least one generator")
@@ -73,7 +72,7 @@ class CommutingGeneratorSet:
         for idx, gen in enumerate(generators):
             gen._require_same_space(generators[0])
             trace_defect = float(np.max(np.abs(dual(gen).apply(ident))))
-            if trace_defect > tol * max(1.0, gen.norm()):
+            if trace_defect > DEFAULT_TOL * max(1.0, gen.norm()):
                 raise ValueError(
                     f"generator {idx} does not annihilate the trace functional "
                     f"(residual {trace_defect:.3e})")
@@ -86,11 +85,11 @@ class CommutingGeneratorSet:
                         f"generators {i} and {j} do not commute "
                         f"(commutator norm {comm:.3e})")
 
-        basis, eigenvalues = _common_damping_basis(generators, tol)
+        basis, eigenvalues = _common_damping_basis(generators)
         return cls(generators, basis, eigenvalues)
 
 
-def _common_damping_basis(generators, tol):
+def _common_damping_basis(generators):
     """Diagonalize a generic linear combination and read every generator's
     eigenvalues off the shared basis; rejects sets without a common basis."""
     scale = max(1.0, max(g.norm() for g in generators))
@@ -110,7 +109,7 @@ def _common_damping_basis(generators, tol):
         for idx, gen in enumerate(generators):
             rep = _in_basis(gen, basis)
             off = rep - np.diag(np.diag(rep))
-            if float(np.max(np.abs(off))) > 1e3 * tol * scale:
+            if float(np.max(np.abs(off))) > 1e3 * DEFAULT_TOL * scale:
                 ok = False
                 break
             eigenvalues[idx] = np.diag(rep)
@@ -185,15 +184,14 @@ class MixtureSpec:
                          np.exp(lam * tau))
 
 
-def mixture_map(spec: MixtureSpec, t0: float, t: float,
-                tol: float = DEFAULT_TOL) -> SuperOperator:
+def mixture_map(spec: MixtureSpec, t0: float, t: float) -> SuperOperator:
     """A_{t,t0} = sum_k p_k(t-t0) exp((t-t0) L_k), assembled spectrally.
 
     Depends on t and t0 only through tau = t - t0 (homogeneous by
     construction); the weights must form a probability distribution on
     [0, tau] (see :meth:`MixtureSpec.validate_weights`).
     """
-    spec.validate_weights(t0, t, tol)
+    spec.validate_weights(t0, t)
     return spec.generator_set.basis.assemble(spec.eigenvalue_mixture(t - t0))
 
 
@@ -225,26 +223,25 @@ def mixture_generator_eigenvalues(spec: MixtureSpec, t: float,
 # resolvent channels and generators
 # ---------------------------------------------------------------------------
 
-def _require_unital_tp_generator(gen: SuperOperator, tol: float):
+def _require_unital_tp_generator(gen: SuperOperator):
     ident = np.eye(gen.dim, dtype=complex)
     scale = max(1.0, gen.norm())
     unital_defect = float(np.max(np.abs(gen.apply(ident))))
     trace_defect = float(np.max(np.abs(dual(gen).apply(ident))))
-    if unital_defect > tol * scale or trace_defect > tol * scale:
+    if unital_defect > DEFAULT_TOL * scale or trace_defect > DEFAULT_TOL * scale:
         raise ValueError(
             "resolvent construction needs a generator of a unital "
             f"trace-preserving semigroup (L(I) residual {unital_defect:.3e}, "
             f"dual residual {trace_defect:.3e})")
 
 
-def resolvent_channel(gen: SuperOperator, s: float, k: int = 0,
-                      tol: float = DEFAULT_TOL) -> SuperOperator:
+def resolvent_channel(gen: SuperOperator, s: float, k: int = 0) -> SuperOperator:
     """The channel s^(k+1) (s - L)^-(k+1), CPTP and unital for valid input."""
     if s <= 0:
         raise ValueError(f"need s > 0, got {s}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    _require_unital_tp_generator(gen, tol)
+    _require_unital_tp_generator(gen)
     shifted = s * np.eye(gen.matrix.shape[0], dtype=complex) - gen.matrix
     cond = np.linalg.cond(shifted)
     if not np.isfinite(cond) or cond > 1e14:
@@ -259,10 +256,9 @@ def resolvent_channel(gen: SuperOperator, s: float, k: int = 0,
     return SuperOperator(gen.dim, (s ** (k + 1)) * result)
 
 
-def resolvent_generator(gen: SuperOperator, s: float, k: int = 0,
-                        tol: float = DEFAULT_TOL) -> SuperOperator:
+def resolvent_generator(gen: SuperOperator, s: float, k: int = 0) -> SuperOperator:
     """The derived Markovian generator Phi_s^k - id."""
-    channel = resolvent_channel(gen, s, k, tol)
+    channel = resolvent_channel(gen, s, k)
     return channel - SuperOperator.identity(channel.dim)
 
 
@@ -291,7 +287,7 @@ def weighted_generator(weight_funcs: Sequence[Callable[[float, float], float]],
     """
     if len(weight_funcs) != len(ks):
         raise ValueError("need one weight function per k value")
-    _require_unital_tp_generator(gen, DEFAULT_TOL)
+    _require_unital_tp_generator(gen)
 
     def assemble(n_nodes: int) -> np.ndarray:
         s_nodes, s_weights = _gauss_legendre_log_nodes(*s_range, n_nodes)

@@ -15,12 +15,11 @@ block builder gives the same bits as its one-time call at every midpoint.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import OverflowInExponentialError
-from .superop import SuperOperator
 
 #: Bytes of step generators :func:`ordered_exp` exponentiates per stacked
 #: call: 256 4x4 complex steps, or two 64x64 real ones.
@@ -105,14 +104,9 @@ def _pade(a: np.ndarray, m: int) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-def expm(m: Union[np.ndarray, SuperOperator]) -> Union[np.ndarray, SuperOperator]:
-    """Dense matrix exponential: :func:`stacked_expm` of one matrix.
-
-    Accepts a plain square matrix or a :class:`SuperOperator` and returns
-    the same kind. Overflow is reported, never clamped.
-    """
-    if isinstance(m, SuperOperator):
-        return SuperOperator(m.dim, expm(m.matrix))
+def expm(m: np.ndarray) -> np.ndarray:
+    """Dense matrix exponential: :func:`stacked_expm` of one square matrix.
+    Overflow is reported, never clamped."""
     m = np.asarray(m)
     result = stacked_expm(m[None])[0]
     if not np.all(np.isfinite(result)):

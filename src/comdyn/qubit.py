@@ -45,6 +45,10 @@ IDENTITY2 = np.eye(2, dtype=complex)
 #: The orthonormal family (e11, sigma+, sigma-, e00) that V maps onto g.
 _F = (E11, SIGMA_PLUS, SIGMA_MINUS, E00)
 
+#: Cap on max |c - c^dag| relative to max(1, max |c|) for a dephasing
+#: matrix c, or its integral, to count as Hermitian.
+HERMITIAN_TOL = 1e-9
+
 
 def _is_exact_number(mu) -> bool:
     return isinstance(mu, (Fraction, int)) and not isinstance(mu, bool)
@@ -116,10 +120,9 @@ class QubitGeneratorSpec:
         return cls(epsilon, gamma, c, mu)
 
 
-def _require_hermitian(cmat: np.ndarray, t: float, tol: float = 1e-9,
-                       name: str = "c(t)") -> np.ndarray:
-    """``cmat``, unless max |c - c^dag| exceeds ``tol`` max(1, max |c|);
-    ``name`` says what ``cmat`` is in the refusal.
+def _require_hermitian(cmat: np.ndarray, t: float, name: str = "c(t)") -> np.ndarray:
+    """``cmat``, unless max |c - c^dag| exceeds :data:`HERMITIAN_TOL`
+    max(1, max |c|); ``name`` says what ``cmat`` is in the refusal.
 
     Scalar arithmetic on the four entries: |c_ab - conj(c_ba)| is the same
     for (0, 1) and (1, 0), and |c_aa - conj(c_aa)| = 2 |Im c_aa| exactly.
@@ -127,7 +130,7 @@ def _require_hermitian(cmat: np.ndarray, t: float, tol: float = 1e-9,
     c00, c01, c10, c11 = cmat.ravel().tolist()
     scale = max(1.0, abs(c00), abs(c01), abs(c10), abs(c11))
     skew = max(2.0 * abs(c00.imag), abs(c01 - c10.conjugate()), 2.0 * abs(c11.imag))
-    if skew > tol * scale:
+    if skew > HERMITIAN_TOL * scale:
         raise ValueError(f"{name} is not Hermitian at t={t}")
     return cmat
 
@@ -189,7 +192,7 @@ def build_generator(spec: QubitGeneratorSpec, t=0.0):
     skew = np.maximum(np.maximum(2.0 * np.abs(c00.imag), np.abs(c01 - c10.conj())),
                       2.0 * np.abs(c11.imag))
     finite = np.isfinite(stack).all(axis=(1, 2))
-    for i in np.flatnonzero((skew > 1e-9 * scale) | ~finite):
+    for i in np.flatnonzero((skew > HERMITIAN_TOL * scale) | ~finite):
         _require_hermitian(rows[i, 2:].reshape(2, 2), times[i].item() if np.ndim(t) else t)
         if not finite[i]:
             raise ValueError("superoperator matrix has non-finite entries")
@@ -237,22 +240,30 @@ def _sign_check(spec: QubitGeneratorSpec, t0: float, t, mode: PropagationMode,
     Markovian mode checks the values pointwise on [t0, t]; the homogeneous
     mode checks int_0^tau over the nonzero taus of [0, t - t0]. In both, c
     (or its integral) must also be Hermitian, raising at the first point
-    where it is not.
+    where it is not, and every coefficient finite: a ``ValueError`` names
+    the first point with a non-finite one unless a violation comes before.
     """
     grid = window_grid(t0, t, mode)
     pointwise = mode == "markov"
-    if pointwise:
-        block = spec.bank.values(grid)
-    else:
-        grid = grid[grid != 0.0]
-        block = spec.bank.integrals(0.0, grid)
+    # a block that overflows is refused below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pointwise:
+            block = spec.bank.values(grid)
+        else:
+            grid = grid[grid != 0.0]
+            block = spec.bank.integrals(0.0, grid)
+    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+    block = block[:bad[0]] if bad.size else block
     cmats = block[:, 2:].reshape(-1, 2, 2)
     adjoints = cmats.conj().swapaxes(1, 2)
     min_eigs = np.min(np.linalg.eigvalsh((cmats + adjoints) / 2.0), axis=1)
     scale = np.maximum(1.0, np.max(np.abs(cmats), axis=(1, 2)))
     flagged = ((block[:, 1].real < -tol) | (min_eigs < -tol)
-               | (np.max(np.abs(cmats - adjoints), axis=(1, 2)) > 1e-9 * scale))
+               | (np.max(np.abs(cmats - adjoints), axis=(1, 2)) > HERMITIAN_TOL * scale))
     if not np.any(flagged):
+        if bad.size:
+            raise ValueError(f"{'coefficients' if pointwise else 'int_0^t coefficients'} "
+                             f"have non-finite values at t={float(grid[bad[0]])}")
         return None
     row = int(np.argmax(flagged))
     u = float(grid[row])
@@ -262,16 +273,16 @@ def _sign_check(spec: QubitGeneratorSpec, t0: float, t, mode: PropagationMode,
     return u, "c"
 
 
-def propagate(spec: QubitGeneratorSpec, t0: float, t,
-              mode: PropagationMode = "markov", tol: float = DEFAULT_TOL):
+def propagate(spec: QubitGeneratorSpec, t0: float, t, mode: PropagationMode = "markov"):
     """Closed-form propagator sum_a exp(int lambda_a) g_a tr(h_a^dag .).
 
-    Markovian mode requires gamma(u) > -tol and c(u) >= 0 pointwise on
-    [t0, t]; the homogeneous mode requires the running integrals over
-    [0, tau] to satisfy the same signs for tau <= t - t0. An array of end
-    times ``t`` gets one check and one bank call, and a list of propagators.
+    Markovian mode requires gamma(u) >= -DEFAULT_TOL and c(u) >= 0
+    pointwise on [t0, t]; the homogeneous mode requires the running
+    integrals over [0, tau] to satisfy the same signs for tau <= t - t0. An
+    array of end times ``t`` gets one check and one bank call, and a list of
+    propagators; a non-finite coefficient or integral raises ``ValueError``.
     """
-    violation = _sign_check(spec, t0, t, mode, tol)
+    violation = _sign_check(spec, t0, t, mode, DEFAULT_TOL)
     if violation is not None:
         u, which = violation
         if mode == "markov":
@@ -284,8 +295,12 @@ def propagate(spec: QubitGeneratorSpec, t0: float, t,
         raise PreconditionFailedError(f"{message} (nonmarkov mode)",
                                       witness=(f"{which}-integral", u))
     lo, hi = integration_window(t0, np.atleast_1d(t), mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrals = spec.bank.integrals(lo, hi)
+    if not np.isfinite(integrals).all():
+        raise ValueError("coefficient integrals have non-finite values")
     maps = [SuperOperator(2, np.einsum("a,aij->ij", np.exp(_modes(row)), spec.projectors))
-            for row in spec.bank.integrals(lo, hi)]
+            for row in integrals]
     return maps if np.ndim(t) else maps[0]
 
 

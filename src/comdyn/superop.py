@@ -215,7 +215,7 @@ def superop_inner(a: SuperOperator, b: SuperOperator) -> complex:
 # F / E representations
 # ---------------------------------------------------------------------------
 
-def _check_orthonormal(basis: np.ndarray, tol: float) -> np.ndarray:
+def _check_orthonormal(basis: np.ndarray) -> np.ndarray:
     basis = np.asarray(basis, dtype=complex)
     n, d1, d2 = basis.shape
     if d1 != d2 or n != d1 * d1:
@@ -224,14 +224,13 @@ def _check_orthonormal(basis: np.ndarray, tol: float) -> np.ndarray:
     stack = _vec_stack(basis)
     gram = stack.conj() @ stack.T
     deviation = float(np.max(np.abs(gram - np.eye(n))))
-    if deviation > tol:
+    if deviation > DEFAULT_TOL:
         raise ValueError(
             f"operator basis is not orthonormal (Gram deviation {deviation:.3e})")
     return basis
 
 
-def f_coefficients(a: SuperOperator, basis: Optional[np.ndarray] = None,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
+def f_coefficients(a: SuperOperator, basis: Optional[np.ndarray] = None) -> np.ndarray:
     """Coefficient matrix of A over the sandwich basis F_ab x = f_a x f_b^dag.
 
     Returns c with A = sum_ab c[a, b] F_ab. Over matrix units this is the
@@ -243,24 +242,22 @@ def f_coefficients(a: SuperOperator, basis: Optional[np.ndarray] = None,
     tensor = a.matrix.reshape(dim, dim, dim, dim)
     if basis is None:
         return tensor.transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim)
-    basis = _check_orthonormal(basis, tol)
+    basis = _check_orthonormal(basis)
     return np.einsum("bij,akl,ikjl->ab", basis, basis.conj(), tensor, optimize=True)
 
 
-def f_reconstruct(coeffs: np.ndarray, basis: Optional[np.ndarray] = None,
-                  tol: float = DEFAULT_TOL) -> SuperOperator:
+def f_reconstruct(coeffs: np.ndarray, basis: Optional[np.ndarray] = None) -> SuperOperator:
     """Assemble sum_ab c[a, b] F_ab back into a SuperOperator."""
     coeffs = np.asarray(coeffs, dtype=complex)
     dim = int(round(np.sqrt(coeffs.shape[0])))
     if basis is None:
         basis = matrix_units(dim)
-    basis = _check_orthonormal(basis, tol)
+    basis = _check_orthonormal(basis)
     tensor = np.einsum("ab,bij,akl->ikjl", coeffs, basis.conj(), basis, optimize=True)
     return SuperOperator(dim, tensor.reshape(dim * dim, dim * dim))
 
 
-def e_coefficients(a: SuperOperator, basis: Optional[np.ndarray] = None,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
+def e_coefficients(a: SuperOperator, basis: Optional[np.ndarray] = None) -> np.ndarray:
     """Coefficient matrix over the rank-one basis E_ab x = f_a (f_b, x).
 
     This representation is a homomorphism for composition:
@@ -268,18 +265,17 @@ def e_coefficients(a: SuperOperator, basis: Optional[np.ndarray] = None,
     """
     if basis is None:
         basis = matrix_units(a.dim)
-    basis = _check_orthonormal(basis, tol)
+    basis = _check_orthonormal(basis)
     stack = _vec_stack(basis)          # rows are vec(f_a)
     return stack.conj() @ a.matrix @ stack.T
 
 
-def e_reconstruct(coeffs: np.ndarray, basis: Optional[np.ndarray] = None,
-                  tol: float = DEFAULT_TOL) -> SuperOperator:
+def e_reconstruct(coeffs: np.ndarray, basis: Optional[np.ndarray] = None) -> SuperOperator:
     coeffs = np.asarray(coeffs, dtype=complex)
     dim = int(round(np.sqrt(coeffs.shape[0])))
     if basis is None:
         basis = matrix_units(dim)
-    basis = _check_orthonormal(basis, tol)
+    basis = _check_orthonormal(basis)
     stack = _vec_stack(basis)
     return SuperOperator(dim, stack.T @ coeffs @ stack.conj())
 

@@ -403,11 +403,14 @@ class CoefficientBank:
         for index, values, times in kinds:
             low[index], low_at[index], high[index], high_at[index] = _extremes(values, times)
         peaks = [_extremes(np.abs(values), times)[2:] for values, times in parts]
+        # eps bounds a step's relative rounding; a step whose result is
+        # subnormal can also err by half the smallest subnormal
         bounds = WindowBounds(low, low_at, high, high_at,
                               float(sum(peak.sum() for peak, _ in peaks)),
                               np.concatenate([at for _, at in peaks]),
                               float((self.size + 2 * total.shape[1] + 8)
-                                    * np.finfo(float).eps * magnitude.sum()))
+                                    * (np.finfo(float).eps * magnitude.sum()
+                                       + np.finfo(float).smallest_subnormal)))
         finite = np.isfinite([low, high, magnitude]).all() and np.isfinite(bounds.total)
         return bounds if finite else None
 
@@ -421,7 +424,7 @@ class WindowBounds(NamedTuple):
     high_at: np.ndarray
     total: float           # upper bound of max_t |sum_j f_j(t)|
     total_at: np.ndarray   # where each part of that bound peaks
-    margin: float          # rounding margin: (n + 2 width + 8) eps sum_j max|f_j|
+    margin: float          # (n + 2 width + 8) (eps sum_j max|f_j| + min subnormal)
 
 
 def _extremes(values: np.ndarray, times: np.ndarray) -> tuple:
@@ -514,13 +517,16 @@ def as_time_function(value) -> TimeFunction:
     raise TypeError(f"cannot interpret {value!r} as a time function")
 
 
-def from_spec(spec: dict) -> TimeFunction:
-    """Build a TimeFunction from its JSON description.
+def from_spec(spec) -> TimeFunction:
+    """Build a TimeFunction from its JSON description: a bare number is a
+    constant, and an object names its kind.
 
     Recognized kinds: ``constant`` {value}, ``polynomial`` {coeffs},
     ``damped-trig`` {amplitude, decay, frequency, phase, offset},
     ``tabulated`` {times, values}.
     """
+    if isinstance(spec, (int, float)):
+        return Constant(spec)
     kind = spec.get("kind")
     if kind == "constant":
         return Constant(spec["value"])

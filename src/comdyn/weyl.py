@@ -37,6 +37,9 @@ from .timefn import Constant, as_time_function
 
 Index = Union[int, Sequence[int]]
 
+#: Cap on every residual of :func:`relations_check` for the relations to hold.
+RELATIONS_TOL = 1e-12
+
 
 def _as_index_tuple(value: Index, nparties: int, d: int) -> tuple:
     if isinstance(value, (int, np.integer)):
@@ -175,8 +178,8 @@ class WeylRelationsReport:
         return max(self.product_residual, self.adjoint_residual,
                    self.orthogonality_residual)
 
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_residual < tol
+    def passed(self) -> bool:
+        return self.max_residual < RELATIONS_TOL
 
     def as_dict(self) -> dict:
         return {
@@ -514,12 +517,12 @@ class LindbladDecomposition:
         return SuperOperator(dim, matrix)
 
 
-def lindblad_decomposition(field: WeylCoefficientField, t: float = 0.0,
-                           tol: float = DEFAULT_TOL) -> LindbladDecomposition:
+def lindblad_decomposition(field: WeylCoefficientField,
+                           t: float = 0.0) -> LindbladDecomposition:
     family = field.family()
     values = field.as_circulant().rates(t).values
     total = complex(np.sum(values))
-    if abs(total) > tol:
+    if abs(total) > DEFAULT_TOL:
         raise NormalizationError(
             f"generator coefficients must sum to zero, got {total}")
     indices = tuple(k for k in range(family.count) if k != 0)
@@ -532,15 +535,14 @@ def lindblad_decomposition(field: WeylCoefficientField, t: float = 0.0,
 # ---------------------------------------------------------------------------
 
 def evolve(field: WeylCoefficientField, t0: float, t: float,
-           mode: PropagationMode = "markov", tol: float = DEFAULT_TOL) -> SuperOperator:
+           mode: PropagationMode = "markov") -> SuperOperator:
     """Closed-form dynamical map A_{t,t0} = sum exp(I~(m,n)) P_{m,n}.
 
     The relaxation factors exp(I~) come from :func:`classical.relaxation`
     of the field viewed as a classical generator on the doubled lattice, so
     the field must pass the matching Kolmogorov check.
     """
-    return WeylSpectrum(classical.relaxation(
-        field.as_circulant(), t0, t, mode, tol)).assemble()
+    return WeylSpectrum(classical.relaxation(field.as_circulant(), t0, t, mode)).assemble()
 
 
 def diagonal_action(field: WeylCoefficientField) -> CirculantGenerator:

@@ -253,6 +253,12 @@ def _cases(draw):
 @example((CirculantGenerator(2, 1, (Constant(0.0),
                                     Polynomial([0.0, 1.0, -1.0, 3.2958225333454296e-117]))),
           0.0, 1.0, np.array([0.0])))
+# subnormal amplitudes and offsets: their sum rounds to 5e-324 where the
+# bound on it is 0, so only an absolute term in the margin covers it
+@example((CirculantGenerator(3, 1, (
+    DampedTrig(5e-324, -0.0, 1.5, -2.356194490192345, -5e-324),
+    DampedTrig(0.0, -0.0, 1.5, 0.0, 0.0),
+    DampedTrig(5e-324, -0.0, 1.5, 1.0, 5e-324))), 0.0, 1.0, np.array([0.0])))
 def test_the_certificate_never_contradicts_the_grid(case):
     gen, lo, hi, grid = case
     bank = gen.bank

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from comdyn import classical, cli, generators, kernel, oracle, qubit, superop, weyl
+from comdyn import (classical, cli, generators, kernel, oracle, qubit, superop, timefn,
+                    weyl)
 from comdyn.cli import _fmt, main, write_channel
 
 from conftest import assemble_reference
@@ -503,7 +504,7 @@ def test_mixture_oracle_run_checks_the_weights_once(tmp_path, monkeypatch):
     # each residual is the one the checked mixture_map gives
     cset = generators.CommutingGeneratorSet.from_generators(
         cli._mixture_generators(payload))
-    spec = cli._mixture_spec(payload, cset)
+    spec = generators.MixtureSpec(tuple(map(timefn.from_spec, payload["weights"])), cset)
     header, rows = read_csv(out)
     for t, residual in zip(rows[:, 0], rows[:, header.index("oracle_residual")]):
         amap = generators.mixture_map(spec, 0.5, t)
@@ -939,6 +940,11 @@ TABULATED_KERNEL = {"kind": "kernel", "s_values": [0.5],
 TABULATED_KERNEL_REFUSAL = ("error: config invalid at rate: the transform needs the rate "
                             "on all t >= 0; a tabulated rate ends at t=2\n")
 
+#: Z_2 rates -+exp(800 t): finite parameters, values beyond a double on [0, 1]
+OVERFLOWING_RATES = [{"kind": "damped-trig", "amplitude": -1.0, "decay": 800.0},
+                     {"kind": "damped-trig", "amplitude": 1.0, "decay": 800.0}]
+OVERFLOW_WINDOW = {"t0": 0.0, "t": 1.0, "samples": 2}
+
 FAILURE_PATHS = {
     # name: (command, config, extra argv, exit code, stderr prefix)
     "weyl-kolmogorov": (
@@ -1070,9 +1076,27 @@ FAILURE_PATHS = {
     "non-finite-rate": (
         "run", dict(CLASSICAL_CONFIG, rates=[-0.7, float("nan")]), [], 1,
         "error: config invalid at rates.1: nan is not a finite number"),
+    # finite parameters whose rates overflow: exp(800 t) is inf past
+    # t = 0.887, so the block read on [0, 1] is refused, without a warning
+    "classical-overflow": (
+        "run", dict(CLASSICAL_CONFIG, rates=OVERFLOWING_RATES, time=OVERFLOW_WINDOW), [], 1,
+        "error: field has non-finite values\n"),
+    "weyl-overflow": (
+        "run", dict(WEYL_CONFIG, rates=OVERFLOWING_RATES + [0.0, 0.0], time=OVERFLOW_WINDOW),
+        [], 1, "error: field has non-finite values\n"),
+    "qubit-overflow-markov": (
+        "run", dict(QUBIT_CONFIG, gamma=OVERFLOWING_RATES[1], time=OVERFLOW_WINDOW), [], 1,
+        "error: coefficients have non-finite values at t=0.89\n"),
+    # the antiderivative forms exp(800 t) 800 before it divides by 800^2,
+    # which overflows from t = 0.88
+    "qubit-overflow-nonmarkov": (
+        "run", dict(QUBIT_CONFIG, gamma=OVERFLOWING_RATES[1], time=OVERFLOW_WINDOW,
+                    mode="nonmarkov"), [], 1,
+        "error: int_0^t coefficients have non-finite values at t=0.88\n"),
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(FAILURE_PATHS))
 def test_failure_paths_exit_with_their_code_and_write_nothing(tmp_path, capsys, name):
     command, payload, extra, code, prefix = FAILURE_PATHS[name]

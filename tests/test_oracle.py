@@ -4,7 +4,6 @@ import scipy.linalg
 
 from comdyn import classical, oracle, qubit, timefn, weyl
 from comdyn.errors import OverflowInExponentialError
-from comdyn.superop import SuperOperator
 from comdyn.timefn import Constant, DampedTrig
 
 from conftest import mixed_realness_generator, random_matrix, stacked
@@ -37,13 +36,6 @@ def test_expm_inverse(rng):
     m = random_matrix(rng, 4)
     product = oracle.expm(m) @ oracle.expm(-m)
     assert np.max(np.abs(product - np.eye(4))) < 1e-11
-
-
-def test_expm_superoperator_wrapper():
-    op = SuperOperator.zero(2)
-    out = oracle.expm(op)
-    assert isinstance(out, SuperOperator)
-    assert np.array_equal(out.matrix, np.eye(4))
 
 
 def test_expm_reports_overflow():

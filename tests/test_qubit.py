@@ -6,13 +6,13 @@ import scipy.linalg
 
 from comdyn import oracle
 from comdyn.errors import OverflowInExponentialError, PreconditionFailedError
-from comdyn.qubit import (E00, E11, IDENTITY2, SIGMA3, SIGMA_MINUS, SIGMA_PLUS,
-                          QubitGeneratorSpec, _require_hermitian,
-                          build_generator, classify,
+from comdyn.qubit import (E00, E11, HERMITIAN_TOL, IDENTITY2, SIGMA3, SIGMA_MINUS,
+                          SIGMA_PLUS, QubitGeneratorSpec, _require_hermitian,
+                          _sign_check, build_generator, classify,
                           damping_basis, eigenvalue_integrals,
                           gamma_eigenvalue, propagate, spectral_projector,
                           v_conjugation)
-from comdyn.superop import SuperOperator, validate_channel
+from comdyn.superop import DEFAULT_TOL, SuperOperator, validate_channel
 from comdyn.classical import condition_grid
 from comdyn.timefn import Constant, DampedTrig, Polynomial
 
@@ -488,6 +488,31 @@ def test_ordered_exp_overflow_of_a_qubit_generator_names_the_same_step():
         f"matrix exponential overflowed at step {j} of {steps} (midpoint "
         f"t={(j + 0.5) * h!r}, step norm {np.linalg.norm(step):.3e})")
     assert 0 < j < steps - 1
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_every_check_of_c_draws_the_hermitian_line_at_one_threshold(side):
+    """A constant c whose skew sits a millionth below (-1) or above (+1)
+    HERMITIAN_TOL max |c|: each check that reads c, on one time, a block or
+    the running integrals, accepts the first and refuses the second."""
+    cmat = np.array([[1e4, 1j * HERMITIAN_TOL * 1e4 * (1.0 + side * 1e-6)],
+                     [0.0, 1e4]])
+    spec = QubitGeneratorSpec(Constant(0.0), Constant(1.0),
+                              tuple(tuple(map(Constant, row)) for row in cmat), 0.5)
+    checks = [lambda: _require_hermitian(cmat, 0.0),
+              lambda: build_generator(spec, 0.0),
+              lambda: build_generator(spec, np.linspace(0.0, 1.0, 5)),
+              lambda: _sign_check(spec, 0.0, 1.0, "markov", DEFAULT_TOL),
+              lambda: _sign_check(spec, 0.0, 1.0, "nonmarkov", DEFAULT_TOL)]
+    for check in checks:
+        if side < 0:
+            check()
+        else:
+            with pytest.raises(ValueError, match="is not Hermitian at t=0"):
+                check()
+    if side < 0:
+        assert all(_sign_check(spec, 0.0, 1.0, mode, DEFAULT_TOL) is None
+                   for mode in ("markov", "nonmarkov"))
 
 
 def test_build_generator_refuses_non_hermitian_c_with_the_same_message():
