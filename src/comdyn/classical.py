@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (DimensionMismatchError, NonProbabilisticResultError,
                      PreconditionFailedError)
 from .superop import DEFAULT_TOL
-from .timefn import CoefficientBank, as_time_function
+from .timefn import CoefficientBank
 
 #: Default number of uniform grid points for condition checks on an interval.
 DEFAULT_GRID_POINTS = 201
@@ -147,8 +147,12 @@ def circulant_from_field(a: LatticeField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CirculantGenerator:
-    """Per-site rates a_t(m) on Z_d^naxes, each a :class:`TimeFunction`,
-    evaluated together through one :class:`CoefficientBank`."""
+    """Per-site rates a_t(m) on Z_d^naxes, evaluated together through one
+    :class:`CoefficientBank`. Each rate is a :class:`TimeFunction`, a number
+    or a JSON spec (:func:`~comdyn.timefn.from_spec`), kept as given: the
+    bank reads parametric specs straight into its arrays, and
+    :func:`~comdyn.timefn.as_time_function` makes a TimeFunction of a rate
+    where one is needed."""
 
     d: int
     naxes: int
@@ -156,13 +160,12 @@ class CirculantGenerator:
     bank: CoefficientBank = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        funcs = tuple(as_time_function(c) for c in self.coefficients)
-        if len(funcs) != self.d ** self.naxes:
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        if len(self.coefficients) != self.d ** self.naxes:
             raise DimensionMismatchError(
                 f"generator on Z_{self.d}^{self.naxes} needs "
-                f"{self.d ** self.naxes} coefficients, got {len(funcs)}")
-        object.__setattr__(self, "coefficients", funcs)
-        object.__setattr__(self, "bank", CoefficientBank(funcs))
+                f"{self.d ** self.naxes} coefficients, got {len(self.coefficients)}")
+        object.__setattr__(self, "bank", CoefficientBank(self.coefficients))
 
     @classmethod
     def constant(cls, d: int, naxes: int, values: Sequence[float]) -> "CirculantGenerator":

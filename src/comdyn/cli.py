@@ -42,106 +42,69 @@ from .superop import DEFAULT_TOL, validate_channel
 _NUM = {"type": "number"}
 _NUM_ARRAY = {"type": "array", "items": _NUM, "minItems": 1}
 
+
+def _closed(properties: dict, *required: str) -> dict:
+    """An object schema that allows only ``properties`` and needs ``required``."""
+    return {"type": "object", "properties": properties, "required": list(required),
+            "additionalProperties": False}
+
+
+def _tagged(kind: str, properties: dict, *required: str) -> dict:
+    """A closed object schema tagged by its required 'kind' constant."""
+    return _closed({"kind": {"const": kind}, **properties}, "kind", *required)
+
+
 TIMEFN_SCHEMA = {
     "oneOf": [
         _NUM,
-        {"type": "object",
-         "properties": {"kind": {"const": "constant"}, "value": _NUM},
-         "required": ["kind", "value"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"kind": {"const": "polynomial"}, "coeffs": _NUM_ARRAY},
-         "required": ["kind", "coeffs"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"kind": {"const": "damped-trig"}, "amplitude": _NUM,
-                        "decay": _NUM, "frequency": _NUM, "phase": _NUM,
-                        "offset": _NUM},
-         "required": ["kind"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"kind": {"const": "tabulated"}, "times": _NUM_ARRAY,
-                        "values": _NUM_ARRAY},
-         "required": ["kind", "times", "values"], "additionalProperties": False},
+        _tagged("constant", {"value": _NUM}, "value"),
+        _tagged("polynomial", {"coeffs": _NUM_ARRAY}, "coeffs"),
+        _tagged("damped-trig", {"amplitude": _NUM, "decay": _NUM, "frequency": _NUM,
+                                "phase": _NUM, "offset": _NUM}),
+        _tagged("tabulated", {"times": _NUM_ARRAY, "values": _NUM_ARRAY}, "times", "values"),
     ]
 }
 
 _TIMEFN_ARRAY = {"type": "array", "items": TIMEFN_SCHEMA, "minItems": 1}
-_DIMS = {"type": "object",
-         "properties": {"d": {"type": "integer", "minimum": 2},
-                        "N": {"type": "integer", "minimum": 1}},
-         "required": ["d", "N"], "additionalProperties": False}
-_TIME = {"type": "object",
-         "properties": {"t0": _NUM, "t": _NUM,
-                        "samples": {"type": "integer", "minimum": 1}},
-         "required": ["t0", "t", "samples"], "additionalProperties": False}
+_DIMS = _closed({"d": {"type": "integer", "minimum": 2},
+                 "N": {"type": "integer", "minimum": 1}}, "d", "N")
+_TIME = _closed({"t0": _NUM, "t": _NUM, "samples": {"type": "integer", "minimum": 1}},
+                "t0", "t", "samples")
 _MODE = {"enum": ["markov", "nonmarkov"]}
 _ORACLE = {"type": "object",
            "properties": {"tol": _NUM, "steps": {"type": "integer", "minimum": 1}},
            "additionalProperties": False}
 _OUTPUT = {"type": "string"}
 _COMPLEX = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
+_SPECTRAL = {"dims": _DIMS, "rates": _TIMEFN_ARRAY, "time": _TIME, "mode": _MODE,
+             "oracle": _ORACLE, "output": _OUTPUT}
 
 KIND_SCHEMAS = {
-    "classical": {
-        "type": "object",
-        "properties": {"kind": {"const": "classical"}, "dims": _DIMS,
-                       "rates": _TIMEFN_ARRAY, "time": _TIME, "mode": _MODE,
-                       "oracle": _ORACLE, "output": _OUTPUT},
-        "required": ["kind", "dims", "rates", "time"],
-        "additionalProperties": False,
-    },
-    "weyl": {
-        "type": "object",
-        "properties": {"kind": {"const": "weyl"}, "dims": _DIMS,
-                       "rates": _TIMEFN_ARRAY, "time": _TIME, "mode": _MODE,
-                       "oracle": _ORACLE, "output": _OUTPUT},
-        "required": ["kind", "dims", "rates", "time"],
-        "additionalProperties": False,
-    },
-    "mixture": {
-        "type": "object",
-        "properties": {"kind": {"const": "mixture"}, "dims": _DIMS,
-                       "generators": {"type": "array", "items": _TIMEFN_ARRAY,
-                                      "minItems": 1},
-                       "weights": _TIMEFN_ARRAY, "time": _TIME,
-                       "oracle": _ORACLE, "output": _OUTPUT},
-        "required": ["kind", "dims", "generators", "weights", "time"],
-        "additionalProperties": False,
-    },
-    "resolvent": {
-        "type": "object",
-        "properties": {"kind": {"const": "resolvent"}, "dims": _DIMS,
-                       "rates": _TIMEFN_ARRAY, "s_values": _NUM_ARRAY,
-                       "k_values": {"type": "array", "minItems": 1,
-                                    "items": {"type": "integer", "minimum": 0}},
-                       "output": _OUTPUT},
-        "required": ["kind", "dims", "rates", "s_values", "k_values"],
-        "additionalProperties": False,
-    },
-    "qubit": {
-        "type": "object",
-        "properties": {"kind": {"const": "qubit"}, "epsilon": TIMEFN_SCHEMA,
-                       "gamma": TIMEFN_SCHEMA,
-                       "c": {"type": "array", "minItems": 2, "maxItems": 2,
-                             "items": {"type": "array", "minItems": 2,
-                                       "maxItems": 2, "items": TIMEFN_SCHEMA}},
-                       "mu": {"type": "number", "minimum": 0, "maximum": 1},
-                       "initial_state": {"type": "array", "minItems": 2,
-                                         "maxItems": 2,
-                                         "items": {"type": "array", "minItems": 2,
-                                                   "maxItems": 2,
-                                                   "items": _COMPLEX}},
-                       "time": _TIME, "mode": _MODE, "oracle": _ORACLE,
-                       "output": _OUTPUT},
-        "required": ["kind", "gamma", "mu", "initial_state", "time"],
-        "additionalProperties": False,
-    },
-    "kernel": {
-        "type": "object",
-        "properties": {"kind": {"const": "kernel"}, "rate": TIMEFN_SCHEMA,
-                       "weights": _NUM_ARRAY, "exponents": _NUM_ARRAY,
-                       "s_values": _NUM_ARRAY, "output": _OUTPUT},
-        "required": ["kind", "s_values"],
-        "additionalProperties": False,
-    },
+    "classical": _tagged("classical", _SPECTRAL, "dims", "rates", "time"),
+    "weyl": _tagged("weyl", _SPECTRAL, "dims", "rates", "time"),
+    "mixture": _tagged("mixture", {
+        "dims": _DIMS, "generators": {"type": "array", "items": _TIMEFN_ARRAY, "minItems": 1},
+        "weights": _TIMEFN_ARRAY, "time": _TIME, "oracle": _ORACLE, "output": _OUTPUT},
+        "dims", "generators", "weights", "time"),
+    "resolvent": _tagged("resolvent", {
+        "dims": _DIMS, "rates": _TIMEFN_ARRAY, "s_values": _NUM_ARRAY,
+        "k_values": {"type": "array", "minItems": 1,
+                     "items": {"type": "integer", "minimum": 0}},
+        "output": _OUTPUT}, "dims", "rates", "s_values", "k_values"),
+    "qubit": _tagged("qubit", {
+        "epsilon": TIMEFN_SCHEMA, "gamma": TIMEFN_SCHEMA,
+        "c": {"type": "array", "minItems": 2, "maxItems": 2,
+              "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                        "items": TIMEFN_SCHEMA}},
+        "mu": {"type": "number", "minimum": 0, "maximum": 1},
+        "initial_state": {"type": "array", "minItems": 2, "maxItems": 2,
+                          "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                                    "items": _COMPLEX}},
+        "time": _TIME, "mode": _MODE, "oracle": _ORACLE, "output": _OUTPUT},
+        "gamma", "mu", "initial_state", "time"),
+    "kernel": _tagged("kernel", {
+        "rate": TIMEFN_SCHEMA, "weights": _NUM_ARRAY, "exponents": _NUM_ARRAY,
+        "s_values": _NUM_ARRAY, "output": _OUTPUT}, "s_values"),
 }
 
 
@@ -224,9 +187,36 @@ def _check_bounds(schema):
     return check
 
 
+def _fast_accept(schema):
+    """A test that passes a whole array of ``schema`` items at once, or None.
+
+    Derived for number items, and for a tagged oneOf (see _tag_table) of
+    numbers and objects whose other properties are numbers or non-empty
+    arrays of numbers, as the shapes :func:`comdyn.timefn.specs_fit` takes.
+    It passes an array only when every item is valid under ``schema``; an
+    array it fails is walked, so every refusal keeps the walker's message
+    and path."""
+    if schema == _NUM:
+        return timefn.finite_numbers
+    if (list(schema) != ["oneOf"]
+            or [b for b in schema["oneOf"] if b.get("type") != "object"] != [_NUM]):
+        return None
+    key, shapes = _tag_table(schema)[0], {}
+    for props, required in ((b["properties"], b["required"]) for b in schema["oneOf"]
+                            if b != _NUM):
+        others = {name: sub for name, sub in props.items() if name != key}
+        if any(sub not in (_NUM, _NUM_ARRAY) for sub in others.values()) or (
+                not set(required) <= props.keys()):
+            return None
+        shapes[props[key]["const"]] = (frozenset(props), required,
+                                       {name for name, sub in others.items() if sub != _NUM})
+    return lambda items: timefn.specs_fit(items, key, shapes)
+
+
 def _check_array(schema):
     lo, hi = schema.get("minItems"), schema.get("maxItems")
     item = _compile(schema["items"]) if "items" in schema else None
+    accept = _fast_accept(schema["items"]) if item else None
 
     def check(v):
         if not isinstance(v, list):
@@ -236,7 +226,7 @@ def _check_array(schema):
                             else "{!r} is too short", v)
         if hi is not None and len(v) > hi:
             return _Invalid("{!r} is too long", v)
-        if item is not None:
+        if item is not None and not (accept and accept(v)):
             for i, x in enumerate(v):
                 error = item(x)
                 if error is not None:
@@ -417,23 +407,18 @@ def validate_config(config: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _classical_generator(config) -> classical.CirculantGenerator:
-    d, n = config["dims"]["d"], config["dims"]["N"]
-    return classical.CirculantGenerator(d, n, tuple(map(timefn.from_spec, config["rates"])))
+    return classical.CirculantGenerator(config["dims"]["d"], config["dims"]["N"],
+                                        config["rates"])
 
 
 def _weyl_field(config, rates) -> weyl.WeylCoefficientField:
-    d, n = config["dims"]["d"], config["dims"]["N"]
-    return weyl.WeylCoefficientField(d, n, tuple(map(timefn.from_spec, rates)))
+    return weyl.WeylCoefficientField(config["dims"]["d"], config["dims"]["N"], rates)
 
 
 def _qubit_spec(config) -> qubit.QubitGeneratorSpec:
-    c = config.get("c", [[0.0, 0.0], [0.0, 0.0]])
     return qubit.QubitGeneratorSpec(
-        epsilon=timefn.from_spec(config.get("epsilon", 0.0)),
-        gamma=timefn.from_spec(config["gamma"]),
-        c=tuple(tuple(map(timefn.from_spec, row)) for row in c),
-        mu=config["mu"],
-    )
+        epsilon=config.get("epsilon", 0.0), gamma=config["gamma"],
+        c=config.get("c", [[0.0, 0.0], [0.0, 0.0]]), mu=config["mu"])
 
 
 def _kernel_table(config) -> tuple:
@@ -444,7 +429,7 @@ def _kernel_table(config) -> tuple:
         if isinstance(rate, dict) and rate["kind"] == "tabulated":
             raise ConfigError("config invalid at rate: the transform needs the rate on all "
                               f"t >= 0; a tabulated rate ends at t={max(rate['times'])}")
-        signal = kernel.RateModeSignal(timefn.from_spec(rate))
+        signal = kernel.RateModeSignal(rate)
     else:
         signal = kernel.ExponentialMixtureSignal(config["weights"], config["exponents"])
     table = kernel.laplace_table(signal, config["s_values"])
@@ -511,10 +496,12 @@ def _json_list(items: list, pad: str) -> str:
 
 
 def write_table(path: str, fmt: str, header: list, rows: list):
-    """A CSV of 17-digit floats, or the JSON that ``json.dumps(indent=2)``
-    writes of ``{"columns", "rows"}`` (a double's repr reads back as it)."""
+    """A CSV of 17-digit floats (each row one %-format, the bytes of
+    :func:`_fmt`), or the JSON that ``json.dumps(indent=2)`` writes of
+    ``{"columns", "rows"}`` (a double's repr reads back as it)."""
     if fmt == "csv":
-        text = "\n".join([",".join(header)] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+        text = "\n".join([",".join(header)] + [",".join(["%.17g"] * len(row)) % tuple(row)
+                                                for row in rows]) + "\n"
     else:
         body = ",\n    ".join(_json_list(list(map(float, row)), "\n    ") for row in rows)
         text = ('{\n  "columns": ' + _json_list(header, "\n  ") + ',\n  "rows": '
@@ -695,7 +682,7 @@ def _qubit(config, mode, t0, times, with_oracle) -> tuple:
 def _run_mixture(config, args):
     cset = generators.CommutingGeneratorSet.from_generators(
         _mixture_generators(config))
-    spec = generators.MixtureSpec(tuple(map(timefn.from_spec, config["weights"])), cset)
+    spec = generators.MixtureSpec(config["weights"], cset)
     t0, times = config["time"]["t0"], _times(config)
     spec.validate_weights(t0, config["time"]["t"])
     n_modes = cset.basis.eigenvalues.size
@@ -835,7 +822,7 @@ def _validate_mixture(config, tol):
         return checks + [{"name": "commuting_set", "passed": False,
                           "detail": str(exc)}]
     checks.append({"name": "commuting_set", "passed": True})
-    spec = generators.MixtureSpec(tuple(map(timefn.from_spec, config["weights"])), cset)
+    spec = generators.MixtureSpec(config["weights"], cset)
     window = config["time"]
     try:
         spec.validate_weights(window["t0"], window["t"], tol)

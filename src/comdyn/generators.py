@@ -154,9 +154,17 @@ class MixtureSpec:
         """Require a probability distribution at every tau of the condition
         grid on the homogeneous window [0, t - t0], evaluated in one bank
         call; raises :class:`InvalidWeightsError` at the first tau that
-        fails (complex, then negative, then not summing to 1)."""
+        fails (complex, then negative, then not summing to 1). A block
+        with a non-finite weight, which no comparison flags, raises a
+        ``ValueError`` at the first tau that has one."""
         taus = window_grid(t0, t, "nonmarkov")
-        block = self.bank.values(taus)
+        # a block that overflows is refused below, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = self.bank.values(taus)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"weights have non-finite values at tau={float(taus[np.argmin(finite)])}")
         lowest, totals = np.min(block.real, axis=1), np.sum(block.real, axis=1)
         failed = np.stack([np.max(np.abs(block.imag), axis=1) > tol,
                            lowest < -tol, np.abs(totals - 1.0) > tol])

@@ -210,16 +210,25 @@ def _modes(row: np.ndarray) -> np.ndarray:
 def gamma_eigenvalue(spec: QubitGeneratorSpec, t: float = 0.0) -> complex:
     """The complex eigenvalue on sigma+,
     Gamma = -1/2 [gamma + c_00 + c_11 - 2 c_10 + 2 i eps], exact for every
-    Hermitian c (complex c_10 included)."""
-    row = spec.bank.values(t)[0]
+    Hermitian c (complex c_10 included). A non-finite bank row, which
+    the modes would turn into -inf+nanj, raises a ``ValueError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = spec.bank.values(t)[0]
+    if not np.isfinite(row).all():
+        raise ValueError(f"coefficients have non-finite values at t={t}")
     _require_hermitian(row[2:].reshape(2, 2), t)
     return complex(_modes(row)[1])
 
 
 def eigenvalue_integrals(spec: QubitGeneratorSpec, t0: float, t1: float) -> np.ndarray:
     """Integrals over [t0, t1] of the four mode eigenvalues
-    (0, Gamma, conj Gamma, -gamma)."""
-    return _modes(spec.bank.integrals(t0, t1)[0])
+    (0, Gamma, conj Gamma, -gamma); raises a ``ValueError`` where a
+    coefficient's integral is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = spec.bank.integrals(t0, t1)[0]
+    if not np.isfinite(row).all():
+        raise ValueError(f"coefficient integrals over [{t0}, {t1}] have non-finite values")
+    return _modes(row)
 
 
 def _rank_one_stack(lefts, rights) -> np.ndarray:

@@ -79,10 +79,7 @@ class Polynomial(TimeFunction):
 
     def __init__(self, coeffs: Sequence[complex]):
         self._poly = _NPoly(np.asarray(coeffs))
-
-    @property
-    def coeffs(self):
-        return self._poly.coef
+        self.coeffs = self._poly.coef
 
     def __call__(self, t):
         return self._poly(t)
@@ -257,6 +254,14 @@ class ScaledFunction(TimeFunction):
         return self.factor == 0 or self.inner.is_constant
 
 
+#: The spec kind of each class that :class:`CoefficientBank` holds as
+#: parameter arrays.
+_SPEC_KINDS = {Constant: "constant", Polynomial: "polynomial", DampedTrig: "damped-trig"}
+#: A damped-trig spec's parameters, in DampedTrig's order, with the
+#: defaults of a missing one.
+_TRIG_DEFAULTS = {"amplitude": 1.0, "decay": 0.0, "frequency": 0.0, "phase": 0.0,
+                  "offset": 0.0}
+
 #: Entries per chunk of :meth:`CoefficientBank.values`: 8 rows of 4,096
 #: functions, 512 rows of 64. A 201 x 4,096 damped-trig block costs about
 #: twice as much per entry when it is evaluated whole.
@@ -276,30 +281,46 @@ class CoefficientBank:
     about ``_BLOCK_ENTRIES`` entries, so their temporaries stay in cache;
     every entry meets the same ufuncs in the same order, so a block is
     bit-identical to its rows evaluated one at a time.
+
+    Each function may also be given as a number or as its JSON spec (see
+    :func:`from_spec`). A constant, polynomial or damped-trig spec is read
+    straight into the parameter arrays, without a TimeFunction, into the
+    same arrays its TimeFunction gives.
     """
 
-    def __init__(self, functions: Sequence[TimeFunction]):
+    def __init__(self, functions: Sequence):
         functions = tuple(functions)
         self.size = len(functions)
-        kinds = {Constant: [], Polynomial: [], DampedTrig: []}
-        other = []
+        # per parametric kind: the functions' positions and their specs
+        kinds = {kind: ([], []) for kind in ("constant", "polynomial", "damped-trig")}
+        self._other = []
         for j, f in enumerate(functions):
-            kinds.get(type(f), other).append(j)
-        self._other = [(j, functions[j]) for j in other]
+            if type(f) is dict:
+                kind, spec = f.get("kind"), f
+            elif type(f) in _SPEC_KINDS:
+                # each keeps its parameters under its spec's keys
+                kind, spec = _SPEC_KINDS[type(f)], vars(f)
+            elif isinstance(f, numbers.Number):
+                kind, spec = "constant", {"value": f}
+            else:
+                kind = None
+            if kind in kinds:
+                kinds[kind][0].append(j)
+                kinds[kind][1].append(spec)
+            else:
+                self._other.append((j, as_time_function(f)))
+        (self._constant, constant), (self._poly, poly), (self._trig, trig) = (
+            (np.array(index, dtype=np.intp), specs) for index, specs in kinds.values())
 
-        self._constant = np.array(kinds[Constant], dtype=np.intp)
-        self._constant_values = np.array(
-            [functions[j].value for j in self._constant], dtype=complex)
-
-        self._poly = np.array(kinds[Polynomial], dtype=np.intp)
-        self._poly_coeffs = _padded([functions[j].coeffs for j in self._poly])
-        self._poly_anti = _padded([functions[j]._poly.integ().coef for j in self._poly])
-
-        self._trig = np.array(kinds[DampedTrig], dtype=np.intp)
-        trig = [functions[j] for j in self._trig]
+        self._constant_values = np.array([s["value"] for s in constant], dtype=complex)
+        self._poly_coeffs = _padded([s["coeffs"] for s in poly])
+        # the antiderivatives' coefficients, as Polynomial.integrate's
+        self._poly_anti = np.zeros((self._poly.size, self._poly_coeffs.shape[1] + 1),
+                                   dtype=self._poly_coeffs.dtype)
+        self._poly_anti[:, 1:] = self._poly_coeffs / np.arange(1, self._poly_anti.shape[1])
         self._amplitude, self._decay, self._frequency, self._phase, self._offset = (
-            np.array([getattr(f, name) for f in trig]) for name in
-            ("amplitude", "decay", "frequency", "phase", "offset"))
+            np.array([s.get(name, default) for s in trig])
+            for name, default in _TRIG_DEFAULTS.items())
         # the antiderivative's a = w = 0 branch (DampedTrig._antiderivative)
         self._flat = (self._decay == 0) & (self._frequency == 0)
         self._trig_denominator = np.where(
@@ -491,6 +512,7 @@ def _trig_candidates(amplitude, decay, frequency, phase, offset, lo, hi) -> tupl
 
 def _padded(rows) -> np.ndarray:
     """Coefficient rows zero-padded on the right into one matrix."""
+    rows = [np.asarray(r) for r in rows]
     width = max((len(r) for r in rows), default=1)
     out = np.zeros((len(rows), width),
                    dtype=np.result_type(float, *{r.dtype for r in rows}))
@@ -509,11 +531,14 @@ def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def as_time_function(value) -> TimeFunction:
-    """Coerce a scalar or TimeFunction to a TimeFunction."""
+    """Coerce a scalar, a JSON spec (see :func:`from_spec`) or a
+    TimeFunction to a TimeFunction."""
     if isinstance(value, TimeFunction):
         return value
     if isinstance(value, numbers.Number):
         return Constant(value)
+    if isinstance(value, dict):
+        return from_spec(value)
     raise TypeError(f"cannot interpret {value!r} as a time function")
 
 
@@ -533,11 +558,47 @@ def from_spec(spec) -> TimeFunction:
     if kind == "polynomial":
         return Polynomial(spec["coeffs"])
     if kind == "damped-trig":
-        return DampedTrig(amplitude=spec.get("amplitude", 1.0),
-                          decay=spec.get("decay", 0.0),
-                          frequency=spec.get("frequency", 0.0),
-                          phase=spec.get("phase", 0.0),
-                          offset=spec.get("offset", 0.0))
+        return DampedTrig(**{name: spec.get(name, default)
+                             for name, default in _TRIG_DEFAULTS.items()})
     if kind == "tabulated":
         return Tabulated(spec["times"], spec["values"])
     raise ValueError(f"unknown time-function kind: {kind!r}")
+
+
+def specs_fit(items: list, key: str, shapes: dict) -> bool:
+    """Whether each of ``items``, parsed JSON, is a finite number or a dict
+    whose string ``key`` tags one of ``shapes``, ``{tag: (names, required,
+    arrays)}``, and fits it: it has only those names and all the required
+    ones, the values under ``arrays`` are non-empty lists of finite numbers
+    and its other values finite numbers. The dicts are grouped by tag and
+    each name of a group is read as one list, so a list of time-function
+    specs costs a few C loops per name and :func:`finite_numbers` once."""
+    groups = {}
+    for x in items:
+        tag = x.get(key) if type(x) is dict else None
+        groups.setdefault(tag if type(tag) is str else None, []).append(x)
+    values = groups.pop(None, [])
+    for tag, group in groups.items():
+        if tag not in shapes or not all(map(shapes[tag][0].issuperset, group)):
+            return False
+        names, required, arrays = shapes[tag]
+        for name in names - {key}:
+            present = [x[name] for x in group if name in x]
+            if name in required and len(present) < len(group):
+                return False
+            if name in arrays:
+                if set(map(type, present)) - {list} or not all(present):
+                    return False
+                present = [v for array in present for v in array]
+            values += present
+    return finite_numbers(values)
+
+
+def finite_numbers(values: list) -> bool:
+    """Whether every one of ``values`` is a finite int or float (no bool),
+    tested in C loops by type and by a finite sum. A sum that overflows, or
+    that meets an int past a double's range and a float, fails."""
+    try:
+        return set(map(type, values)) <= {int, float} and abs(sum(values)) < np.inf
+    except OverflowError:
+        return False

@@ -264,19 +264,18 @@ class WeylCoefficientField:
 
     d: int
     nparties: int
-    coefficients: tuple
+    coefficients: tuple    # as CirculantGenerator's: TimeFunctions, numbers or specs
     _circulant: CirculantGenerator = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        funcs = tuple(as_time_function(c) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
         expected = self.d ** (2 * self.nparties)
-        if len(funcs) != expected:
+        if len(self.coefficients) != expected:
             raise DimensionMismatchError(
                 f"field on Z_{self.d}^{self.nparties} x Z_{self.d}^{self.nparties} "
-                f"needs {expected} coefficients, got {len(funcs)}")
-        object.__setattr__(self, "coefficients", funcs)
-        object.__setattr__(self, "_circulant",
-                           CirculantGenerator(self.d, 2 * self.nparties, funcs))
+                f"needs {expected} coefficients, got {len(self.coefficients)}")
+        object.__setattr__(self, "_circulant", CirculantGenerator(
+            self.d, 2 * self.nparties, self.coefficients))
 
     @classmethod
     def constant(cls, d: int, nparties: int, values: Sequence[complex]) -> "WeylCoefficientField":
@@ -284,7 +283,7 @@ class WeylCoefficientField:
 
     @property
     def is_constant(self) -> bool:
-        return all(f.is_constant for f in self.coefficients)
+        return all(as_time_function(f).is_constant for f in self.coefficients)
 
     def family(self) -> WeylFamily:
         return WeylFamily(self.d, self.nparties)
@@ -554,7 +553,8 @@ def diagonal_action(field: WeylCoefficientField) -> CirculantGenerator:
     """
     d, npar = field.d, field.nparties
     size = d ** npar
-    grid = np.array(field.coefficients, dtype=object).reshape(size, size)
+    grid = np.array([as_time_function(f) for f in field.coefficients],
+                    dtype=object).reshape(size, size)
     summed = [reduce(lambda x, y: x + y, row) for row in grid]
 
     digits, place = classical.lattice_digits(d, npar)

@@ -138,6 +138,33 @@ def test_json_table_bytes_equal_the_indented_encoder(tmp_path, header, rows):
     assert out.read_bytes() == _indented_table(header, rows).encode()
 
 
+@pytest.mark.parametrize("rows", [
+    [[0.0, float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, -5e-324],
+     [True, False, 3, -7, 2 ** 60, 10 ** 30, 1.7976931348623157e308, 1 / 3],
+     [np.float64(0.1), np.float32(0.1), np.int64(-5), np.float64("nan"), np.float64(-0.0)]],
+    [[0.5]],
+    [],
+])
+def test_csv_table_bytes_equal_the_per_value_format(tmp_path, rows):
+    # write_table formats a row with one %-format; the bytes are those of
+    # joining _fmt over the row
+    out = tmp_path / "table.csv"
+    header = [f"c{i}" for i in range(max(map(len, rows), default=0))]
+    cli.write_table(str(out), "csv", header, rows)
+    expected = "\n".join([",".join(header)] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+    assert out.read_bytes() == expected.encode()
+
+
+def test_csv_table_bytes_on_random_bit_patterns(tmp_path, rng):
+    bits = rng.integers(0, 2 ** 63, size=(4, 5000), dtype=np.int64)
+    bits[:, ::2] |= np.int64(-2 ** 63)
+    rows = bits.view(np.float64).tolist()
+    out = tmp_path / "table.csv"
+    cli.write_table(str(out), "csv", ["c"] * 5000, rows)
+    expected = "\n".join([",".join(["c"] * 5000)] + [",".join(map(_fmt, row)) for row in rows])
+    assert out.read_bytes() == (expected + "\n").encode()
+
+
 def test_fmt_reads_back_as_every_double(rng):
     # the JSON table writes repr(v) where it wrote float(_fmt(v)): the same
     # double for every bit pattern, NaN aside
@@ -944,6 +971,7 @@ TABULATED_KERNEL_REFUSAL = ("error: config invalid at rate: the transform needs 
 OVERFLOWING_RATES = [{"kind": "damped-trig", "amplitude": -1.0, "decay": 800.0},
                      {"kind": "damped-trig", "amplitude": 1.0, "decay": 800.0}]
 OVERFLOW_WINDOW = {"t0": 0.0, "t": 1.0, "samples": 2}
+NAN_WEIGHTS = [0.3, {"kind": "damped-trig", "amplitude": 0, "decay": 800, "offset": 0.7}]
 
 FAILURE_PATHS = {
     # name: (command, config, extra argv, exit code, stderr prefix)
@@ -1093,6 +1121,14 @@ FAILURE_PATHS = {
         "run", dict(QUBIT_CONFIG, gamma=OVERFLOWING_RATES[1], time=OVERFLOW_WINDOW,
                     mode="nonmarkov"), [], 1,
         "error: int_0^t coefficients have non-finite values at t=0.88\n"),
+    # a zero amplitude times exp(800 tau) is 0 * inf = NaN past tau = 0.887,
+    # which no comparison of the weight checks flags
+    "mixture-nan-weights": (
+        "run", dict(MIXTURE_CONFIG, weights=NAN_WEIGHTS, time=OVERFLOW_WINDOW), [], 1,
+        "error: weights have non-finite values at tau=0.89\n"),
+    "mixture-nan-weights-validate": (
+        "validate", dict(MIXTURE_CONFIG, weights=NAN_WEIGHTS, time=OVERFLOW_WINDOW), [], 1,
+        "error: weights have non-finite values at tau=0.89\n"),
 }
 
 

@@ -131,6 +131,20 @@ def test_gamma_eigenvalue_matches_spectrum():
     assert multiset_residual(np.linalg.eigvals(gen.matrix), expected) < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mode_eigenvalues_refuse_a_non_finite_bank_row():
+    # exp(800 t) exceeds a double past t = 0.887: the modes would read
+    # -inf+nanj there, so both refuse, without a numpy warning
+    spec = QubitGeneratorSpec(0.0, DampedTrig(decay=800.0), ((0.0, 0.0), (0.0, 0.0)), 0.5)
+    with pytest.raises(ValueError, match=r"^coefficients have non-finite values at t=1\.0$"):
+        gamma_eigenvalue(spec, 1.0)
+    with pytest.raises(ValueError, match=r"^coefficient integrals over \[0\.0, 1\.0\] "
+                                         r"have non-finite values$"):
+        eigenvalue_integrals(spec, 0.0, 1.0)
+    assert np.isfinite(gamma_eigenvalue(spec, 0.5))
+    assert np.isfinite(eigenvalue_integrals(spec, 0.0, 0.5)).all()
+
+
 def test_gamma_eigenvalue_complex_offdiagonal():
     # complex c10: the closed form matches both the sigma+ eigenvalue and
     # the literal expression
