@@ -19,16 +19,8 @@ from comdyn import cli, timefn
 from comdyn.cli import KIND_SCHEMAS, ConfigError, validate_config
 from comdyn.timefn import CoefficientBank, Polynomial, from_spec
 
-jsonschema = pytest.importorskip("jsonschema")
-
-# the reference of tests/test_config_schema.py: jsonschema with the
-# checker's int-only integer and finite-only number
-Draft = jsonschema.Draft202012Validator
-IntOnly = jsonschema.validators.extend(
-    Draft, type_checker=Draft.TYPE_CHECKER.redefine_many({
-        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
-        "number": lambda _, v: (isinstance(v, int) and not isinstance(v, bool)
-                                or isinstance(v, float) and math.isfinite(v))}))
+# jsonschema with the checker's int-only integer and finite-only number
+from test_config_schema import IntOnly
 
 
 def _rates(size, rng):
