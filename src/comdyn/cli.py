@@ -190,14 +190,11 @@ def _check_bounds(schema):
 def _fast_accept(schema):
     """A test that passes a whole array of ``schema`` items at once, or None.
 
-    Derived for number items, and for a tagged oneOf (see _tag_table) of
-    numbers and objects whose other properties are numbers or non-empty
-    arrays of numbers, as the shapes :func:`comdyn.timefn.specs_fit` takes.
-    It passes an array only when every item is valid under ``schema``; an
-    array it fails is walked, so every refusal keeps the walker's message
-    and path."""
-    if schema == _NUM:
-        return timefn.finite_numbers
+    Derived for a tagged oneOf (see _tag_table) of numbers and objects
+    whose other properties are numbers or non-empty arrays of numbers, as
+    the shapes :func:`comdyn.timefn.specs_fit` takes. It passes an array
+    only when every item is valid under ``schema``; an array it fails is
+    walked, so every refusal keeps the walker's message and path."""
     if (list(schema) != ["oneOf"]
             or [b for b in schema["oneOf"] if b.get("type") != "object"] != [_NUM]):
         return None

@@ -89,6 +89,8 @@ def test_the_whole_array_test_is_derived_only_where_it_holds():
                       {"type": "object", "required": ["kind"],
                        "properties": {"kind": {"const": "a"}}}]}
     assert cli._fast_accept(both) is None
+    # a plain number array gets no whole-array test: the walker takes it
+    assert cli._fast_accept({"type": "number"}) is None
     # an object property the shapes cannot state
     assert cli._fast_accept({"oneOf": [{"type": "number"}, {
         "type": "object", "required": ["kind"],
