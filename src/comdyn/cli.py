@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from functools import partial
@@ -31,341 +30,10 @@ from typing import Optional
 import numpy as np
 import scipy
 
-from . import __version__, classical, generators, kernel, oracle, qubit, timefn, weyl
+from . import __version__, classical, generators, kernel, oracle, qubit, weyl
+from .config import ConfigError, validate_config
 from .errors import ComdynError, InvalidWeightsError, PreconditionFailedError
 from .superop import DEFAULT_TOL, validate_channel
-
-# ---------------------------------------------------------------------------
-# config schema
-# ---------------------------------------------------------------------------
-
-_NUM = {"type": "number"}
-_NUM_ARRAY = {"type": "array", "items": _NUM, "minItems": 1}
-
-
-def _closed(properties: dict, *required: str) -> dict:
-    """An object schema that allows only ``properties`` and needs ``required``."""
-    return {"type": "object", "properties": properties, "required": list(required),
-            "additionalProperties": False}
-
-
-def _tagged(kind: str, properties: dict, *required: str) -> dict:
-    """A closed object schema tagged by its required 'kind' constant."""
-    return _closed({"kind": {"const": kind}, **properties}, "kind", *required)
-
-
-TIMEFN_SCHEMA = {
-    "oneOf": [
-        _NUM,
-        _tagged("constant", {"value": _NUM}, "value"),
-        _tagged("polynomial", {"coeffs": _NUM_ARRAY}, "coeffs"),
-        _tagged("damped-trig", {"amplitude": _NUM, "decay": _NUM, "frequency": _NUM,
-                                "phase": _NUM, "offset": _NUM}),
-        _tagged("tabulated", {"times": _NUM_ARRAY, "values": _NUM_ARRAY}, "times", "values"),
-    ]
-}
-
-_TIMEFN_ARRAY = {"type": "array", "items": TIMEFN_SCHEMA, "minItems": 1}
-_DIMS = _closed({"d": {"type": "integer", "minimum": 2},
-                 "N": {"type": "integer", "minimum": 1}}, "d", "N")
-_TIME = _closed({"t0": _NUM, "t": _NUM, "samples": {"type": "integer", "minimum": 1}},
-                "t0", "t", "samples")
-_MODE = {"enum": ["markov", "nonmarkov"]}
-_ORACLE = {"type": "object",
-           "properties": {"tol": _NUM, "steps": {"type": "integer", "minimum": 1}},
-           "additionalProperties": False}
-_OUTPUT = {"type": "string"}
-_COMPLEX = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
-_SPECTRAL = {"dims": _DIMS, "rates": _TIMEFN_ARRAY, "time": _TIME, "mode": _MODE,
-             "oracle": _ORACLE, "output": _OUTPUT}
-
-KIND_SCHEMAS = {
-    "classical": _tagged("classical", _SPECTRAL, "dims", "rates", "time"),
-    "weyl": _tagged("weyl", _SPECTRAL, "dims", "rates", "time"),
-    "mixture": _tagged("mixture", {
-        "dims": _DIMS, "generators": {"type": "array", "items": _TIMEFN_ARRAY, "minItems": 1},
-        "weights": _TIMEFN_ARRAY, "time": _TIME, "oracle": _ORACLE, "output": _OUTPUT},
-        "dims", "generators", "weights", "time"),
-    "resolvent": _tagged("resolvent", {
-        "dims": _DIMS, "rates": _TIMEFN_ARRAY, "s_values": _NUM_ARRAY,
-        "k_values": {"type": "array", "minItems": 1,
-                     "items": {"type": "integer", "minimum": 0}},
-        "output": _OUTPUT}, "dims", "rates", "s_values", "k_values"),
-    "qubit": _tagged("qubit", {
-        "epsilon": TIMEFN_SCHEMA, "gamma": TIMEFN_SCHEMA,
-        "c": {"type": "array", "minItems": 2, "maxItems": 2,
-              "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                        "items": TIMEFN_SCHEMA}},
-        "mu": {"type": "number", "minimum": 0, "maximum": 1},
-        "initial_state": {"type": "array", "minItems": 2, "maxItems": 2,
-                          "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                                    "items": _COMPLEX}},
-        "time": _TIME, "mode": _MODE, "oracle": _ORACLE, "output": _OUTPUT},
-        "gamma", "mu", "initial_state", "time"),
-    "kernel": _tagged("kernel", {
-        "rate": TIMEFN_SCHEMA, "weights": _NUM_ARRAY, "exponents": _NUM_ARRAY,
-        "s_values": _NUM_ARRAY, "output": _OUTPUT}, "s_values"),
-}
-
-
-# ---------------------------------------------------------------------------
-# config checking
-# ---------------------------------------------------------------------------
-#
-# The schemas above are the one definition of the config format. They are
-# compiled once, at import, into checkers that walk a config in one pass.
-# The checkers implement exactly the JSON Schema (Draft 2020-12) keywords
-# in _KEYWORDS, with two deliberate differences: ``integer`` accepts only
-# ints, not integer-valued floats such as 3.0, which numpy refuses later;
-# and ``number`` refuses the non-finite floats NaN and +-Infinity, which
-# json.load accepts and which would otherwise fail later without a path.
-# Compiling refuses any other keyword, and a ``oneOf`` of any shape but the
-# tagged one of TIMEFN_SCHEMA (see _tag_table), so a schema can never
-# loosen silently.
-
-_TYPES = {
-    "number": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                         or isinstance(v, float) and math.isfinite(v)),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-}
-_KEYWORDS = frozenset({
-    "type", "const", "enum", "minimum", "maximum", "minItems", "maxItems",
-    "items", "properties", "required", "additionalProperties", "oneOf"})
-
-
-class _Invalid:
-    """The first violation found: its message, formatted only when it is
-    reported, and the path to the offending value, innermost key first (each
-    caller appends its key on the way out)."""
-
-    __slots__ = ("template", "args", "path")
-
-    def __init__(self, template: str, *args):
-        self.template, self.args, self.path = template, args, []
-
-    @property
-    def message(self) -> str:
-        return self.template.format(*self.args)
-
-    def at(self, key) -> "_Invalid":
-        self.path.append(key)
-        return self
-
-
-def _equal(a, b) -> bool:
-    """JSON equality: ``1 == 1.0``, but a bool equals only a bool."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return type(a) is type(b) and a == b
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(_equal, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
-    return a == b
-
-
-def _type_error(v, name: str) -> _Invalid:
-    if name == "number" and isinstance(v, float):
-        return _Invalid("{!r} is not a finite number", v)
-    return _Invalid("{!r} is not of type {!r}", v, name)
-
-
-def _check_bounds(schema):
-    lo, hi = schema.get("minimum"), schema.get("maximum")
-    is_number = _TYPES["number"]
-
-    def check(v):
-        if not is_number(v):
-            return None
-        if lo is not None and v < lo:
-            return _Invalid("{!r} is less than the minimum of {!r}", v, lo)
-        if hi is not None and v > hi:
-            return _Invalid("{!r} is greater than the maximum of {!r}", v, hi)
-        return None
-    return check
-
-
-def _fast_accept(schema):
-    """A test that passes a whole array of ``schema`` items at once, or None.
-
-    Derived for a tagged oneOf (see _tag_table) of numbers and objects
-    whose other properties are numbers or non-empty arrays of numbers, as
-    the shapes :func:`comdyn.timefn.specs_fit` takes. It passes an array
-    only when every item is valid under ``schema``; an array it fails is
-    walked, so every refusal keeps the walker's message and path."""
-    if (list(schema) != ["oneOf"]
-            or [b for b in schema["oneOf"] if b.get("type") != "object"] != [_NUM]):
-        return None
-    key, shapes = _tag_table(schema)[0], {}
-    for props, required in ((b["properties"], b["required"]) for b in schema["oneOf"]
-                            if b != _NUM):
-        others = {name: sub for name, sub in props.items() if name != key}
-        if any(sub not in (_NUM, _NUM_ARRAY) for sub in others.values()) or (
-                not set(required) <= props.keys()):
-            return None
-        shapes[props[key]["const"]] = (frozenset(props), required,
-                                       {name for name, sub in others.items() if sub != _NUM})
-    return lambda items: timefn.specs_fit(items, key, shapes)
-
-
-def _check_array(schema):
-    lo, hi = schema.get("minItems"), schema.get("maxItems")
-    item = _compile(schema["items"]) if "items" in schema else None
-    accept = _fast_accept(schema["items"]) if item else None
-
-    def check(v):
-        if not isinstance(v, list):
-            return None
-        if lo is not None and len(v) < lo:
-            return _Invalid("{!r} should be non-empty" if lo == 1
-                            else "{!r} is too short", v)
-        if hi is not None and len(v) > hi:
-            return _Invalid("{!r} is too long", v)
-        if item is not None and not (accept and accept(v)):
-            for i, x in enumerate(v):
-                error = item(x)
-                if error is not None:
-                    return error.at(i)
-        return None
-    return check
-
-
-def _check_object(schema):
-    properties = {k: _compile(s) for k, s in schema.get("properties", {}).items()}
-    required = schema.get("required", [])
-    closed = "additionalProperties" in schema
-    if closed and schema["additionalProperties"] is not False:
-        raise ValueError("config schema 'additionalProperties' must be false")
-
-    def check(v):
-        if not isinstance(v, dict):
-            return None
-        for key in required:
-            if key not in v:
-                return _Invalid("{!r} is a required property", key)
-        if closed:
-            extra = [key for key in v if key not in properties]
-            if extra:
-                return _Invalid("Additional properties are not allowed ({} {} unexpected)",
-                                ", ".join(map(repr, extra)),
-                                "was" if len(extra) == 1 else "were")
-        for key, sub in properties.items():
-            if key in v:
-                error = sub(v[key])
-                if error is not None:
-                    return error.at(key)
-        return None
-    return check
-
-
-def _claims(branch: dict):
-    """Whether a value that fails the untagged ``branch`` still belongs to
-    it: a value of the branch's type apart from finiteness (so a NaN rate
-    belongs to the number branch)."""
-    name = branch["type"]
-    is_type = _TYPES[name]
-    return lambda v: is_type(v) or name == "number" and isinstance(v, float)
-
-
-def _tag_table(schema):
-    """``(key, {tag: branch})`` for ``schema``'s oneOf, whose branches must
-    be objects tagged by distinct 'const' strings on the same required key
-    and by nothing else, beside branches of other types (there may be no
-    object branch at all); any other oneOf is refused. A dict that carries
-    one of those tags then fails every branch but its own, and only its own
-    claims it."""
-    refused = ValueError("config schema 'oneOf' is implemented only for object "
-                         "branches tagged by distinct strings on one required key")
-    key, table = None, {}
-    for branch in schema["oneOf"]:
-        if "type" in branch and branch["type"] != "object":
-            continue
-        tag = {k: s["const"] for k, s in branch.get("properties", {}).items()
-               if "const" in s}
-        if branch.get("type") != "object" or len(tag) != 1:
-            raise refused
-        (k, const), = tag.items()
-        if (not isinstance(const, str) or const in table or key not in (None, k)
-                or k not in branch.get("required", ())):
-            raise refused
-        key, table[const] = k, _compile(branch)
-    return key, table
-
-
-def _check_one_of(schema):
-    key, table = _tag_table(schema)
-    untagged = [(_compile(b), _claims(b)) for b in schema["oneOf"]
-                if b["type"] != "object"]
-
-    # a time function's kind picks its branch; a dict without a known kind
-    # fails every branch, and any other value fails every tagged one
-    def check(v):
-        if isinstance(v, dict):
-            tag = v.get(key)
-            if isinstance(tag, str) and tag in table:
-                return table[tag](v)
-            return _Invalid("{!r} is not valid under any of the given schemas", v)
-        errors = [branch(v) for branch, _ in untagged]
-        matched = sum(error is None for error in errors)
-        if matched == 1:
-            return None
-        if matched > 1:
-            return _Invalid("{!r} is valid under more than one of the given schemas", v)
-        claimed = [error for error, (_, claim) in zip(errors, untagged) if claim(v)]
-        if len(claimed) == 1:
-            return claimed[0]
-        return _Invalid("{!r} is not valid under any of the given schemas", v)
-    return check
-
-
-def _compile(schema: dict):
-    """``schema`` as a function from a value to its first ``_Invalid``, or
-    None when the value is valid."""
-    unknown = set(schema) - _KEYWORDS
-    if unknown:
-        raise ValueError(f"config schema keywords {sorted(unknown)} are not implemented")
-    checks = []
-    if "type" in schema:
-        name = schema["type"]
-        if name not in _TYPES:
-            raise ValueError(f"config schema type {name!r} is not implemented")
-        is_type = _TYPES[name]
-        checks.append(lambda v: None if is_type(v) else _type_error(v, name))
-    if "const" in schema:
-        const = schema["const"]
-        checks.append(lambda v: None if _equal(v, const)
-                      else _Invalid("{!r} was expected", const))
-    if "enum" in schema:
-        options = schema["enum"]
-        checks.append(lambda v: None if any(_equal(v, o) for o in options)
-                      else _Invalid("{!r} is not one of {!r}", v, options))
-    if "minimum" in schema or "maximum" in schema:
-        checks.append(_check_bounds(schema))
-    if {"minItems", "maxItems", "items"} & set(schema):
-        checks.append(_check_array(schema))
-    if {"properties", "required", "additionalProperties"} & set(schema):
-        checks.append(_check_object(schema))
-    if "oneOf" in schema:
-        checks.append(_check_one_of(schema))
-    if len(checks) == 1:
-        return checks[0]
-
-    def check(v):
-        for each in checks:
-            error = each(v)
-            if error is not None:
-                return error
-        return None
-    return check
-
-
-_KIND_CHECKERS = {kind: _compile(schema) for kind, schema in KIND_SCHEMAS.items()}
-
-
-class ConfigError(ComdynError, ValueError):
-    exit_code = 1
 
 
 def load_config(path: str) -> tuple:
@@ -378,25 +46,6 @@ def load_config(path: str) -> tuple:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return validate_config(config), text
-
-
-def validate_config(config: dict) -> dict:
-    if not isinstance(config, dict) or "kind" not in config:
-        raise ConfigError("config must be an object with a 'kind' field")
-    kind = config["kind"]
-    if not isinstance(kind, str) or kind not in KIND_SCHEMAS:
-        raise ConfigError(
-            f"unknown kind {kind!r}; expected one of {sorted(KIND_SCHEMAS)}")
-    error = _KIND_CHECKERS[kind](config)
-    if error is not None:
-        path = ".".join(str(p) for p in reversed(error.path)) or "(root)"
-        raise ConfigError(f"config invalid at {path}: {error.message}")
-    if kind == "kernel" and ("rate" in config) == ("weights" in config):
-        raise ConfigError(
-            "kernel config needs exactly one of 'rate' or 'weights'+'exponents'")
-    if kind == "kernel" and "weights" in config and "exponents" not in config:
-        raise ConfigError("kernel 'weights' requires 'exponents'")
-    return config
 
 
 # ---------------------------------------------------------------------------

@@ -564,41 +564,3 @@ def from_spec(spec) -> TimeFunction:
         return Tabulated(spec["times"], spec["values"])
     raise ValueError(f"unknown time-function kind: {kind!r}")
 
-
-def specs_fit(items: list, key: str, shapes: dict) -> bool:
-    """Whether each of ``items``, parsed JSON, is a finite number or a dict
-    whose string ``key`` tags one of ``shapes``, ``{tag: (names, required,
-    arrays)}``, and fits it: it has only those names and all the required
-    ones, the values under ``arrays`` are non-empty lists of finite numbers
-    and its other values finite numbers. The dicts are grouped by tag and
-    each name of a group is read as one list, so a list of time-function
-    specs costs a few C loops per name and :func:`finite_numbers` once."""
-    groups = {}
-    for x in items:
-        tag = x.get(key) if type(x) is dict else None
-        groups.setdefault(tag if type(tag) is str else None, []).append(x)
-    values = groups.pop(None, [])
-    for tag, group in groups.items():
-        if tag not in shapes or not all(map(shapes[tag][0].issuperset, group)):
-            return False
-        names, required, arrays = shapes[tag]
-        for name in names - {key}:
-            present = [x[name] for x in group if name in x]
-            if name in required and len(present) < len(group):
-                return False
-            if name in arrays:
-                if set(map(type, present)) - {list} or not all(present):
-                    return False
-                present = [v for array in present for v in array]
-            values += present
-    return finite_numbers(values)
-
-
-def finite_numbers(values: list) -> bool:
-    """Whether every one of ``values`` is a finite int or float (no bool),
-    tested in C loops by type and by a finite sum. A sum that overflows, or
-    that meets an int past a double's range and a float, fails."""
-    try:
-        return set(map(type, values)) <= {int, float} and abs(sum(values)) < np.inf
-    except OverflowError:
-        return False

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from comdyn import (classical, cli, generators, kernel, oracle, qubit, superop, timefn,
                     weyl)
 from comdyn.cli import _fmt, main, write_channel
+from comdyn.config import TIMEFN_SCHEMA, _TYPES, _Invalid, _compile, _tag_table
 
 from conftest import assemble_reference
 
@@ -1236,8 +1237,8 @@ def _timefn_specs(draw):
 
 
 def test_timefn_checker_dispatches_on_the_kind():
-    key, table = cli._tag_table(cli.TIMEFN_SCHEMA)
-    assert key == "kind"
+    key, table, untagged = _tag_table(TIMEFN_SCHEMA)
+    assert key == "kind" and untagged == {"type": "number"}
     assert sorted(table) == ["constant", "damped-trig", "polynomial", "tabulated"]
 
 
@@ -1254,11 +1255,12 @@ def _tagged(tag, key="kind", **extra):
     [_tagged("a"), {"type": "object"}],                    # an untagged object
     [_tagged("a"), {"enum": [{"kind": "a"}]}],             # a branch of no type
     [_tagged("a"), dict(_tagged("b"), required=[])],       # a tag not required
+    [_tagged("a"), {"type": "number"}, {"type": "string"}],  # two untagged branches
 ], ids=["repeated", "two-keys", "int-tag", "two-consts", "untagged", "no-type",
-        "not-required"])
+        "not-required", "two-untagged"])
 def test_compile_refuses_a_one_of_a_tag_cannot_decide(branches):
     with pytest.raises(ValueError, match="'oneOf' is implemented only"):
-        cli._compile({"oneOf": branches})
+        _compile({"oneOf": branches})
 
 
 def _claims(branch):
@@ -1268,18 +1270,18 @@ def _claims(branch):
     tag = {k: s["const"] for k, s in branch.get("properties", {}).items() if "const" in s}
     if tag:
         return lambda v: (isinstance(v, dict)
-                          and all(k in v and cli._equal(v[k], c) for k, c in tag.items()))
+                          and all(k in v and v[k] == c for k, c in tag.items()))
     name = branch.get("type")
     if name is None:
         return lambda v: False
-    is_type = cli._TYPES[name]
+    is_type = _TYPES[name]
     return lambda v: is_type(v) or name == "number" and isinstance(v, float)
 
 
 def _check_one_of_general(schema):
     """Reference: a oneOf checked against every branch; a value that belongs
     to one branch gets that branch's error instead of the generic one."""
-    branches = [cli._compile(b) for b in schema["oneOf"]]
+    branches = [_compile(b) for b in schema["oneOf"]]
     claims = [_claims(b) for b in schema["oneOf"]]
 
     def check(v):
@@ -1288,11 +1290,11 @@ def _check_one_of_general(schema):
         if matched == 1:
             return None
         if matched > 1:
-            return cli._Invalid("{!r} is valid under more than one of the given schemas", v)
+            return _Invalid("{!r} is valid under more than one of the given schemas", v)
         claimed = [error for error, claim in zip(errors, claims) if claim(v)]
         if len(claimed) == 1:
             return claimed[0]
-        return cli._Invalid("{!r} is not valid under any of the given schemas", v)
+        return _Invalid("{!r} is not valid under any of the given schemas", v)
     return check
 
 
@@ -1306,8 +1308,8 @@ def _check_one_of_general(schema):
 @example(spec=True)
 @example(spec=0.5)
 def test_timefn_dispatch_agrees_with_the_general_checker(spec):
-    fast = cli._compile(cli.TIMEFN_SCHEMA)(spec)
-    general = _check_one_of_general(cli.TIMEFN_SCHEMA)(spec)
+    fast = _compile(TIMEFN_SCHEMA)(spec)
+    general = _check_one_of_general(TIMEFN_SCHEMA)(spec)
     assert (fast is None) == (general is None)
     if fast is not None:
         assert (fast.message, fast.path) == (general.message, general.path)
@@ -1393,11 +1395,11 @@ def test_kind_that_is_not_a_string_is_a_config_error(tmp_path, capsys, kind):
 
 def test_schema_with_an_unimplemented_keyword_does_not_compile():
     with pytest.raises(ValueError, match="'pattern'"):
-        cli._compile({"type": "string", "pattern": "^a"})
+        _compile({"type": "string", "pattern": "^a"})
     with pytest.raises(ValueError, match="'null'"):
-        cli._compile({"type": "null"})
+        _compile({"type": "null"})
     with pytest.raises(ValueError, match="additionalProperties"):
-        cli._compile({"type": "object", "additionalProperties": True})
+        _compile({"type": "object", "additionalProperties": True})
 
 
 def test_importing_the_cli_loads_the_top_level_scipy_package():

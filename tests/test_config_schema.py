@@ -2,28 +2,40 @@
 
 Valid configs of every kind are mutated at random, and ``validate_config``
 must refuse a mutated config exactly when the reference does. The reference
-is jsonschema's Draft 2020-12 validator with the two documented differences
-built in: its ``integer`` type takes only ints, as the checker's does,
-where the draft also takes integer-valued floats such as ``3.0``; and its
-``number`` type refuses NaN and +-Infinity, which the draft takes.
+is jsonschema's Draft 2020-12 validator with the three documented
+differences built in: its ``integer`` type takes only ints, as the
+checker's does, where the draft also takes integer-valued floats such as
+``3.0``; its ``number`` type refuses NaN and +-Infinity, which the draft
+takes; and neither type takes an int past a double's range, such as
+``10**400``, which the draft takes.
 """
 
 import copy
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comdyn.cli import KIND_SCHEMAS, ConfigError, _compile, validate_config
+from comdyn.config import KIND_SCHEMAS, ConfigError, _compile, validate_config
 
 jsonschema = pytest.importorskip("jsonschema")
 
 Draft = jsonschema.Draft202012Validator
+
+
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int past a double's range
+        return False
+
+
 IntOnly = jsonschema.validators.extend(
     Draft, type_checker=Draft.TYPE_CHECKER.redefine_many({
-        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
-        "number": lambda _, v: (isinstance(v, int) and not isinstance(v, bool)
-                                or isinstance(v, float) and math.isfinite(v))}))
+        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool) and _finite(v),
+        "number": lambda _, v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                and _finite(v))}))
 
 # -- valid configs ----------------------------------------------------------
 
@@ -172,9 +184,14 @@ def non_finite(data, config):
              st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]))
 
 
+def huge_int(data, config):
+    _replace(data, config, lambda p, v: _is_number(v),
+             st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024]))
+
+
 MUTATIONS = [drop_key, add_key, change_type, bool_for_number, empty_array,
              mu_out_of_range, wrong_timefn_kind, c_wrong_shape, integer_to_float,
-             non_finite]
+             non_finite, huge_int]
 
 # -- the comparison -------------------------------------------------------------
 
@@ -197,6 +214,10 @@ def _has_integral_float(node) -> bool:
 
 def _has_non_finite(node) -> bool:
     return any(isinstance(v, float) and not math.isfinite(v) for _, v in _nodes(node))
+
+
+def _has_huge_int(node) -> bool:
+    return any(_is_number(v) and not _finite(v) for _, v in _nodes(node))
 
 
 def _accepts(config) -> bool:
@@ -222,10 +243,12 @@ def test_checker_agrees_with_jsonschema_on_mutated_configs(kind, data):
     kind = mutated.get("kind")
     if isinstance(kind, str) and kind in KIND_SCHEMAS:
         draft = Draft(KIND_SCHEMAS[kind]).is_valid(mutated)
-        # the draft's verdict differs only where it takes 3.0 as an integer
-        # or a non-finite float as a number
+        # the draft's verdict differs only where it takes 3.0 as an integer,
+        # a non-finite float as a number or an int past a double's range as
+        # either
         assert draft == IntOnly(KIND_SCHEMAS[kind]).is_valid(mutated) or (
-            draft and (_has_integral_float(mutated) or _has_non_finite(mutated)))
+            draft and (_has_integral_float(mutated) or _has_non_finite(mutated)
+                       or _has_huge_int(mutated)))
 
 
 def test_reference_differs_from_the_draft_only_on_integer_valued_floats():
@@ -249,20 +272,39 @@ def test_reference_differs_from_the_draft_on_non_finite_numbers(value):
     assert not _accepts(config)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("s_values", 10 ** 400), ("s_values", -10 ** 400), ("s_values", 2 ** 1024),
+    ("k_values", 10 ** 400)])
+def test_reference_differs_from_the_draft_on_ints_past_a_double(field, value):
+    schema = KIND_SCHEMAS["resolvent"]
+    config = {"kind": "resolvent", "dims": {"d": 2, "N": 1}, "rates": [0.0],
+              "s_values": [1.0], "k_values": [1], field: [value]}
+    assert Draft(schema).is_valid(config)
+    assert not IntOnly(schema).is_valid(config)
+    with pytest.raises(ConfigError, match=rf"^config invalid at {field}\.0: "
+                       rf"{value} is out of a double's range$"):
+        validate_config(config)
+
+
 NON_FINITE = [math.nan, -math.nan, math.inf, -math.inf]
 
-# Keyword semantics the config schemas cannot show, because no two of their
-# oneOf branches overlap and every const is a string.
+HUGE_INTS = [10 ** 400, -10 ** 400, 2 ** 1024]
+_TAGGED_A = {"type": "object", "required": ["kind"], "properties": {"kind": {"const": "a"}}}
+
+# Keyword semantics the config schemas cannot show on their own values.
 KEYWORD_CASES = [
-    ({"oneOf": [{"type": "number"}, {"type": "integer"}, {"type": "string"}]},
-     [1, 1.5, "a", True, None] + NON_FINITE),
-    ({"type": "number"}, [0, -0.0, 1e308, 5e-324] + NON_FINITE),
-    ({"type": "integer"}, [0, 1.0] + NON_FINITE),
-    ({"oneOf": [{"type": "number"}, {"type": "string"}]}, ["nan"] + NON_FINITE),
-    ({"const": 1}, [1, 1.0, True, "1", [1]]),
-    ({"enum": [0, "a", [1, 2]]}, [0, 0.0, False, "a", [1, 2], [1.0, 2.0], [True, 2]]),
-    ({"const": {"a": [1]}}, [{"a": [1]}, {"a": [True]}, {"a": [1.0]}, {"a": [1], "b": 0}]),
-    ({"minimum": 0, "maximum": 1}, ["x", -1, 2, True, 0.5, None] + NON_FINITE),
+    ({"type": "number"}, [0, -0.0, 1e308, 5e-324, int(sys.float_info.max)]
+     + NON_FINITE + HUGE_INTS),
+    ({"type": "integer"}, [0, 1.0] + NON_FINITE + HUGE_INTS),
+    ({"oneOf": [{"type": "number"}, _TAGGED_A]},
+     [1, 1.5, "nan", True, None, {"kind": "a"}, {"kind": "b"}, {}] + NON_FINITE + HUGE_INTS),
+    ({"const": "a"}, ["a", "b", 1, True, None, ["a"]]),
+    ({"enum": ["a", "b"]}, ["a", "b", "c", 0, False, ["a"], {"a": 1}]),
+    ({"minimum": 0, "maximum": 1}, ["x", -1, 2, True, 0.5, None] + NON_FINITE + HUGE_INTS),
+    ({"type": "integer", "minimum": 1}, [1, 0, 1.0, True] + HUGE_INTS),
+    # items the whole-array test is derived for
+    ({"type": "array", "items": {"oneOf": [{"type": "number"}, _TAGGED_A]}},
+     [[1, {"kind": "a"}], [{"kind": "b"}], [True], [math.nan], [0.5, 10 ** 400], []]),
     ({"type": "number", "minimum": 0, "maximum": 1}, [0.5] + NON_FINITE),
     ({"type": "array", "items": {"type": "number"}}, [[1.0], [1.0, math.nan],
                                                       [math.inf], [-math.inf, 0]]),
@@ -279,3 +321,18 @@ def test_keywords_agree_with_jsonschema(schema, instances):
     check = _compile(schema)
     for instance in instances:
         assert (check(instance) is None) == IntOnly(schema).is_valid(instance), instance
+
+
+# Keyword forms no config schema uses, which compiling refuses rather than
+# implement: a const or enum of anything but strings, and a oneOf with more
+# than one untagged branch.
+@pytest.mark.parametrize("schema", [
+    {"const": 1},
+    {"enum": [0, "a", [1, 2]]},
+    {"const": {"a": [1]}},
+    {"oneOf": [{"type": "number"}, {"type": "integer"}, {"type": "string"}]},
+    {"oneOf": [{"type": "number"}, {"type": "string"}]},
+], ids=["int-const", "mixed-enum", "dict-const", "three-untagged", "two-untagged"])
+def test_compile_refuses_keyword_forms_no_schema_uses(schema):
+    with pytest.raises(ValueError, match="implemented only"):
+        _compile(schema)

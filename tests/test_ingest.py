@@ -1,7 +1,7 @@
 """Config ingest: the checker's whole-array accept and banks read from specs.
 
 ``validate_config`` passes a list of time functions with one C-speed test
-(``timefn.specs_fit``) and walks the list only when that test fails, so a
+(``config.specs_fit``) and walks the list only when that test fails, so a
 refusal must keep the walker's message and path however deep in a long
 list the bad entry sits. ``CoefficientBank`` reads a constant, polynomial
 or damped-trig spec straight into its parameter arrays, which must equal,
@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comdyn import cli, timefn
-from comdyn.cli import KIND_SCHEMAS, ConfigError, validate_config
+from comdyn import timefn
+from comdyn.config import (KIND_SCHEMAS, TIMEFN_SCHEMA, ConfigError, _compile, _fast_accept,
+                           validate_config)
 from comdyn.timefn import CoefficientBank, Polynomial, from_spec
 
 # jsonschema with the checker's int-only integer and finite-only number
@@ -59,6 +60,8 @@ CORRUPTIONS = {
     "empty-coeffs": ({"kind": "polynomial", "coeffs": []}, ".coeffs: [] should be non-empty"),
     "bare-bool": (True, ": True is not valid under any of the given schemas"),
     "bare-inf": (-math.inf, ": -inf is not a finite number"),
+    "huge-int": (dict(_TRIG, amplitude=10 ** 400),
+                 f".amplitude: {10 ** 400} is out of a double's range"),
 }
 
 
@@ -83,28 +86,34 @@ def test_one_bad_entry_in_a_long_list_keeps_the_walkers_message(name, size):
 
 
 def test_the_whole_array_test_is_derived_only_where_it_holds():
-    # a oneOf with a second untagged branch: a bare int would match two
-    # branches, which the walker refuses, so no whole-array test is derived
+    # a oneOf with a second untagged branch does not compile at all
     both = {"oneOf": [{"type": "number"}, {"type": "integer"},
                       {"type": "object", "required": ["kind"],
                        "properties": {"kind": {"const": "a"}}}]}
-    assert cli._fast_accept(both) is None
+    with pytest.raises(ValueError, match="at most one branch of another type"):
+        _compile(both)
     # a plain number array gets no whole-array test: the walker takes it
-    assert cli._fast_accept({"type": "number"}) is None
+    assert _fast_accept({"type": "number"}) is None
     # an object property the shapes cannot state
-    assert cli._fast_accept({"oneOf": [{"type": "number"}, {
+    assert _fast_accept({"oneOf": [{"type": "number"}, {
         "type": "object", "required": ["kind"],
         "properties": {"kind": {"const": "a"}, "name": {"type": "string"}}}]}) is None
-    accept = cli._fast_accept(cli.TIMEFN_SCHEMA)
+    accept = _fast_accept(TIMEFN_SCHEMA)
     assert accept([0.5, 2, {"kind": "polynomial", "coeffs": [1, 0.5]}])
     for bad in ([{"kind": "polynomial"}], [{"kind": "polynomial", "coeffs": 1.0}],
                 [{"kind": "constant", "value": [1.0]}], [{"kind": ["constant"], "value": 1}],
                 [[1.0]], [None], [10 ** 400, 0.5], [1e308, 1e308]):
         assert not accept(bad), bad
-    # the last two are valid: the walker takes them after the test fails
-    assert validate_config({"kind": "resolvent", "dims": {"d": 2, "N": 1},
-                            "rates": [10 ** 400, 0.5], "s_values": [1e308, 1e308],
-                            "k_values": [0]})
+    # the last is valid, and the walker takes it after the test fails; an int
+    # past a double's range is refused by both, as a bare rate too
+    config = {"kind": "resolvent", "dims": {"d": 2, "N": 1}, "rates": [1e308, 1e308],
+              "s_values": [1e308, 1e308], "k_values": [0]}
+    assert validate_config(config)
+    config["rates"] = [10 ** 400, 0.5]
+    with pytest.raises(ConfigError) as caught:
+        validate_config(config)
+    assert str(caught.value) == (
+        f"config invalid at rates.0: {10 ** 400} is out of a double's range")
 
 
 # -- banks from specs ------------------------------------------------------------
