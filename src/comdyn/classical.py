@@ -361,7 +361,8 @@ def kolmogorov_check_nonmarkov(gen: CirculantGenerator, taus: Sequence[float],
 
 
 def condition_grid(a: float, b: float) -> np.ndarray:
-    return np.linspace(a, b, DEFAULT_GRID_POINTS)
+    # as doubles: numpy holds an int past int64 as an object
+    return np.linspace(float(a), float(b), DEFAULT_GRID_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +425,11 @@ def relaxation(gen: CirculantGenerator, t0: float, t,
                 f"Kolmogorov {report.mode} check failed at t={v.time}: "
                 f"{v.condition} (index {v.index}, value {v.value:.6e})",
                 witness=report)
-    fields = [LatticeField(gen.d, gen.naxes,
-                           np.exp(dft(LatticeField(gen.d, gen.naxes, rates)).values))
-              for rates in gen.bank.integrals(lo, hi)]
+    # an overflowing exponent is refused by LatticeField, without a warning
+    with np.errstate(over="ignore"):
+        fields = [LatticeField(gen.d, gen.naxes,
+                               np.exp(dft(LatticeField(gen.d, gen.naxes, rates)).values))
+                  for rates in gen.bank.integrals(lo, hi)]
     return fields if np.ndim(t) else fields[0]
 
 

@@ -43,7 +43,7 @@ def load_config(path: str) -> tuple:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         config = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8, too many digits
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return validate_config(config), text
 
@@ -156,35 +156,33 @@ def write_table(path: str, fmt: str, header: list, rows: list):
         handle.write(text)
 
 
-def write_channel(path: str, matrix: np.ndarray):
-    """One ``row,col,re,im`` line per matrix entry, row-major, in the
-    17-digit format of :func:`_fmt`; written a row at a time, so no text
-    for the whole matrix is held in memory.
-
-    A Weyl channel has D^3 nonzero entries out of D^4 and only about D^2
-    distinct values. So one scan of the whole matrix finds the entries whose
-    128 bits are not all zero, :func:`_fmt` runs once per distinct bit
-    pattern of their real and imaginary parts (``-0.0``, ``+0.0`` and the
-    NaN signs stay apart), and each row starts from the lines of +0.0
-    entries, ``col,0,0``, built once per matrix."""
-    matrix = np.ascontiguousarray(matrix, dtype=complex)
-    rows, cols = matrix.shape
-    parts = matrix.view(np.int64).reshape(-1, 2)
-    nonzero = np.flatnonzero(np.logical_or(parts[:, 0], parts[:, 1]))
-    patterns, which = np.unique(parts[nonzero], return_inverse=True)
-    texts = [_fmt(x) for x in patterns.view(np.float64).tolist()]
-    # per nonzero entry, row-major: its column and its parts' pattern numbers
-    entries = np.column_stack((nonzero % cols, which.reshape(-1, 2)))
-    bounds = np.searchsorted(nonzero, np.arange(rows + 1) * cols).tolist()
-    zeros = [f"{j},0,0\n" for j in range(cols)]
+def write_channel(path: str, spectrum: weyl.WeylSpectrum):
+    """One ``row,col,re,im`` line per entry of the spectrum's D^2 x D^2
+    map, row-major, in the 17-digit format of :func:`_fmt`, streamed from
+    its D^3 support (see :meth:`~comdyn.weyl.WeylSpectrum.support`) with no
+    dense matrix: :func:`_fmt` runs once on each part of the D^2 support
+    values, and each row starts from the lines of +0.0 entries,
+    ``col,0,0``, built once, and takes its D support columns. Rows are
+    written D at a time."""
+    values, positions, differences = spectrum.support()
+    dim, size = values.shape[0], positions.size
+    texts = [f"{_fmt(z.real)},{_fmt(z.imag)}\n" for z in values.reshape(-1).tolist()]
+    # row positions[n, c] holds values[n, differences[c]] at columns positions[n]
+    n, c = np.divmod(np.argsort(positions.reshape(-1)), dim)
+    cols = positions[n].tolist()
+    which = (n[:, None] * dim + differences[c]).tolist()
+    zeros = [f"{j},0,0\n" for j in range(size)]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("row,col,re,im\n")
-        for i in range(rows):
-            lines = zeros.copy()
-            for j, re, im in entries[bounds[i]:bounds[i + 1]].tolist():
-                lines[j] = f"{j},{texts[re]},{texts[im]}\n"
-            prefix = f"{i},"
-            handle.write(prefix + prefix.join(lines))
+        for start in range(0, size, dim):
+            batch = []
+            for i in range(start, start + dim):
+                lines = zeros.copy()
+                for j, k in zip(cols[i], which[i]):
+                    lines[j] = f"{j},{texts[k]}"
+                prefix = f"{i},"
+                batch.append(prefix + prefix.join(lines))
+            handle.write("".join(batch))
 
 
 def write_sidecar(path: str, config_text: str, reports: dict, elapsed: float):
@@ -208,7 +206,8 @@ def write_sidecar(path: str, config_text: str, reports: dict, elapsed: float):
 def _times(config) -> list:
     """The end times of the config's rows."""
     window = config["time"]
-    return np.linspace(window["t0"], window["t"], window["samples"]).tolist()
+    # as doubles: numpy holds an int past int64 as an object
+    return np.linspace(float(window["t0"]), float(window["t"]), window["samples"]).tolist()
 
 
 def _oracle_settings(config, args) -> tuple:
@@ -233,8 +232,9 @@ def _run_spectral(config, args, kind):
     oracle)`` gives the header, the rows (time first) and their closed forms,
     the generator's block builder and size, ``residual(closed form, product)``
     and ``finish(oracle report or None)``, run last, which gives the kind's
-    extra reports and channel matrix or None. ``--oracle`` compares each
-    closed form with the time-ordered product over its row's window."""
+    extra reports and the spectrum of its final channel or None. ``--oracle``
+    compares each closed form with the time-ordered product over its row's
+    window."""
     mode = config.get("mode", "markov")
     t0, times = config["time"]["t0"], _times(config)
     header, rows, closed, block, size, residual, finish = kind(
@@ -249,8 +249,8 @@ def _run_spectral(config, args, kind):
         header, oracle_reports["oracle"] = _oracle_column(
             header, rows, map(residual, closed, products), tol)
         oracle_reports["oracle"]["steps"] = steps
-    extra, channel = finish(oracle_reports.get("oracle"))
-    return header, rows, {"mode": mode, **extra, **oracle_reports}, channel
+    extra, spectrum = finish(oracle_reports.get("oracle"))
+    return header, rows, {"mode": mode, **extra, **oracle_reports}, spectrum
 
 
 def _classical(config, mode, t0, times, with_oracle) -> tuple:
@@ -264,15 +264,6 @@ def _classical(config, mode, t0, times, with_oracle) -> tuple:
             lambda u: classical.circulant_matrix(gen, u), size,
             lambda field, prop: float(np.max(np.abs(field.values - prop @ unit))),
             lambda oracle_report: ({}, None))
-
-
-def _weyl_final_channel(relax, tol: float = DEFAULT_TOL) -> tuple:
-    """The assembled channel of the relaxation factors ``relax``, its
-    report from the spectrum, and how far a dense report of the same map
-    may round apart from it."""
-    spectrum = weyl.WeylSpectrum(relax)
-    return (spectrum.assemble(), spectrum.channel_report(tol),
-            spectrum.rounding_bound())
 
 
 def _weyl(config, mode, t0, times, with_oracle) -> tuple:
@@ -289,13 +280,15 @@ def _weyl(config, mode, t0, times, with_oracle) -> tuple:
     family = field.family() if with_oracle else None
 
     def finish(oracle_report):
-        final_map, final, atol = _weyl_final_channel(relaxes[-1])
+        spectrum = weyl.WeylSpectrum(relaxes[-1])
+        final = spectrum.channel_report()
         if oracle_report is not None:
             # the dense report of the written channel must say the same
-            agrees = final.agrees_with(validate_channel(final_map), atol)
+            agrees = final.agrees_with(validate_channel(spectrum.assemble()),
+                                       spectrum.rounding_bound())
             oracle_report["final_channel_agrees"] = agrees
             oracle_report["passed"] = oracle_report["passed"] and agrees
-        return {"final_channel": final.as_dict()}, final_map.matrix
+        return {"final_channel": final.as_dict()}, spectrum
 
     # a row's channel is assembled when the oracle reaches the row
     return (["t"] + [f"{p}_relax_{tag}" for tag in tags for p in ("re", "im")], rows,
@@ -384,12 +377,12 @@ def run_experiment(config: dict, config_text: str, args) -> int:
     out_path = args.out or config.get("output")
     if out_path is None:
         raise ConfigError("no output path (use --out or the 'output' field)")
-    header, rows, reports, channel = _RUNNERS[config["kind"]](config, args)
+    header, rows, reports, spectrum = _RUNNERS[config["kind"]](config, args)
     try:
         write_table(out_path, args.format, header, rows)
-        if channel is not None:
+        if spectrum is not None:
             reports["channel_matrix_path"] = path = out_path + ".channel.csv"
-            write_channel(path, channel)
+            write_channel(path, spectrum)
         write_sidecar(out_path + ".meta.json", config_text, reports,
                       time.perf_counter() - started)
     except OSError as exc:
@@ -425,9 +418,9 @@ def _validate_weyl(config, tol):
               {"name": f"kolmogorov_{mode}", **report.as_dict()}]
     if report.passed:
         # the report above is the check relaxation would repeat
-        relax = classical.relaxation(gen, t0, t, mode, check=False)
-        amap, spectral, atol = _weyl_final_channel(relax, tol)
-        rep = validate_channel(amap, tol)
+        spectrum = weyl.WeylSpectrum(classical.relaxation(gen, t0, t, mode, check=False))
+        rep = validate_channel(spectrum.assemble(), tol)
+        spectral, atol = spectrum.channel_report(tol), spectrum.rounding_bound()
         checks.append({"name": "channel_cptp_unital",
                        "passed": rep.cp and rep.tp and rep.unital,
                        **rep.as_dict()})

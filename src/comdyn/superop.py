@@ -9,7 +9,7 @@ D^2 x D^2 matrices acting on column-stacked vectorizations:
 The column-stacking convention is fixed here once; every other module goes
 through :func:`vec` / :func:`devec` and the :class:`SuperOperator`
 constructors, except three places that scatter Weyl unitaries straight
-into the order: ``weyl._support``, ``WeylFamily.vec_columns`` and
+into the order: ``WeylSpectrum.support``, ``WeylFamily.vec_columns`` and
 ``weyl.map_from_values``, which the Weyl tests check against :func:`vec`
 and :meth:`SuperOperator.from_conjugation`.
 

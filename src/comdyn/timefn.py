@@ -78,7 +78,7 @@ class Polynomial(TimeFunction):
     """c0 + c1*t + c2*t**2 + ... with ascending coefficients."""
 
     def __init__(self, coeffs: Sequence[complex]):
-        self._poly = _NPoly(np.asarray(coeffs))
+        self._poly = _NPoly(_numbers(coeffs))
         self.coeffs = self._poly.coef
 
     def __call__(self, t):
@@ -171,7 +171,7 @@ class Tabulated(TimeFunction):
 
     def __init__(self, times: Sequence[float], values: Sequence[complex]):
         times = np.asarray(times, dtype=float)
-        values = np.asarray(values)
+        values = _numbers(values)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("tabulated kind needs at least two samples")
         # imported here: scipy.interpolate costs ~0.1 s and only this kind needs it
@@ -319,7 +319,7 @@ class CoefficientBank:
                                    dtype=self._poly_coeffs.dtype)
         self._poly_anti[:, 1:] = self._poly_coeffs / np.arange(1, self._poly_anti.shape[1])
         self._amplitude, self._decay, self._frequency, self._phase, self._offset = (
-            np.array([s.get(name, default) for s in trig])
+            _numbers([s.get(name, default) for s in trig])
             for name, default in _TRIG_DEFAULTS.items())
         # the antiderivative's a = w = 0 branch (DampedTrig._antiderivative)
         self._flat = (self._decay == 0) & (self._frequency == 0)
@@ -510,9 +510,17 @@ def _trig_candidates(amplitude, decay, frequency, phase, offset, lo, hi) -> tupl
     return offset + amplitude * np.exp(decay * times) * np.cos(frequency * times + phase), times
 
 
+def _numbers(values) -> np.ndarray:
+    """``values`` as an array that ufuncs take: an int past int64, which
+    numpy holds as an object, is read as a double, as ``float`` reads it."""
+    out = np.asarray(values)
+    return out if out.dtype != object else out.astype(
+        np.result_type(float, *{type(v) for v in out.reshape(-1).tolist()}))
+
+
 def _padded(rows) -> np.ndarray:
     """Coefficient rows zero-padded on the right into one matrix."""
-    rows = [np.asarray(r) for r in rows]
+    rows = [_numbers(r) for r in rows]
     width = max((len(r) for r in rows), default=1)
     out = np.zeros((len(rows), width),
                    dtype=np.result_type(float, *{r.dtype for r in rows}))

@@ -348,29 +348,6 @@ def map_from_coeffs(field: WeylCoefficientField, t=0.0,
     return map_from_values(family, field.as_circulant().rates(t))
 
 
-def _support(d: int, nparties: int) -> tuple:
-    """Where sum_{m,n} a~(m, n) P_{m,n} on Z_d^N, D = d^N, can be nonzero.
-
-    vec(u_{m,n}) holds lambda^(m.c) at position c D + shifts[n, c] for each
-    column c (see :func:`_tables`). Projectors with different shifts n
-    share no position, so the map is one D x D block per shift, on rows and
-    columns ``positions[n]``. Its entry (c, c') is
-    D^-1 sum_m a~(m, n) lambda^(m.(c - c')): the inverse transform of a~
-    over the m axes at ``differences[c, c']``, the flat index of c' - c."""
-    dim = d ** nparties
-    positions = _tables(d, nparties)[1] + dim * np.arange(dim)
-    return positions, classical._difference_index_map(d, nparties).T
-
-
-def _scatter_support(blocks: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """The D^2 x D^2 matrix with ``blocks[n]`` on the rows and columns
-    ``positions[n]``, and +0.0 everywhere else."""
-    size = positions.size
-    matrix = np.zeros((size, size), dtype=complex)
-    matrix[positions[:, :, None], positions[:, None, :]] = blocks
-    return matrix
-
-
 @dataclass(frozen=True)
 class WeylSpectrum:
     """Eigenvalue field a~(k, l) on Z_d^N x Z_d^N over the fixed Weyl
@@ -395,16 +372,32 @@ class WeylSpectrum:
         col = vec(weyl_unitary(self.d, m, n))
         return SuperOperator(self.dim, np.outer(col, col.conj()) / self.dim)
 
-    def assemble(self) -> SuperOperator:
-        """sum_{m,n} a~(m, n) P_{m,n} over the stored eigenvalues, built
-        block by block on its D^3 support (see :func:`_support`) in
-        O(D^3) work."""
+    def support(self) -> tuple:
+        """Where :meth:`assemble` can be nonzero, and its D^2 values there:
+        ``(values, positions, differences)``, in O(D^2 log D) work.
+
+        vec(u_{m,n}) holds lambda^(m.c) at position c D + shifts[n, c] for
+        each column c (see :func:`_tables`). Projectors with different
+        shifts n share no position, so the map is one D x D block per shift,
+        ``values[n, differences]``, on the rows and columns
+        ``positions[n]``, and +0.0 off the blocks. Its entry (c, c') is
+        D^-1 sum_m a~(m, n) lambda^(m.(c - c')): the inverse transform of
+        a~ over the m axes at ``differences[c, c']``, the flat index of
+        c' - c."""
         npar, dim = self.nparties, self.dim
-        positions, differences = _support(self.d, npar)
-        # q[k, n] = D^-1 sum_m lambda^(-m.k) a~(m, n)
+        positions = _tables(self.d, npar)[1] + dim * np.arange(dim)
         q = np.fft.fftn(self.eigenvalues.grid, axes=tuple(range(npar)),
                         norm="forward").reshape(dim, dim)
-        return SuperOperator(dim, _scatter_support(q.T[:, differences], positions))
+        return q.T, positions, classical._difference_index_map(self.d, npar).T
+
+    def assemble(self) -> SuperOperator:
+        """sum_{m,n} a~(m, n) P_{m,n} over the stored eigenvalues: the
+        blocks of :meth:`support` scattered into the dense D^2 x D^2 matrix,
+        O(D^3) work beside its D^4 zeros."""
+        values, positions, differences = self.support()
+        matrix = np.zeros((positions.size,) * 2, dtype=complex)
+        matrix[positions[:, :, None], positions[:, None, :]] = values[:, differences]
+        return SuperOperator(self.dim, matrix)
 
     def channel_report(self, tol: float = DEFAULT_TOL) -> ChannelReport:
         """The :func:`~comdyn.superop.validate_channel` report of

@@ -1,8 +1,9 @@
+import importlib.util
 import json
 import os
-import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,17 +201,55 @@ def channel_reference(matrix) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def test_channel_csv_bytes(tmp_path):
-    field = weyl.WeylCoefficientField.constant(2, 1, WEYL_CONFIG["rates"])
-    matrix = weyl.evolve(field, 0.0, 1.0).matrix.copy()
-    matrix[0, 1] = complex(-0.0, -0.0)
-    matrix[1, 0] = complex(0.1, -0.0)
+def _written_channel(tmp_path, spectrum) -> bytes:
     path = tmp_path / "channel.csv"
-    write_channel(str(path), matrix)
-    assert path.read_bytes() == channel_reference(matrix)
-    lines = path.read_text().splitlines()
-    assert lines[2] == "0,1,-0,-0"
-    assert lines[5] == "1,0,0.10000000000000001,-0"
+    write_channel(str(path), spectrum)
+    return path.read_bytes()
+
+
+def _given_support(d, nparties, values):
+    """A spectrum of Z_d^N whose D x D support values (see
+    ``WeylSpectrum.support``) are ``values`` bit for bit, in its dense
+    ``assemble`` and in the channel writer alike."""
+    spectrum = weyl.WeylSpectrum(classical.LatticeField(
+        d, 2 * nparties, np.zeros(d ** (2 * nparties), dtype=complex)))
+    layout = spectrum.support()[1:]
+    object.__setattr__(spectrum, "support",
+                       lambda: (np.asarray(values, dtype=complex),) + layout)
+    return spectrum
+
+
+def _dense(spectrum):
+    """The D^2 x D^2 matrix of ``spectrum``'s support blocks, as
+    ``assemble`` scatters them, also where a SuperOperator would refuse it
+    for non-finite entries."""
+    values, positions, differences = spectrum.support()
+    matrix = np.zeros((positions.size,) * 2, dtype=complex)
+    matrix[positions[:, :, None], positions[:, None, :]] = values[:, differences]
+    return matrix
+
+
+def _evolved_spectrum(d, nparties, rates):
+    field = weyl.WeylCoefficientField.constant(d, nparties, rates)
+    return weyl.WeylSpectrum(classical.relaxation(field.as_circulant(), 0.0, 1.0))
+
+
+def test_channel_csv_bytes(tmp_path):
+    spectrum = _evolved_spectrum(2, 1, WEYL_CONFIG["rates"])
+    assert _written_channel(tmp_path, spectrum) == channel_reference(
+        spectrum.assemble().matrix)
+    # d = 2: values[0, 1] sits at (0, 3) and values[1, 0] at (1, 1); a
+    # signed zero on the support keeps its sign, and off it every entry is +0.0
+    values = spectrum.support()[0].copy()
+    values[0, 1] = complex(-0.0, -0.0)
+    values[1, 0] = complex(0.1, -0.0)
+    given = _given_support(2, 1, values)
+    matrix = given.assemble().matrix
+    assert _written_channel(tmp_path, given) == channel_reference(matrix)
+    lines = (tmp_path / "channel.csv").read_text().splitlines()
+    assert lines[2] == "0,1,0,0"
+    assert lines[4] == "0,3,-0,-0"
+    assert lines[6] == "1,1,0.10000000000000001,-0"
 
 
 NAN = float("nan")
@@ -220,105 +259,156 @@ SPECIAL = [NAN, -NAN, float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
            1e16, 0.1, -0.1, 1.0, 2.5e-17]
 
 
-def _special_matrix():
-    pool = np.array(SPECIAL)
-    matrix = np.empty((6, len(SPECIAL)), dtype=complex)
-    matrix.real[0], matrix.imag[0] = pool, pool[::-1]
-    matrix.real[1], matrix.imag[1] = pool[::-1], pool          # repeats row 0
-    matrix[2] = complex(-0.0, NAN)                             # all entries equal
-    matrix.real[3], matrix.imag[3] = np.repeat(pool[:7], 2)[:13], -0.0
-    matrix[4] = matrix[0]                                      # a repeated row
-    matrix.real[5], matrix.imag[5] = np.roll(pool, 3), np.roll(pool, 5)
-    return matrix
+def _complex(re, im):
+    """The complex array of parts ``re`` and ``im``, bit for bit (a sum
+    with a product by 1j would lose signed zeros and make NaNs of
+    infinities)."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
-def _dense_matrix():
-    rng = np.random.default_rng(5)
-    return rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+def _special_values(dim):
+    """D x D support values cycling through SPECIAL, real and imaginary
+    parts in opposite orders."""
+    pool = np.resize(SPECIAL, dim * dim)
+    return _complex(pool, pool[::-1]).reshape(dim, dim)
 
 
-# the values a mostly +0.0 matrix must still format one by one
+# a LatticeField refuses non-finite values, so eigenvalue grids take these;
+# NaNs and infinities reach the writer as support values
+FINITE_SPECIAL = [v for v in SPECIAL if np.isfinite(v)]
+
+# the values a mostly +0.0 map must still format one by one
 SPARSE_SPECIAL = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
                   complex(NAN, 0.0), complex(0.0, -NAN), complex(5e-324, 0.0),
                   complex(0.0, 5e-324), complex(-5e-324, NAN)]
 
 
-def _sparse_matrix(matrix, seed):
-    """``matrix`` with each of SPARSE_SPECIAL put at three random spots."""
-    matrix = np.array(matrix, dtype=complex)
+def _sparse_values(values, seed):
+    """``values`` with each of SPARSE_SPECIAL put at up to three random spots."""
+    values = np.array(values, dtype=complex)
     rng = np.random.default_rng(seed)
-    flat = matrix.reshape(-1)
-    spots = rng.choice(flat.size, 3 * len(SPARSE_SPECIAL), replace=False)
+    flat = values.reshape(-1)
+    spots = rng.choice(flat.size, min(flat.size, 3 * len(SPARSE_SPECIAL)), replace=False)
     flat[spots] = np.resize(SPARSE_SPECIAL, spots.size)
-    return matrix
+    return values
 
 
-def _weyl_shaped_matrix():
-    # the D^3 support of a d = 3 Weyl channel, 27 of 81 entries nonzero
-    field = weyl.WeylCoefficientField.constant(3, 1, [-0.8] + [0.1] * 8)
-    return _sparse_matrix(weyl.evolve(field, 0.0, 1.0).matrix, 3)
+def _random_eigenvalues(d, nparties, seed):
+    rng = np.random.default_rng(seed)
+    count = d ** (2 * nparties)
+    return weyl.WeylSpectrum(classical.LatticeField(
+        d, 2 * nparties, rng.standard_normal(count) + 1j * rng.standard_normal(count)))
 
 
 @pytest.mark.parametrize("make", [
-    _special_matrix, _dense_matrix,
-    lambda: np.array([[complex(-NAN, 1e16)]]),
-    lambda: np.array([[complex(0.0, -0.0)]]),
-    lambda: _special_matrix().T,
-    lambda: _special_matrix().real,
-    _weyl_shaped_matrix,
-    lambda: _sparse_matrix(np.zeros((16, 16)), 4),
-    lambda: _sparse_matrix(np.zeros((5, 7)), 5).real,
-], ids=["special", "dense-64", "1x1-nan", "1x1-zeros", "transposed", "real",
-        "weyl-shaped", "zeros-16", "zeros-real"])
+    lambda: _given_support(2, 2, _special_values(4)),
+    lambda: _random_eigenvalues(2, 3, 5),
+    lambda: _given_support(2, 1, np.full((2, 2), complex(-NAN, 1e16))),
+    lambda: _given_support(2, 1, np.full((2, 2), complex(0.0, -0.0))),
+    lambda: _given_support(2, 2, _special_values(4).T),
+    lambda: _given_support(3, 1, _special_values(3).real),
+    lambda: _given_support(3, 1, _sparse_values(
+        _evolved_spectrum(3, 1, [-0.8] + [0.1] * 8).support()[0], 3)),
+    lambda: _given_support(2, 2, _sparse_values(np.zeros((4, 4)), 4)),
+    lambda: _given_support(3, 1, _sparse_values(np.zeros((3, 3)), 5).real),
+    lambda: weyl.WeylSpectrum(classical.LatticeField(
+        3, 4, _complex(np.resize(FINITE_SPECIAL, 81),
+                       np.resize(FINITE_SPECIAL[::-1], 81)))),
+], ids=["special", "dense-64", "d2n1-nan", "d2n1-zeros", "transposed", "real",
+        "weyl-shaped", "zeros-16", "zeros-real", "special-eigenvalues"])
 def test_channel_csv_bytes_on_special_values(tmp_path, make):
-    matrix = make()
-    path = tmp_path / "channel.csv"
-    write_channel(str(path), matrix)
-    assert path.read_bytes() == channel_reference(matrix)
+    spectrum = make()
+    assert _written_channel(tmp_path, spectrum) == channel_reference(_dense(spectrum))
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_channel_csv_bytes_with_repeated_values(tmp_path_factory, data):
-    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-    parts = data.draw(st.lists(st.sampled_from(SPECIAL), min_size=2 * rows * cols,
-                               max_size=2 * rows * cols))
-    matrix = np.array(parts).view(complex).reshape(rows, cols)
-    path = tmp_path_factory.mktemp("channel") / "channel.csv"
-    write_channel(str(path), matrix)
-    assert path.read_bytes() == channel_reference(matrix)
-    # and a mostly +0.0 matrix of the same shape, as a Weyl channel is
-    sparse = np.zeros(rows * cols, dtype=complex)
-    spots = data.draw(st.lists(st.integers(0, rows * cols - 1), unique=True,
-                               max_size=rows * cols // 3))
+    d, nparties = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    dim = d ** nparties
+    tmp_path = tmp_path_factory.mktemp("channel")
+    # an eigenvalue grid drawn from SPECIAL, through the partial transform
+    parts = data.draw(st.lists(st.sampled_from(FINITE_SPECIAL), min_size=2 * dim * dim,
+                               max_size=2 * dim * dim))
+    spectrum = weyl.WeylSpectrum(classical.LatticeField(
+        d, 2 * nparties, np.array(parts).view(complex)))
+    assert _written_channel(tmp_path, spectrum) == channel_reference(_dense(spectrum))
+    # support values drawn from SPECIAL, each repeated on D supports
+    parts = data.draw(st.lists(st.sampled_from(SPECIAL), min_size=2 * dim * dim,
+                               max_size=2 * dim * dim))
+    given = _given_support(d, nparties, np.array(parts).view(complex).reshape(dim, dim))
+    assert _written_channel(tmp_path, given) == channel_reference(_dense(given))
+    # and mostly +0.0 support values, as a Weyl channel's can be
+    sparse = np.zeros(dim * dim, dtype=complex)
+    spots = data.draw(st.lists(st.integers(0, dim * dim - 1), unique=True,
+                               max_size=dim * dim // 3))
     sparse[spots] = data.draw(st.lists(st.sampled_from(SPARSE_SPECIAL + [1.0, 0.1]),
                                        min_size=len(spots), max_size=len(spots)))
-    sparse = sparse.reshape(rows, cols)
-    write_channel(str(path), sparse)
-    assert path.read_bytes() == channel_reference(sparse)
+    given = _given_support(d, nparties, sparse.reshape(dim, dim))
+    assert _written_channel(tmp_path, given) == channel_reference(_dense(given))
 
 
-def test_channel_csv_formats_each_distinct_bit_pattern_once(tmp_path, monkeypatch):
-    # a d = 2, N = 4 (D = 16) Weyl channel: D^3 = 4,096 nonzero entries,
-    # about D^2 distinct values
+def test_channel_csv_formats_each_support_value_once(tmp_path, monkeypatch):
+    # a d = 2, N = 4 (D = 16) Weyl channel: D^3 = 4,096 support entries of
+    # D^2 = 256 values, so at most 512 parts to format
     rates = np.random.default_rng(4).uniform(0.001, 0.01, 256)
     rates[0] = -rates[1:].sum()
-    field = weyl.WeylCoefficientField.constant(2, 4, list(rates))
-    matrix = weyl.evolve(field, 0.0, 1.0).matrix
-    patterns = {struct.pack("<d", part) for value in matrix.reshape(-1).tolist()
-                if struct.pack("<dd", value.real, value.imag) != bytes(16)
-                for part in (value.real, value.imag)}
+    spectrum = _evolved_spectrum(2, 4, list(rates))
     calls = []
 
     def counted(value):
         calls.append(value)
         return _fmt(value)
     monkeypatch.setattr(cli, "_fmt", counted)
-    path = tmp_path / "channel.csv"
-    write_channel(str(path), matrix)
+    written = _written_channel(tmp_path, spectrum)
     monkeypatch.undo()
-    assert len(calls) == len(patterns) < 16 ** 3
-    assert path.read_bytes() == channel_reference(matrix)
+    assert len(calls) <= 2 * 16 ** 2 < 16 ** 3
+    assert written == channel_reference(spectrum.assemble().matrix)
+
+
+def _zero_sum_rates(count, seed) -> list:
+    rates = np.random.default_rng(seed).uniform(0.0, 0.05, count)
+    rates[0] = -rates[1:].sum()
+    return rates.tolist()
+
+
+@pytest.mark.parametrize("d, nparties", [(2, 1), (3, 1), (2, 3), (3, 2)])
+def test_weyl_run_channel_bytes_equal_the_dense_map(tmp_path, d, nparties):
+    rates = _zero_sum_rates(d ** (2 * nparties), d + nparties)
+    payload = dict(WEYL_CONFIG, dims={"d": d, "N": nparties}, rates=rates)
+    config = write_config(tmp_path, "weyl.json", payload)
+    out = tmp_path / "weyl.csv"
+    assert main(["run", config, "--out", str(out)]) == 0
+    field = weyl.WeylCoefficientField.constant(d, nparties, rates)
+    channel = (tmp_path / "weyl.csv.channel.csv").read_bytes()
+    assert channel == channel_reference(_evolved_channel(field, 0.0, 1.0))
+    assert channel.count(b"\n") == d ** (4 * nparties) + 1
+
+
+def _benchmark_job(workload, job_id, workdir):
+    """The job ``job_id`` of perfbench's ``workload`` at seed 1, its config
+    written under ``workdir``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return next(job for job in module.make_jobs(workload, 1, str(workdir))
+                if job["id"] == job_id)
+
+
+def test_large_state_weyl_channel_bytes_equal_the_dense_map(tmp_path):
+    # the benchmark's D = 32 Weyl job: a 1024 x 1024 map, 32,768 support entries
+    job = _benchmark_job("large-state", "weyl-d2n5-markov", tmp_path)
+    assert main(job["argv"]) == 0
+    config = job["config"]
+    field = weyl.WeylCoefficientField(2, 5, config["rates"])
+    window = config["time"]
+    spectrum = weyl.WeylSpectrum(classical.relaxation(
+        field.as_circulant(), window["t0"], window["t"]))
+    channel = Path(job["out"] + ".channel.csv").read_bytes()
+    assert channel == channel_reference(spectrum.assemble().matrix)
 
 
 def _evolved_channel(field, t0, t):
@@ -433,6 +523,27 @@ WEYL_D3_CONFIG = dict(WEYL_CONFIG, dims={"d": 3, "N": 1},
                       rates=[-1.2, 0.3, 0.05, 0.2, 0.1, 0.15, 0.1, 0.2, 0.1])
 
 
+def test_plain_weyl_run_never_assembles_the_dense_map(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense assembly in a plain run")
+    config = write_config(tmp_path, "weyl.json", WEYL_D3_CONFIG)
+    out = tmp_path / "weyl.csv"
+    monkeypatch.setattr(weyl.WeylSpectrum, "assemble", refuse)
+    assert main(["run", config, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    channel = tmp_path / "weyl.csv.channel.csv"
+    written = channel.read_bytes()
+    field = weyl.WeylCoefficientField.constant(3, 1, WEYL_D3_CONFIG["rates"])
+    assert written == channel_reference(_evolved_channel(field, 0.0, 1.0))
+    # --oracle still checks the dense report of the written channel, which
+    # is the same file
+    assert main(["run", config, "--out", str(out), "--oracle"]) == 0
+    oracle_report = json.loads((tmp_path / "weyl.csv.meta.json").read_text())[
+        "reports"]["oracle"]
+    assert oracle_report["final_channel_agrees"] and oracle_report["passed"]
+    assert channel.read_bytes() == written
+
+
 def test_weyl_run_builds_no_dense_family(tmp_path, monkeypatch):
     calls = _count_dense_weyl(monkeypatch)
     config = write_config(tmp_path, "weyl.json", WEYL_D3_CONFIG)
@@ -454,13 +565,21 @@ def test_weyl_oracle_catches_a_transposed_support_block(tmp_path, monkeypatch):
     assert main(["run", config, "--out", str(out), "--oracle"]) == 0
     sidecar = tmp_path / "weyl.csv.meta.json"
     assert json.loads(sidecar.read_text())["reports"]["oracle"]["passed"]
-    scatter = weyl._scatter_support
-    monkeypatch.setattr(weyl, "_scatter_support", lambda blocks, positions:
-                        scatter(blocks.transpose(0, 2, 1), positions))
+    channel = tmp_path / "weyl.csv.channel.csv"
+    written = channel.read_bytes()
+    support = weyl.WeylSpectrum.support
+
+    def transposed(self):
+        # transposed differences transpose every block
+        values, positions, differences = support(self)
+        return values, positions, differences.T
+    monkeypatch.setattr(weyl.WeylSpectrum, "support", transposed)
     assert main(["run", config, "--out", str(out), "--oracle"]) == 0
     report = json.loads(sidecar.read_text())["reports"]["oracle"]
     assert report["max_residual"] > 1e3 * report["tol"]
     assert not report["passed"]
+    # the channel CSV is written from the same layout
+    assert channel.read_bytes() != written
 
 
 def _flip_classical_mode(monkeypatch):
@@ -1130,6 +1249,18 @@ FAILURE_PATHS = {
     "mixture-nan-weights-validate": (
         "validate", dict(MIXTURE_CONFIG, weights=NAN_WEIGHTS, time=OVERFLOW_WINDOW), [], 1,
         "error: weights have non-finite values at tau=0.89\n"),
+    # an int past int64 makes numpy build an object array; the bank reads it
+    # as a double, so the rates are checked, not crashed on
+    "int-past-int64-amplitude": (
+        "run", dict(CLASSICAL_CONFIG, rates=[{"kind": "damped-trig", "amplitude": -1},
+                                             {"kind": "damped-trig", "amplitude": 10 ** 30}]),
+        [], 2, "precondition failed: Kolmogorov markov check failed at t=0.0: pointwise "
+        "zero-sum conservation (index 0, value 1.000000e+30)\n"),
+    # zero-sum rates of 1e30 whose transform rounds to a positive exponent
+    # of about 1e14: the relaxation overflows and is refused, without a warning
+    "weyl-overflowing-relaxation": (
+        "run", dict(WEYL_CONFIG, rates=[-3e30, 1e30, 1e30, 1e30]), [], 1,
+        "error: field has non-finite values\n"),
 }
 
 
@@ -1145,6 +1276,37 @@ def test_failure_paths_exit_with_their_code_and_write_nothing(tmp_path, capsys, 
     assert captured.err.count("\n") == 1
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_times_past_int64_are_read_as_doubles(tmp_path, capsys, command):
+    payload = dict(CLASSICAL_CONFIG, time={"t0": 0, "t": 2 ** 64, "samples": 2})
+    config = write_config(tmp_path, "config.json", payload)
+    out = tmp_path / "result.out"
+    assert main([command, config, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "run":
+        assert out.read_text().splitlines()[1:] == [
+            "0,1,0", "1.8446744073709552e+19,0.5,0.5"]
+
+
+@pytest.mark.parametrize("text, reason", [
+    (b'{"kind": "classical", "rates": [-1' + b"0" * 5000 + b"]}",
+     "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 "
+     "digits; use sys.set_int_max_str_digits() to increase the limit"),
+    (b'{"kind": "classical",\xff "rates": []}',
+     "'utf-8' codec can't decode byte 0xff in position 21: invalid start byte"),
+], ids=["int-past-digit-limit", "not-utf-8"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_unreadable_config_text_is_refused_with_its_path(tmp_path, capsys, text, reason,
+                                                          command):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    out = tmp_path / "result.out"
+    assert main([command, str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read config {config}: {reason}\n"
+    assert not out.exists()
 
 
 KIND_CONFIGS = {"classical": CLASSICAL_CONFIG, "weyl": WEYL_CONFIG, "qubit": QUBIT_CONFIG,

@@ -172,6 +172,36 @@ def test_polynomial_integrals_equal_numpys_antiderivatives(rows, times):
     _same(bank.integrals(-0.25, times), expected.astype(complex))
 
 
+def _as_doubles(spec):
+    """``spec`` with every int read as a double."""
+    if isinstance(spec, dict):
+        return {key: _as_doubles(value) for key, value in spec.items()}
+    if isinstance(spec, list):
+        return [_as_doubles(value) for value in spec]
+    return float(spec) if type(spec) is int else spec
+
+
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, 10 ** 30, -10 ** 30])
+def test_a_bank_reads_ints_past_int64_as_doubles(big):
+    # numpy holds such an int, in a column with other ints, as an object
+    specs = [{"kind": "damped-trig", "amplitude": -1}, {"kind": "damped-trig", "amplitude": big},
+             {"kind": "polynomial", "coeffs": [big, -1]}, big]
+    tabulated = {"kind": "tabulated", "times": [0, 1, 2], "values": [big, 1, 2]}
+    for specs in (specs, specs + [tabulated]):
+        banks = [CoefficientBank(specs), CoefficientBank(_as_doubles(specs)),
+                 CoefficientBank([from_spec(s) for s in specs])]
+        times = [0.0, 0.5, 2.0]
+        for bank in banks[1:]:
+            _same(bank.values(times), banks[0].values(times))
+            _same(bank.integrals(0.0, times), banks[0].integrals(0.0, times))
+        # a tabulated rate has no certified bounds
+        bounds = [bank.window_bounds(0.0, 2.0) for bank in banks]
+        assert all((b is None) == (tabulated in specs) for b in bounds)
+        for other in bounds[1:] if bounds[0] is not None else ():
+            for a, b in zip(other, bounds[0]):
+                _same(np.asarray(a), np.asarray(b))
+
+
 def test_a_bank_refuses_what_from_spec_refuses():
     with pytest.raises(ValueError, match="unknown time-function kind: 'mystery'"):
         CoefficientBank([1.0, {"kind": "mystery"}])
