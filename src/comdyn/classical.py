@@ -182,9 +182,6 @@ class CirculantGenerator:
             raise ValueError("field has non-finite values")
         return rows
 
-    def integrated_rates(self, t0: float, t1: float) -> LatticeField:
-        return LatticeField(self.d, self.naxes, self.bank.integrals(t0, t1)[0])
-
 
 def circulant_matrix(gen: CirculantGenerator, t=0.0) -> np.ndarray:
     """Dense generator matrix L(m, n) = a_t(m - n), real when the rates are
@@ -228,6 +225,9 @@ class KolmogorovViolation:
     value: float
     condition: str
 
+    def __str__(self) -> str:
+        return f"{self.condition} (index {self.index}, value {self.value:.6e})"
+
 
 @dataclass(frozen=True)
 class KolmogorovReport:
@@ -259,26 +259,25 @@ def _first_violation(block: np.ndarray, times: np.ndarray, tol: float,
                      condition_prefix: str) -> Optional[KolmogorovViolation]:
     """The earliest row of a (times, sites) rate block that fails a
     condition, with the first condition it fails in :data:`_CONDITIONS`
-    order, read off the masks that screen the rows. A non-finite row raises
-    like the LatticeField it would have made."""
-    real, imag = block.real, np.abs(block.imag)
-    imag_max = np.max(imag, axis=1)
-    totals = np.sum(real, axis=1)
-    failed = np.stack([
-        imag_max > tol,
-        np.min(real[:, 1:], axis=1) < -tol,
-        np.abs(totals) > tol * np.maximum(1.0, np.max(np.abs(real), axis=1)),
-        real[:, 0] > tol])
-    finite = np.all(np.isfinite(block), axis=1)
-    flagged = ~finite | np.any(failed, axis=0)
-    if not np.any(flagged):
+    order (see :func:`first_failing_row`). A non-finite row that comes
+    first raises like the LatticeField it would have made."""
+    def failures(rows):
+        real = rows.real
+        return np.stack([
+            np.max(np.abs(rows.imag), axis=1) > tol,
+            np.min(real[:, 1:], axis=1) < -tol,
+            np.abs(np.sum(real, axis=1)) > tol * np.maximum(1.0, np.max(np.abs(real), axis=1)),
+            real[:, 0] > tol])
+
+    found = first_failing_row(block, failures)
+    if found is None:
         return None
-    row = int(np.argmax(flagged))
-    if not finite[row]:
+    row, which = found
+    if which is None:
         raise ValueError("field has non-finite values")
-    which = int(np.argmax(failed[:, row]))
-    index = (int(np.argmax(imag[row])), int(np.argmin(real[row, 1:])) + 1, 0, 0)[which]
-    value = (imag_max[row], real[row, index], totals[row], real[row, 0])[which]
+    real, imag = block[row].real, np.abs(block[row].imag)
+    index = (int(np.argmax(imag)), int(np.argmin(real[1:])) + 1, 0, 0)[which]
+    value = (np.max(imag), real[index], np.sum(real), real[0])[which]
     return KolmogorovViolation(float(times[row]), index, float(value),
                                f"{condition_prefix} {_CONDITIONS[which]}")
 
@@ -394,6 +393,24 @@ def window_grid(t0: float, times, mode: PropagationMode) -> np.ndarray:
     return grid[np.sort(first)]
 
 
+def first_failing_row(block: np.ndarray, conditions) -> Optional[tuple]:
+    """The earliest row of a (times, functions) ``block`` that fails one of
+    a kind's conditions or is not finite, as ``(row, which)``: ``which`` is
+    the index of the first condition the row fails, or None where the row
+    is not finite; None if every row passes. ``conditions(rows)`` stacks
+    one failure mask per condition over ``rows``, the block's rows before
+    its first non-finite one, so no mask reads a NaN, which fails no
+    comparison."""
+    finite = np.all(np.isfinite(block), axis=1)
+    end = len(block) if finite.all() else int(np.argmin(finite))
+    failed = conditions(block[:end])
+    flagged = np.any(failed, axis=0)
+    if flagged.any():
+        row = int(np.argmax(flagged))
+        return row, int(np.argmax(failed[:, row]))
+    return None if end == len(block) else (end, None)
+
+
 def kolmogorov_check(gen: CirculantGenerator, t0: float, t,
                      mode: PropagationMode = "markov",
                      tol: float = DEFAULT_TOL) -> KolmogorovReport:
@@ -422,9 +439,7 @@ def relaxation(gen: CirculantGenerator, t0: float, t,
         if not report.passed:
             v = report.first_violation
             raise PreconditionFailedError(
-                f"Kolmogorov {report.mode} check failed at t={v.time}: "
-                f"{v.condition} (index {v.index}, value {v.value:.6e})",
-                witness=report)
+                f"Kolmogorov {report.mode} check failed at t={v.time}: {v}", witness=report)
     # an overflowing exponent is refused by LatticeField, without a warning
     with np.errstate(over="ignore"):
         fields = [LatticeField(gen.d, gen.naxes,

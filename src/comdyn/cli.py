@@ -108,10 +108,9 @@ def _mixture_generators(config) -> list:
     maps = []
     for k, (field, report) in enumerate(_mixture_fields(config, DEFAULT_TOL)):
         if not report.passed:
-            v = report.first_violation
             raise PreconditionFailedError(
-                f"generators.{k} is not a Markov generator: {v.condition} "
-                f"(index {v.index}, value {v.value:.6e})", witness=report)
+                f"generators.{k} is not a Markov generator: {report.first_violation}",
+                witness=report)
         maps.append(weyl.map_from_coeffs(field))
     return maps
 
@@ -218,13 +217,15 @@ def _oracle_settings(config, args) -> tuple:
 
 
 def _oracle_column(header: list, rows: list, residuals, tol: float) -> tuple:
-    """Appends each row's residual; the header with their column, and the report."""
-    worst = 0.0
+    """Appends each row's residual; the header with their column, and the
+    report. A residual over ``tol`` refuses the run at the worst row."""
     for values, residual in zip(rows, residuals):
         values.append(residual)
-        worst = max(worst, residual)
-    return (header + ["oracle_residual"],
-            {"max_residual": worst, "tol": tol, "passed": worst <= tol})
+    worst = max(rows, key=lambda values: values[-1])
+    if not worst[-1] <= tol:
+        raise PreconditionFailedError(
+            f"oracle residual {worst[-1]:.6e} at t={worst[0]} exceeds tol {tol}")
+    return header + ["oracle_residual"], {"max_residual": worst[-1], "tol": tol, "passed": True}
 
 
 def _run_spectral(config, args, kind):
@@ -284,10 +285,12 @@ def _weyl(config, mode, t0, times, with_oracle) -> tuple:
         final = spectrum.channel_report()
         if oracle_report is not None:
             # the dense report of the written channel must say the same
-            agrees = final.agrees_with(validate_channel(spectrum.assemble()),
-                                       spectrum.rounding_bound())
-            oracle_report["final_channel_agrees"] = agrees
-            oracle_report["passed"] = oracle_report["passed"] and agrees
+            dense, atol = validate_channel(spectrum.assemble()), spectrum.rounding_bound()
+            if not final.agrees_with(dense, atol):
+                raise PreconditionFailedError(
+                    f"oracle: the final channel's spectral report {final.as_dict()} "
+                    f"disagrees with its dense report {dense.as_dict()} (atol {atol:.6e})")
+            oracle_report["final_channel_agrees"] = True
         return {"final_channel": final.as_dict()}, spectrum
 
     # a row's channel is assembled when the oracle reaches the row

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classical import window_grid
+from .classical import first_failing_row, window_grid
 from .errors import (DefectiveMapError, InvalidWeightsError,
                      QuadratureNotConvergedError, SingularEigenvalueError,
                      SingularResolventError)
@@ -154,29 +154,29 @@ class MixtureSpec:
         """Require a probability distribution at every tau of the condition
         grid on the homogeneous window [0, t - t0], evaluated in one bank
         call; raises :class:`InvalidWeightsError` at the first tau that
-        fails (complex, then negative, then not summing to 1). A block
-        with a non-finite weight, which no comparison flags, raises a
-        ``ValueError`` at the first tau that has one."""
+        fails (complex, then negative, then not summing to 1). A
+        non-finite weight, which no comparison flags, raises a
+        ``ValueError`` at the first tau that has one, unless a failing tau
+        comes before it (see :func:`~comdyn.classical.first_failing_row`)."""
         taus = window_grid(t0, t, "nonmarkov")
         # a block that overflows is refused below, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             block = self.bank.values(taus)
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            raise ValueError(
-                f"weights have non-finite values at tau={float(taus[np.argmin(finite)])}")
-        lowest, totals = np.min(block.real, axis=1), np.sum(block.real, axis=1)
-        failed = np.stack([np.max(np.abs(block.imag), axis=1) > tol,
-                           lowest < -tol, np.abs(totals - 1.0) > tol])
-        flagged = np.any(failed, axis=0)
-        if np.any(flagged):
-            row = int(np.argmax(flagged))
-            tau = taus[row]
-            raise InvalidWeightsError((
-                f"weights not real at tau={tau}",
-                f"negative weight {lowest[row]:.3e} at tau={tau}",
-                f"weights sum to {totals[row]} at tau={tau}",
-            )[int(np.argmax(failed[:, row]))])
+        found = first_failing_row(block, lambda rows: np.stack([
+            np.max(np.abs(rows.imag), axis=1) > tol, np.min(rows.real, axis=1) < -tol,
+            np.abs(np.sum(rows.real, axis=1) - 1.0) > tol]))
+        if found is None:
+            return
+        row, which = found
+        tau = taus[row]
+        if which is None:
+            raise ValueError(f"weights have non-finite values at tau={float(tau)}")
+        weights = block[row].real
+        raise InvalidWeightsError((
+            f"weights not real at tau={tau}",
+            f"negative weight {np.min(weights):.3e} at tau={tau}",
+            f"weights sum to {np.sum(weights)} at tau={tau}",
+        )[which])
 
     def eigenvalue_mixture(self, tau: float) -> np.ndarray:
         """c_a(tau) = sum_k p_k(tau) exp(lambda_a^k tau)."""

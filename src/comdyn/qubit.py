@@ -23,13 +23,14 @@ a Fraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .classical import PropagationMode, integration_window, window_grid
+from .classical import (PropagationMode, first_failing_row, integration_window,
+                        window_grid)
 from .errors import PreconditionFailedError
 from .superop import DEFAULT_TOL, SuperOperator, _vec_stack
 from .timefn import CoefficientBank, TimeFunction, as_time_function
@@ -120,17 +121,21 @@ class QubitGeneratorSpec:
         return cls(epsilon, gamma, c, mu)
 
 
-def _require_hermitian(cmat: np.ndarray, t: float, name: str = "c(t)") -> np.ndarray:
-    """``cmat``, unless max |c - c^dag| exceeds :data:`HERMITIAN_TOL`
-    max(1, max |c|); ``name`` says what ``cmat`` is in the refusal.
+def _not_hermitian(rows: np.ndarray) -> np.ndarray:
+    """Per row (c00, c01, c10, c11) of a block: whether max |c - c^dag|
+    exceeds :data:`HERMITIAN_TOL` max(1, max |c|). |c_ab - conj(c_ba)| is
+    the same for (0, 1) and (1, 0), and |c_aa - conj(c_aa)| = 2 |Im c_aa|
+    exactly."""
+    c00, c01, c10, c11 = rows.T
+    skew = np.maximum(np.maximum(2.0 * np.abs(c00.imag), np.abs(c01 - c10.conj())),
+                      2.0 * np.abs(c11.imag))
+    return skew > HERMITIAN_TOL * np.maximum(1.0, np.max(np.abs(rows), axis=1))
 
-    Scalar arithmetic on the four entries: |c_ab - conj(c_ba)| is the same
-    for (0, 1) and (1, 0), and |c_aa - conj(c_aa)| = 2 |Im c_aa| exactly.
-    """
-    c00, c01, c10, c11 = cmat.ravel().tolist()
-    scale = max(1.0, abs(c00), abs(c01), abs(c10), abs(c11))
-    skew = max(2.0 * abs(c00.imag), abs(c01 - c10.conjugate()), 2.0 * abs(c11.imag))
-    if skew > HERMITIAN_TOL * scale:
+
+def _require_hermitian(cmat: np.ndarray, t: float, name: str = "c(t)") -> np.ndarray:
+    """``cmat`` (c, or its four entries), unless :func:`_not_hermitian`
+    refuses it; ``name`` says what ``cmat`` is in the refusal."""
+    if _not_hermitian(np.reshape(cmat, (1, 4)))[0]:
         raise ValueError(f"{name} is not Hermitian at t={t}")
     return cmat
 
@@ -186,16 +191,10 @@ def build_generator(spec: QubitGeneratorSpec, t=0.0):
     times = np.atleast_1d(np.asarray(t, dtype=float))
     rows = spec.bank.values(times)
     stack = np.einsum("rk,kij->rij", rows, spec.basis)
-    # _require_hermitian's figures, row by row, to find the rows it refuses
-    c00, c01, c10, c11 = rows[:, 2:].T
-    scale = np.maximum(1.0, np.max(np.abs(rows[:, 2:]), axis=1))
-    skew = np.maximum(np.maximum(2.0 * np.abs(c00.imag), np.abs(c01 - c10.conj())),
-                      2.0 * np.abs(c11.imag))
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    for i in np.flatnonzero((skew > HERMITIAN_TOL * scale) | ~finite):
-        _require_hermitian(rows[i, 2:].reshape(2, 2), times[i].item() if np.ndim(t) else t)
-        if not finite[i]:
-            raise ValueError("superoperator matrix has non-finite entries")
+    bad = np.flatnonzero(_not_hermitian(rows[:, 2:]) | ~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        _require_hermitian(rows[bad[0], 2:], times[bad[0]].item() if np.ndim(t) else t)
+        raise ValueError("superoperator matrix has non-finite entries")
     return stack if np.ndim(t) else SuperOperator(2, stack[0])
 
 
@@ -216,19 +215,8 @@ def gamma_eigenvalue(spec: QubitGeneratorSpec, t: float = 0.0) -> complex:
         row = spec.bank.values(t)[0]
     if not np.isfinite(row).all():
         raise ValueError(f"coefficients have non-finite values at t={t}")
-    _require_hermitian(row[2:].reshape(2, 2), t)
+    _require_hermitian(row[2:], t)
     return complex(_modes(row)[1])
-
-
-def eigenvalue_integrals(spec: QubitGeneratorSpec, t0: float, t1: float) -> np.ndarray:
-    """Integrals over [t0, t1] of the four mode eigenvalues
-    (0, Gamma, conj Gamma, -gamma); raises a ``ValueError`` where a
-    coefficient's integral is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = spec.bank.integrals(t0, t1)[0]
-    if not np.isfinite(row).all():
-        raise ValueError(f"coefficient integrals over [{t0}, {t1}] have non-finite values")
-    return _modes(row)
 
 
 def _rank_one_stack(lefts, rights) -> np.ndarray:
@@ -250,7 +238,8 @@ def _sign_check(spec: QubitGeneratorSpec, t0: float, t, mode: PropagationMode,
     mode checks int_0^tau over the nonzero taus of [0, t - t0]. In both, c
     (or its integral) must also be Hermitian, raising at the first point
     where it is not, and every coefficient finite: a ``ValueError`` names
-    the first point with a non-finite one unless a violation comes before.
+    the first point with a non-finite one unless a violation comes before
+    (see :func:`~comdyn.classical.first_failing_row`).
     """
     grid = window_grid(t0, t, mode)
     pointwise = mode == "markov"
@@ -261,25 +250,24 @@ def _sign_check(spec: QubitGeneratorSpec, t0: float, t, mode: PropagationMode,
         else:
             grid = grid[grid != 0.0]
             block = spec.bank.integrals(0.0, grid)
-    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-    block = block[:bad[0]] if bad.size else block
-    cmats = block[:, 2:].reshape(-1, 2, 2)
-    adjoints = cmats.conj().swapaxes(1, 2)
-    min_eigs = np.min(np.linalg.eigvalsh((cmats + adjoints) / 2.0), axis=1)
-    scale = np.maximum(1.0, np.max(np.abs(cmats), axis=(1, 2)))
-    flagged = ((block[:, 1].real < -tol) | (min_eigs < -tol)
-               | (np.max(np.abs(cmats - adjoints), axis=(1, 2)) > HERMITIAN_TOL * scale))
-    if not np.any(flagged):
-        if bad.size:
-            raise ValueError(f"{'coefficients' if pointwise else 'int_0^t coefficients'} "
-                             f"have non-finite values at t={float(grid[bad[0]])}")
+
+    def failures(rows):
+        cmats = rows[:, 2:].reshape(-1, 2, 2)
+        min_eigs = np.min(np.linalg.eigvalsh((cmats + cmats.conj().swapaxes(1, 2)) / 2.0),
+                          axis=1)
+        return np.stack([rows[:, 1].real < -tol, _not_hermitian(rows[:, 2:]), min_eigs < -tol])
+
+    found = first_failing_row(block, failures)
+    if found is None:
         return None
-    row = int(np.argmax(flagged))
+    row, which = found
     u = float(grid[row])
-    if block[row, 1].real < -tol:
-        return u, "gamma"
-    _require_hermitian(cmats[row], u, name="c(t)" if pointwise else "int_0^t c")
-    return u, "c"
+    if which is None:
+        raise ValueError(f"{'coefficients' if pointwise else 'int_0^t coefficients'} "
+                         f"have non-finite values at t={u}")
+    if which == 1:
+        _require_hermitian(block[row, 2:], u, "c(t)" if pointwise else "int_0^t c")
+    return u, "gamma" if which == 0 else "c"
 
 
 def propagate(spec: QubitGeneratorSpec, t0: float, t, mode: PropagationMode = "markov"):
@@ -355,13 +343,7 @@ class ClassificationReport:
     horizon: float
 
     def as_dict(self) -> dict:
-        return {
-            "markovian": self.markovian,
-            "nonmarkovian_valid": self.nonmarkovian_valid,
-            "first_markov_violation": self.first_markov_violation,
-            "first_nonmarkov_violation": self.first_nonmarkov_violation,
-            "horizon": self.horizon,
-        }
+        return asdict(self)
 
 
 def classify(spec: QubitGeneratorSpec, t0: float, t: float,

@@ -23,7 +23,7 @@ non-normal maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -313,17 +313,7 @@ class ChannelReport:
                         for f in figures))
 
     def as_dict(self) -> dict:
-        return {
-            "cp": self.cp,
-            "tp": self.tp,
-            "unital": self.unital,
-            "hermiticity_preserving": self.hermiticity_preserving,
-            "choi_min_eigenvalue": self.choi_min_eigenvalue,
-            "tp_residual": self.tp_residual,
-            "unital_residual": self.unital_residual,
-            "hermiticity_residual": self.hermiticity_residual,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def validate_channel(a: SuperOperator, tol: float = DEFAULT_TOL) -> ChannelReport:

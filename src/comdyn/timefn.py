@@ -17,7 +17,6 @@ import numbers
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial as _NPoly
 
 
 class TimeFunction:
@@ -75,28 +74,31 @@ class Constant(TimeFunction):
 
 
 class Polynomial(TimeFunction):
-    """c0 + c1*t + c2*t**2 + ... with ascending coefficients."""
+    """c0 + c1*t + c2*t**2 + ... with ascending coefficients, held as the
+    coefficient row a :class:`CoefficientBank` holds and evaluated,
+    integrated and differentiated as the bank does."""
 
     def __init__(self, coeffs: Sequence[complex]):
-        self._poly = _NPoly(_numbers(coeffs))
-        self.coeffs = self._poly.coef
+        self.coeffs = _padded([coeffs])[0]
+        if not self.coeffs.size:
+            raise ValueError("a polynomial needs at least one coefficient")
 
     def __call__(self, t):
-        return self._poly(t)
+        return _horner(self.coeffs, t)
 
     def integrate(self, t0, t1):
-        anti = self._poly.integ()
-        return anti(t1) - anti(t0)
+        anti = _antiderivative(self.coeffs)
+        return _horner(anti, t1) - _horner(anti, t0)
 
     def derivative(self, t):
-        return self._poly.deriv()(t)
+        return _horner(_derivative(self.coeffs), t)
 
     @property
     def is_constant(self):
-        return self._poly.degree() == 0 or not np.any(self._poly.coef[1:])
+        return not np.any(self.coeffs[1:])
 
     def __repr__(self):
-        return f"Polynomial({self._poly.coef.tolist()!r})"
+        return f"Polynomial({self.coeffs.tolist()!r})"
 
 
 class DampedTrig(TimeFunction):
@@ -314,10 +316,7 @@ class CoefficientBank:
 
         self._constant_values = np.array([s["value"] for s in constant], dtype=complex)
         self._poly_coeffs = _padded([s["coeffs"] for s in poly])
-        # the antiderivatives' coefficients, as Polynomial.integrate's
-        self._poly_anti = np.zeros((self._poly.size, self._poly_coeffs.shape[1] + 1),
-                                   dtype=self._poly_coeffs.dtype)
-        self._poly_anti[:, 1:] = self._poly_coeffs / np.arange(1, self._poly_anti.shape[1])
+        self._poly_anti = _antiderivative(self._poly_coeffs)
         self._amplitude, self._decay, self._frequency, self._phase, self._offset = (
             _numbers([s.get(name, default) for s in trig])
             for name, default in _TRIG_DEFAULTS.items())
@@ -465,8 +464,8 @@ def _poly_candidates(coeffs: np.ndarray, lo: float, hi: float) -> tuple:
     which keeps the companion well scaled; they move a value by less than
     the bank's margin."""
     rows, width = coeffs.shape
-    deriv = coeffs[:, 1:] * np.arange(1, width)
-    curve = deriv[:, 1:] * np.arange(1, width - 1)
+    deriv = _derivative(coeffs)
+    curve = _derivative(deriv)
     times = np.full((2 * max(width, 2) - 2, rows), float(lo))
     times[1] = hi
     size = np.abs(coeffs) * max(abs(lo), abs(hi)) ** np.arange(width)
@@ -530,12 +529,28 @@ def _padded(rows) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Ascending coefficient rows evaluated at a column of times, in the
-    operation order of ``numpy.polynomial.polynomial.polyval``."""
-    acc = coeffs[:, -1] + t * 0
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        acc = coeffs[:, k] + acc * t
+    """Ascending coefficient rows evaluated at a column of times (or one
+    row at ``t``), in the operation order of
+    ``numpy.polynomial.polynomial.polyval``."""
+    acc = coeffs[..., -1] + t * 0
+    for k in range(coeffs.shape[-1] - 2, -1, -1):
+        acc = coeffs[..., k] + acc * t
     return acc
+
+
+def _antiderivative(coeffs: np.ndarray) -> np.ndarray:
+    """The coefficient rows of the antiderivatives that vanish at t = 0,
+    each coefficient divided by its power + 1, as ``polyint`` divides."""
+    anti = np.zeros(coeffs.shape[:-1] + (coeffs.shape[-1] + 1,), dtype=coeffs.dtype)
+    anti[..., 1:] = coeffs / np.arange(1, anti.shape[-1])
+    return anti
+
+
+def _derivative(coeffs: np.ndarray) -> np.ndarray:
+    """The coefficient rows of the derivatives, each coefficient times its
+    power, as ``polyder`` multiplies; a constant row gives c0 * 0."""
+    scaled = coeffs * np.arange(coeffs.shape[-1])
+    return scaled[..., 1:] if coeffs.shape[-1] > 1 else scaled
 
 
 def as_time_function(value) -> TimeFunction:

@@ -23,7 +23,7 @@ so maps from different coefficient fields always commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import lru_cache, reduce
 from typing import Optional, Sequence, Union
 
@@ -182,13 +182,7 @@ class WeylRelationsReport:
         return self.max_residual < RELATIONS_TOL
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d, "nparties": self.nparties,
-            "product_residual": self.product_residual,
-            "adjoint_residual": self.adjoint_residual,
-            "orthogonality_residual": self.orthogonality_residual,
-            "max_residual": self.max_residual,
-        }
+        return {**asdict(self), "max_residual": self.max_residual}
 
 
 def relations_check(family: WeylFamily) -> WeylRelationsReport:
@@ -449,12 +443,6 @@ class WeylSpectrum:
         dim = self.dim
         eps = float(np.finfo(values.dtype).eps)
         return dim ** 3 * eps * max(1.0, float(np.max(np.abs(values))))
-
-
-def map_spectrum(field: WeylCoefficientField, t: float = 0.0) -> WeylSpectrum:
-    """Spectral data of map_from_coeffs(field, t): the eigenvalue on u_{k,l}
-    is the doubled-lattice Fourier transform a~(k, l)."""
-    return WeylSpectrum(dft(field.as_circulant().rates(t)))
 
 
 def spectrum_convention_residual(d: int, nparties: int = 1) -> float:

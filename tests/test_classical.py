@@ -381,7 +381,7 @@ def test_kolmogorov_check_reads_the_mode_window(mode):
 def test_relaxation_is_the_spectral_core_of_propagate(rng):
     gen = CirculantGenerator.constant(3, 2, random_kolmogorov_rates(rng, 3, 2))
     relax = relaxation(gen, 0.2, 1.1)
-    expected = np.exp(dft(gen.integrated_rates(0.2, 1.1)).values)
+    expected = np.exp(dft(LatticeField(3, 2, gen.bank.integrals(0.2, 1.1)[0])).values)
     assert np.array_equal(relax.values, expected)
     assert np.array_equal(idft(relax).values.real, propagate(gen, 0.2, 1.1).values)
     bad = CirculantGenerator.constant(2, 1, [0.5, -0.5])
@@ -433,7 +433,7 @@ def test_monotone_fourier_relaxation_for_nonnegative_rates():
     taus = np.linspace(0.1, 4.0, 40)
     previous = np.ones(3)
     for tau in taus:
-        integ = gen.integrated_rates(0.0, tau)
+        integ = LatticeField(3, 1, gen.bank.integrals(0.0, tau)[0])
         moduli = np.abs(np.exp(dft(integ).values))
         assert np.all(moduli <= previous + 1e-12)
         previous = moduli

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -478,7 +479,16 @@ def test_weyl_run_reports_its_channel_from_the_spectrum(tmp_path, monkeypatch):
     assert superop.ChannelReport(**final).agrees_with(dense, spectrum.rounding_bound())
 
 
-def test_weyl_oracle_run_cross_checks_the_spectral_report(tmp_path, monkeypatch):
+def _written(tmp_path):
+    return sorted(p.name for p in tmp_path.iterdir())
+
+
+#: the one stderr line of a run whose oracle residual exceeds the tolerance
+RESIDUAL_REFUSAL = re.compile(
+    r"precondition failed: oracle residual (\S+) at t=(\S+) exceeds tol 1e-07\n")
+
+
+def test_weyl_oracle_run_cross_checks_the_spectral_report(tmp_path, monkeypatch, capsys):
     calls = _count_validate_channel(monkeypatch)
     config = write_config(tmp_path, "weyl.json", WEYL_CONFIG)
     out = tmp_path / "weyl.csv"
@@ -487,16 +497,19 @@ def test_weyl_oracle_run_cross_checks_the_spectral_report(tmp_path, monkeypatch)
     oracle_report = json.loads((tmp_path / "weyl.csv.meta.json").read_text())[
         "reports"]["oracle"]
     assert oracle_report["final_channel_agrees"] and oracle_report["passed"]
-    # a disagreement between the two reports fails the oracle report
+    names = _written(tmp_path)
+    # a disagreement between the two reports refuses the run, which writes
+    # nothing, and the one stderr line names both reports
     monkeypatch.setattr(superop.ChannelReport, "agrees_with",
                         lambda self, other, atol: False)
-    assert main(["run", config, "--out", str(out), "--oracle"]) == 0
-    oracle_report = json.loads((tmp_path / "weyl.csv.meta.json").read_text())[
-        "reports"]["oracle"]
-    # ... and the report says which check failed
-    assert oracle_report["max_residual"] <= oracle_report["tol"]
-    assert not oracle_report["final_channel_agrees"]
-    assert not oracle_report["passed"]
+    capsys.readouterr()
+    assert main(["run", config, "--out", str(tmp_path / "refused.csv"), "--oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failed: oracle: the final channel's spectral "
+                          "report {'cp': True, ")
+    assert " disagrees with its dense report {'cp': True, " in err
+    assert err.count("\n") == 1
+    assert _written(tmp_path) == names
 
 
 def _count_dense_weyl(monkeypatch):
@@ -559,14 +572,14 @@ def test_weyl_run_builds_no_dense_family(tmp_path, monkeypatch):
     assert calls["map_from_values"] > 0
 
 
-def test_weyl_oracle_catches_a_transposed_support_block(tmp_path, monkeypatch):
+def test_weyl_oracle_catches_a_transposed_support_block(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path, "weyl.json", WEYL_D3_CONFIG)
     out = tmp_path / "weyl.csv"
     assert main(["run", config, "--out", str(out), "--oracle"]) == 0
     sidecar = tmp_path / "weyl.csv.meta.json"
     assert json.loads(sidecar.read_text())["reports"]["oracle"]["passed"]
     channel = tmp_path / "weyl.csv.channel.csv"
-    written = channel.read_bytes()
+    written, names = channel.read_bytes(), _written(tmp_path)
     support = weyl.WeylSpectrum.support
 
     def transposed(self):
@@ -574,11 +587,13 @@ def test_weyl_oracle_catches_a_transposed_support_block(tmp_path, monkeypatch):
         values, positions, differences = support(self)
         return values, positions, differences.T
     monkeypatch.setattr(weyl.WeylSpectrum, "support", transposed)
-    assert main(["run", config, "--out", str(out), "--oracle"]) == 0
-    report = json.loads(sidecar.read_text())["reports"]["oracle"]
-    assert report["max_residual"] > 1e3 * report["tol"]
-    assert not report["passed"]
-    # the channel CSV is written from the same layout
+    capsys.readouterr()
+    assert main(["run", config, "--out", str(tmp_path / "refused.csv"), "--oracle"]) == 2
+    refusal = RESIDUAL_REFUSAL.fullmatch(capsys.readouterr().err)
+    assert float(refusal[1]) > 1e3 * 1e-7
+    assert _written(tmp_path) == names
+    # without the oracle the channel CSV is written from the same layout
+    assert main(["run", config, "--out", str(out)]) == 0
     assert channel.read_bytes() != written
 
 
@@ -601,17 +616,21 @@ def _flip_qubit_mode(monkeypatch):
 @pytest.mark.parametrize("config, flip", [(CLASSICAL_CONFIG, _flip_classical_mode),
                                           (QUBIT_CONFIG, _flip_qubit_mode)],
                          ids=["classical", "qubit"])
-def test_oracle_catches_a_flipped_mode(tmp_path, monkeypatch, config, flip):
+def test_oracle_catches_a_flipped_mode(tmp_path, monkeypatch, capsys, config, flip):
     path = write_config(tmp_path, "config.json", config)
     out = tmp_path / "result.csv"
     sidecar = tmp_path / "result.csv.meta.json"
     assert main(["run", path, "--out", str(out), "--oracle"]) == 0
     assert json.loads(sidecar.read_text())["reports"]["oracle"]["passed"]
+    names = _written(tmp_path)
     flip(monkeypatch)
-    assert main(["run", path, "--out", str(out), "--oracle"]) == 0
-    report = json.loads(sidecar.read_text())["reports"]["oracle"]
-    assert report["max_residual"] > 1e3 * report["tol"]
-    assert not report["passed"]
+    capsys.readouterr()
+    assert main(["run", path, "--out", str(tmp_path / "refused.csv"), "--oracle"]) == 2
+    refusal = RESIDUAL_REFUSAL.fullmatch(capsys.readouterr().err)
+    assert float(refusal[1]) > 1e3 * 1e-7
+    # the worst row is one of the run's rows
+    assert float(refusal[2]) in read_csv(out)[1][:, 0]
+    assert _written(tmp_path) == names
 
 
 def test_mixture_run(tmp_path):
@@ -1256,6 +1275,13 @@ FAILURE_PATHS = {
                                              {"kind": "damped-trig", "amplitude": 10 ** 30}]),
         [], 2, "precondition failed: Kolmogorov markov check failed at t=0.0: pointwise "
         "zero-sum conservation (index 0, value 1.000000e+30)\n"),
+    # 2,048 oracle steps of about 9e15 end 0.5 away from the closed form
+    # (0.5, 0.5): a failed oracle refuses the run at its worst row
+    "classical-oracle-failed": (
+        "run", dict(CLASSICAL_CONFIG, rates=[-0.5, 0.5],
+                    time={"t0": 0, "t": 2 ** 64, "samples": 2}), ["--oracle"], 2,
+        "precondition failed: oracle residual 5.000000e-01 at t=1.8446744073709552e+19 "
+        "exceeds tol 1e-07\n"),
     # zero-sum rates of 1e30 whose transform rounds to a positive exponent
     # of about 1e14: the relaxation overflows and is refused, without a warning
     "weyl-overflowing-relaxation": (
@@ -1580,13 +1606,15 @@ def test_importing_the_cli_loads_the_top_level_scipy_package():
 def test_importing_the_cli_loads_neither_jsonschema_nor_scipy_interpolate():
     # nor any scipy submodule that a bare ``import scipy`` does not load:
     # scipy.linalg and scipy.integrate alone cost more than the rest of
-    # the import
+    # the import; nor numpy.polynomial, which only the kernel's growth
+    # bound and the s-quadrature of weighted generators call
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
 
     def loaded(statement):
         code = (f"import json, sys; {statement}; print(json.dumps(sorted(m for m in "
-                "sys.modules if m.startswith('scipy.') or m == 'jsonschema')))")
+                "sys.modules if m.startswith(('scipy.', 'numpy.polynomial')) "
+                "or m == 'jsonschema')))")
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         return set(json.loads(result.stdout))
@@ -1595,3 +1623,4 @@ def test_importing_the_cli_loads_neither_jsonschema_nor_scipy_interpolate():
     used = loaded("import comdyn.cli")
     assert used <= bare
     assert "jsonschema" not in used and "scipy.interpolate" not in used
+    assert "numpy.polynomial" not in used

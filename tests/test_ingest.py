@@ -163,13 +163,31 @@ def test_a_bank_of_specs_equals_the_bank_of_their_functions(specs, times):
        times=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
 def test_polynomial_integrals_equal_numpys_antiderivatives(rows, times):
     # the bank divides each coefficient by its power + 1; numpy.polynomial's
-    # integ(), which Polynomial.integrate uses, gives the same integrals, bit
-    # for bit
+    # integ() gives the same integrals, bit for bit
     bank = CoefficientBank([{"kind": "polynomial", "coeffs": r} for r in rows])
-    anti = timefn._padded([Polynomial(r)._poly.integ().coef for r in rows])
+    anti = timefn._padded([np.polynomial.Polynomial(r).integ().coef for r in rows])
     hi, lo = np.array(times)[:, None], np.full((len(times), 1), -0.25)
     expected = timefn._horner(anti, hi) - timefn._horner(anti, lo)
     _same(bank.integrals(-0.25, times), expected.astype(complex))
+
+
+_coefficient = st.one_of(_numbers, st.just(-0.0), st.just(5e-324))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(_coefficient, min_size=1, max_size=6),
+       times=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+def test_polynomial_values_and_derivatives_equal_numpys(coeffs, times):
+    # real coefficients, as a config gives them. numpy first maps t onto its
+    # window as 0.0 + 1.0 t, which reads -0.0 as +0.0, so the times are given
+    # as numpy reads them
+    times = np.array(times) + 0.0
+    ours, theirs = Polynomial(coeffs), np.polynomial.Polynomial(coeffs)
+    anti = theirs.integ()
+    for t in [*times.tolist(), times]:
+        _same(np.asarray(ours(t)), np.asarray(theirs(t)))
+        _same(np.asarray(ours.derivative(t)), np.asarray(theirs.deriv()(t)))
+        _same(np.asarray(ours.integrate(-0.25, t)), np.asarray(anti(t) - anti(-0.25)))
 
 
 def _as_doubles(spec):

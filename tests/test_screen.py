@@ -13,13 +13,14 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from comdyn import classical, cli, qubit, timefn
+from comdyn import classical, cli, generators, qubit, timefn, weyl
 from comdyn.cli import main
-from comdyn.errors import PreconditionFailedError
+from comdyn.errors import InvalidWeightsError, PreconditionFailedError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -203,6 +204,82 @@ def test_an_input_error_in_a_later_row_comes_before_a_refusal(tmp_path, capsys):
 def test_window_grid_refuses_a_row_that_ends_before_t0():
     with pytest.raises(ValueError, match=r"need t >= t0, got t0=2\.0, t=1\.5"):
         classical.window_grid(2.0, [2.0, 1.5, 1.0], "markov")
+
+
+def _block(good, rows, size):
+    """``size`` rows of ``good`` values but for ``rows`` (row -> values)."""
+    block = np.tile(np.asarray(good, dtype=complex), (size, 1))
+    for row, values in rows.items():
+        block[row] = values
+    return block
+
+
+def _with_block(spec, good, rows):
+    """``spec`` reading :func:`_block` from a stand-in for its bank."""
+    object.__setattr__(spec, "bank", SimpleNamespace(
+        values=lambda times: _block(good, rows, len(times))))
+    return spec
+
+
+def _kolmogorov_screen(good, rows):
+    grid = classical.condition_grid(0.0, 1.0)
+    return classical._first_violation(_block(good, rows, grid.size), grid, 1e-10,
+                                      "pointwise")
+
+
+def _qubit_sign_screen(good, rows):
+    spec = _with_block(qubit.QubitGeneratorSpec.constant(), good, rows)
+    return qubit._sign_check(spec, 0.0, 1.0, "markov", 1e-10)
+
+
+def _mixture_weight_screen(good, rows):
+    cset = generators.CommutingGeneratorSet.from_generators([weyl.map_from_coeffs(
+        weyl.WeylCoefficientField.constant(2, 1, rates))
+        for rates in ([-1.0, 0.5, 0.25, 0.25], [-0.6, 0.2, 0.2, 0.2])])
+    return _with_block(generators.MixtureSpec((0.7, 0.3), cset), good, rows
+                       ).validate_weights(0.0, 1.0)
+
+
+#: kind -> (screen, a passing row, a violating row, a non-finite row, the
+#: verdict at a violation at time t, the verdict at a non-finite row at t);
+#: each screen reads the 201-point grid of [0, 1]
+SCREENS = {
+    "kolmogorov": (
+        _kolmogorov_screen, [-1.0, 1.0], [1.0, -1.0], [np.nan, 1.0],
+        lambda t: classical.KolmogorovViolation(
+            t, 1, -1.0, "pointwise nonnegativity off the origin"),
+        lambda t: (ValueError, "field has non-finite values")),
+    "qubit-sign": (
+        _qubit_sign_screen, [0.2, 1.0, 0.4, 0.1, 0.1, 0.3], [0.2, -1.0, 0.4, 0.1, 0.1, 0.3],
+        [np.nan, 1.0, 0.4, 0.1, 0.1, 0.3], lambda t: (t, "gamma"),
+        lambda t: (ValueError, f"coefficients have non-finite values at t={t}")),
+    "mixture-weights": (
+        _mixture_weight_screen, [0.7, 0.3], [0.7, 0.7], [np.nan, 0.3],
+        lambda t: (InvalidWeightsError, f"weights sum to 1.4 at tau={t}"),
+        lambda t: (ValueError, f"weights have non-finite values at tau={t}")),
+}
+
+
+@pytest.mark.parametrize("violation, non_finite", [(40, 120), (120, 40), (None, None)],
+                         ids=["violation-first", "non-finite-first", "neither"])
+@pytest.mark.parametrize("kind", sorted(SCREENS))
+def test_every_screen_stops_at_its_earliest_failing_row(kind, violation, non_finite):
+    """A violation before the first non-finite row is the witness, a
+    non-finite row before any violation gets the kind's own refusal, and a
+    block with neither passes."""
+    screen, good, bad, broken, witness, refusal = SCREENS[kind]
+    grid = classical.condition_grid(0.0, 1.0)
+    rows = {} if violation is None else {violation: bad, non_finite: broken}
+    try:
+        verdict = screen(good, rows)
+    except ValueError as exc:
+        verdict = type(exc), str(exc)
+    if violation is None:
+        assert verdict is None
+    elif violation < non_finite:
+        assert verdict == witness(grid[violation])
+    else:
+        assert verdict == refusal(grid[non_finite])
 
 
 @pytest.mark.parametrize("mode", ["markov", "nonmarkov"])
