@@ -16,15 +16,18 @@ returns exp(I); it is the one checked core that :func:`propagate` and
 :func:`comdyn.weyl.evolve` share.
 
 Fields on Z_d^n are stored flat in row-major order (first axis slowest).
-The lattice transforms are FFTs on the (d,) * n grid, O(d^n log d^n), with
-the +m.k phase kernel on the forward leg; the dense kernel is built only for
-the explicit eigenvector matrix :func:`fourier_modes`. Generator rates live
-in a :class:`~comdyn.timefn.CoefficientBank`, so a condition check
-evaluates its whole time grid in one call.
+The lattice transforms are DFTs on the (d,) * n grid, O(d^n log d^n), with
+the +m.k phase kernel on the forward leg, all run by :func:`fft_axes`:
+radix-2 butterflies on Z_2 axes, with numpy.fft's bits, and numpy.fft for
+other d. The dense kernel is built only for the explicit eigenvector matrix
+:func:`fourier_modes`. Generator rates live in a
+:class:`~comdyn.timefn.CoefficientBank`, so a condition check evaluates its
+whole time grid in one call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import Literal, Optional, Sequence
@@ -113,20 +116,54 @@ def _dft_kernel(d: int, naxes: int) -> np.ndarray:
     return np.exp((2j * np.pi / d) * ((digits.T @ digits) % d))
 
 
+def fft_axes(grid: np.ndarray, axes=None, forward_norm: bool = False,
+             inverse: bool = False) -> np.ndarray:
+    """numpy's ``fftn`` of ``grid`` over the nonnegative ``axes`` (all if
+    None), or its ``ifftn`` if ``inverse``, with ``norm="forward"`` if
+    ``forward_norm`` and ``"backward"`` otherwise: every lattice transform
+    of comdyn runs here.
+
+    When every transformed axis has length 2, the transform runs as
+    radix-2 butterflies (a + b, a - b) on a complex copy, one axis at a
+    time, last axis first, each axis halved where the norm scales that
+    direction by 1/2, as numpy's per-axis transforms do. A length-2 DFT is
+    exactly that addition and subtraction, so the bits are numpy's, and a
+    Z_2 lattice never imports numpy.fft. A result that is not finite is
+    recomputed by numpy.fft, so its overflow warnings are numpy's too."""
+    axes = tuple(range(grid.ndim)) if axes is None else tuple(axes)
+    if all(grid.shape[axis] == 2 for axis in axes):
+        out = np.array(grid, dtype=complex)
+        # a complex array viewed as floats is its (re, im) pairs: halving
+        # them is exact, where a complex product by 0.5 + 0j is not
+        parts = out.view(float)
+        with np.errstate(all="ignore"):
+            for axis in reversed(axes):
+                pairs = out.reshape(math.prod(grid.shape[:axis]), 2, -1)
+                a, b = pairs[:, 0], pairs[:, 1]
+                diff = a - b
+                a += b
+                b[...] = diff
+                if forward_norm != inverse:
+                    parts *= 0.5
+        if np.isfinite(parts).all():
+            return out
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    return transform(grid, axes=axes, norm="forward" if forward_norm else "backward")
+
+
 def dft(x: LatticeField) -> LatticeField:
     """Forward transform x~(m) = sum_k lambda^(m.k) x(k).
 
     This is the unnormalized inverse FFT (d^naxes * ifftn) on the grid.
     """
     return LatticeField(x.d, x.naxes,
-                        np.fft.ifftn(x.grid, norm="forward").reshape(-1))
+                        fft_axes(x.grid, forward_norm=True, inverse=True).reshape(-1))
 
 
 def idft(x: LatticeField) -> LatticeField:
     """Inverse transform x(k) = d^-naxes sum_m lambda^(-m.k) x~(m),
     which is fftn / d^naxes on the grid."""
-    return LatticeField(x.d, x.naxes,
-                        np.fft.fftn(x.grid, norm="forward").reshape(-1))
+    return LatticeField(x.d, x.naxes, fft_axes(x.grid, forward_norm=True).reshape(-1))
 
 
 def convolve(x: LatticeField, y: LatticeField) -> LatticeField:

@@ -11,8 +11,9 @@ Two subcommands:
   or the built-in self-test suite when no config is given; emits a
   machine-readable pass/fail report.
 
-Exit codes: 0 success, 1 I/O, schema or other input error, 2 refusal: a
-precondition fails or a result cannot be trusted (the witness is reported).
+Exit codes: 0 success, 1 usage, I/O, schema or other input error, 2
+refusal: a precondition fails or a result cannot be trusted (the witness is
+reported).
 Each :class:`~comdyn.errors.ComdynError` carries its code. Identical
 configs produce byte-identical output: the core is deterministic and floats
 are serialized with 17 significant digits.
@@ -555,8 +556,17 @@ def validate_command(config: Optional[dict], tol: float, out_path: Optional[str]
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, as input errors, with
+    argparse's usage line and message; 2 is kept for refusals."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="comdyn",
         description="Closed-form propagation of commutative open-system dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -583,6 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # NaN fails both comparisons, so it is refused with the negatives
+        if args.tol is not None and not 0.0 <= args.tol < float("inf"):
+            raise ConfigError(f"--tol must be a finite number >= 0, got {args.tol}")
         if args.command == "run":
             return run_experiment(*load_config(args.config), args)
         config = load_config(args.config)[0] if args.config else None

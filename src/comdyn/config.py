@@ -57,7 +57,8 @@ _TIME = _closed({"t0": _NUM, "t": _NUM, "samples": {"type": "integer", "minimum"
                 "t0", "t", "samples")
 _MODE = {"enum": ["markov", "nonmarkov"]}
 _ORACLE = {"type": "object",
-           "properties": {"tol": _NUM, "steps": {"type": "integer", "minimum": 1}},
+           "properties": {"tol": {"type": "number", "minimum": 0},
+                          "steps": {"type": "integer", "minimum": 1}},
            "additionalProperties": False}
 _OUTPUT = {"type": "string"}
 _COMPLEX = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}

@@ -380,8 +380,8 @@ class WeylSpectrum:
         c' - c."""
         npar, dim = self.nparties, self.dim
         positions = _tables(self.d, npar)[1] + dim * np.arange(dim)
-        q = np.fft.fftn(self.eigenvalues.grid, axes=tuple(range(npar)),
-                        norm="forward").reshape(dim, dim)
+        q = classical.fft_axes(self.eigenvalues.grid, range(npar),
+                               forward_norm=True).reshape(dim, dim)
         return q.T, positions, classical._difference_index_map(self.d, npar).T
 
     def assemble(self) -> SuperOperator:
@@ -416,7 +416,7 @@ class WeylSpectrum:
         """
         npar = self.nparties
         field = classical.idft(self.eigenvalues)
-        skew = np.fft.fftn(field.grid.imag, axes=tuple(range(npar, 2 * npar)))
+        skew = classical.fft_axes(field.grid.imag, range(npar, 2 * npar))
         herm_residual = 2.0 * float(np.max(np.abs(skew)))
         herm_ok = herm_residual <= tol
         min_eig = self.dim * float(np.min(field.values.real))

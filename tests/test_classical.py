@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from comdyn import oracle
 from comdyn.classical import (CirculantGenerator, KolmogorovViolation, LatticeField,
                               _dft_kernel, circulant_matrix,
                               composition_check, condition_grid, convolve,
-                              dft, fourier_modes, idft,
+                              dft, fft_axes, fourier_modes, idft,
                               kolmogorov_check, kolmogorov_check_markov,
                               kolmogorov_check_nonmarkov, propagate, relaxation)
 from comdyn.errors import (DimensionMismatchError, NonProbabilisticResultError,
@@ -88,6 +90,64 @@ def test_fft_transforms_match_dense_kernel(rng, d, naxes):
     inverse = kernel.conj() @ x.values / size
     assert np.max(np.abs(dft(x).values - forward)) < 1e-12 * np.max(np.abs(forward))
     assert np.max(np.abs(idft(x).values - inverse)) < 1e-12 * np.max(np.abs(inverse))
+
+
+#: drawn on purpose: signed zeros, subnormals and the least normal, and
+#: values whose sums and differences overflow
+_TINY_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 3e-310, -2.2250738585072014e-308])
+_HUGE_VALUES = np.array([1.7e308, -1.7e308, 9e307])
+
+
+def _numpy_and_fft_axes(grid, axes, forward_norm, inverse):
+    """The two transforms of ``grid`` and the warnings each raised."""
+    reference = np.fft.ifftn if inverse else np.fft.fftn
+    results = []
+    for transform in (lambda: reference(grid, axes=axes,
+                                        norm="forward" if forward_norm else "backward"),
+                      lambda: fft_axes(grid, axes, forward_norm, inverse)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results.append((transform(), [str(w.message) for w in caught]))
+    return results
+
+
+@settings(max_examples=400, deadline=None)
+@given(naxes=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       tiny=st.floats(0.0, 1.0), huge=st.integers(0, 2), forward_norm=st.booleans(),
+       inverse=st.booleans(), is_complex=st.booleans(), data=st.data())
+def test_fft_axes_has_numpys_bits_on_z2_lattices(naxes, seed, tiny, huge, forward_norm,
+                                                  inverse, is_complex, data):
+    # numpy.fft is the reference; a length-2 DFT is one addition and one
+    # subtraction, so the butterflies must give its bits, and a result that
+    # overflows must warn as numpy warns. A share ``tiny`` of the entries
+    # are signed zeros and subnormals, and ``huge`` of them near overflow.
+    rng = np.random.default_rng(seed)
+    size = 2 ** naxes
+
+    def part():
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+        special = rng.random(size) < tiny
+        values[special] = rng.choice(_TINY_VALUES, int(special.sum()))
+        values[rng.integers(0, size, huge)] = rng.choice(_HUGE_VALUES, huge)
+        return values
+
+    grid = (part() + 1j * part() if is_complex else part()).reshape((2,) * naxes)
+    axes = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(0, naxes - 1), min_size=1, max_size=naxes,
+                            unique=True).map(sorted)))
+    (expected, numpy_warnings), (got, our_warnings) = _numpy_and_fft_axes(
+        grid, axes, forward_norm, inverse)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert our_warnings == numpy_warnings
+
+
+@pytest.mark.parametrize("axes", [None, [1], [0, 2]])
+@pytest.mark.parametrize("forward_norm, inverse", [(True, True), (True, False), (False, False)])
+def test_fft_axes_falls_back_to_numpy_past_z2(rng, axes, forward_norm, inverse):
+    grid = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    (expected, _), (got, _) = _numpy_and_fft_axes(grid, axes, forward_norm, inverse)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -1287,6 +1287,22 @@ FAILURE_PATHS = {
     "weyl-overflowing-relaxation": (
         "run", dict(WEYL_CONFIG, rates=[-3e30, 1e30, 1e30, 1e30]), [], 1,
         "error: field has non-finite values\n"),
+    # a tolerance must be finite and >= 0: NaN fails every comparison, so it
+    # used to pass every validate check, and a negative one refused every
+    # oracle as a failed one (exit 2)
+    "validate-nan-tol": (
+        "validate", dict(CLASSICAL_CONFIG, rates=[0.5, -0.5],
+                         time={"t0": 0, "t": 2, "samples": 3}), ["--tol", "nan"], 1,
+        "error: --tol must be a finite number >= 0, got nan\n"),
+    "run-oracle-negative-tol": (
+        "run", CLASSICAL_CONFIG, ["--oracle", "--tol", "-1"], 1,
+        "error: --tol must be a finite number >= 0, got -1.0\n"),
+    "run-oracle-nan-tol": (
+        "run", CLASSICAL_CONFIG, ["--oracle", "--tol", "nan"], 1,
+        "error: --tol must be a finite number >= 0, got nan\n"),
+    "config-negative-oracle-tol": (
+        "run", dict(CLASSICAL_CONFIG, oracle={"tol": -1}), ["--oracle"], 1,
+        "error: config invalid at oracle.tol: -1 is less than the minimum of 0\n"),
 }
 
 
@@ -1302,6 +1318,22 @@ def test_failure_paths_exit_with_their_code_and_write_nothing(tmp_path, capsys, 
     assert captured.err.count("\n") == 1
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "config.json", "--steps", "abc"],
+     "comdyn run: error: argument --steps: invalid int value: 'abc'\n"),
+    (["frobnicate"],
+     "comdyn: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'run', 'validate')\n"),
+], ids=["bad-value", "bad-subcommand"])
+def test_usage_errors_exit_as_input_errors_with_argparses_message(capsys, argv, message):
+    # 2 is the refusal code, so argparse's own exit 2 becomes 1
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: comdyn") and err.endswith(message)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1624,3 +1656,22 @@ def test_importing_the_cli_loads_neither_jsonschema_nor_scipy_interpolate():
     assert used <= bare
     assert "jsonschema" not in used and "scipy.interpolate" not in used
     assert "numpy.polynomial" not in used
+
+
+def test_z2_runs_never_load_numpy_fft(tmp_path):
+    # a Z_2 lattice transform runs as butterflies, so a fresh interpreter
+    # that runs Z_2 classical and Weyl configs never imports numpy.fft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    classical_config = write_config(tmp_path, "classical.json", dict(
+        CLASSICAL_CONFIG, dims={"d": 2, "N": 3}, rates=[-0.7] + [0.1] * 7))
+    weyl_config = write_config(tmp_path, "weyl.json", dict(
+        WEYL_CONFIG, dims={"d": 2, "N": 2}, rates=[-1.5] + [0.1] * 15))
+    argvs = [["run", classical_config, "--out", str(tmp_path / "classical.csv")],
+             ["run", weyl_config, "--out", str(tmp_path / "weyl.csv")],
+             ["validate", weyl_config, "--out", str(tmp_path / "weyl.report.json")]]
+    code = (f"import sys, comdyn.cli; codes = [comdyn.cli.main(a) for a in {argvs!r}]; "
+            "print(codes, 'numpy.fft' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[0, 0, 0] False\n"
+    assert (tmp_path / "weyl.csv.channel.csv").exists()

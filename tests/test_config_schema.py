@@ -57,7 +57,8 @@ times = st.fixed_dictionaries({"t0": numbers, "t": numbers,
                                "samples": st.integers(1, 9)})
 optional = {"mode": st.sampled_from(["markov", "nonmarkov"]),
             "oracle": st.fixed_dictionaries({}, optional={
-                "tol": numbers, "steps": st.integers(1, 64)}),
+                "tol": st.one_of(st.integers(0, 5), st.floats(0, 5)),
+                "steps": st.integers(1, 64)}),
             "output": st.text(max_size=4)}
 
 
